@@ -9,6 +9,7 @@ Configuration is flat dotted key=value pairs, read from --config files
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -23,6 +24,7 @@ from . import __version__
 from .blackscholes import VOL_FLOOR, BsInputs, bs_price
 from .core import (
     Dataset,
+    FilterResult,
     OptionType,
     SplitSpec,
     filter_quotes,
@@ -30,12 +32,9 @@ from .core import (
     split_indices,
 )
 from .errors import (
-    CsvRowError,
     DivergenceError,
-    IncompatibleModelError,
     InconsistentEvaluationError,
     OptbenchError,
-    SchemaError,
     UsageError,
     ValidationError,
 )
@@ -48,7 +47,7 @@ from .evaluation import (
     write_report,
     write_summary_csv,
 )
-from .gbdt import EtaSchedule, GbdtConfig, TreeEnsemble, predict_gbdt, train_gbdt
+from .gbdt import GbdtConfig, TreeEnsemble, predict_gbdt, train_gbdt
 from .ingest import (
     load_model,
     load_model_manifest,
@@ -68,14 +67,6 @@ EXIT_TRAINING = 3
 MODEL_KINDS = ("gbdt5", "gbdt10", "mlp3", "mlp5")
 
 logger = logging.getLogger(__name__)
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -99,45 +90,63 @@ def _parse_optional_int(text: str):
     return int(text)
 
 
+def _parse_positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+# Each field of these dataclasses is the key "<section>.<field>", nested
+# dataclasses flattened into their parent's section; a (min, max) field
+# "<stem>_range" takes the two keys "<stem>_min" and "<stem>_max".
+SECTIONS = {"sim": SimConfig, "split": SplitSpec, "gbdt": GbdtConfig, "mlp": MlpTrainConfig}
+# No key sets these: max_depth comes from the model kind, the rest keep their defaults.
+FIXED_FIELDS = {"gbdt.max_depth", "gbdt.eval_metric", "mlp.beta1", "mlp.beta2", "mlp.epsilon"}
+KEY_ALIASES = {"sim.moneyness_grid": "sim.moneyness"}
+
+# Parsers by annotation (a string in the config modules); a range's parses each bound.
+_RANGE = "tuple[float, float]"
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "int | None": _parse_optional_int,
+    "tuple[float, ...]": _parse_float_list,
+    "tuple[tuple[float, float], ...]": _parse_regimes,
+    _RANGE: float,
+}
+
+
+def _field_keys(section: str, field: dataclasses.Field) -> tuple[str, ...]:
+    key = f"{section}.{field.name}"
+    if key in FIXED_FIELDS:
+        return ()
+    if field.type == _RANGE:
+        stem = key.removesuffix("_range")
+        return (f"{stem}_min", f"{stem}_max")
+    return (KEY_ALIASES.get(key, key),)
+
+
+def _leaf_fields(cls):
+    """Fields of a config dataclass, with nested config dataclasses flattened."""
+    for field in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(field.default):
+            yield from _leaf_fields(type(field.default))
+        else:
+            yield field
+
+
 KNOWN_KEYS = {
     "data": str,
-    "seed": _parse_int,
-    "sim.n_underlyings": _parse_int,
-    "sim.days_per_underlying": _parse_int,
-    "sim.s0_min": _parse_float,
-    "sim.s0_max": _parse_float,
-    "sim.vol_regimes": _parse_regimes,
-    "sim.drift": _parse_float,
-    "sim.rate_min": _parse_float,
-    "sim.rate_max": _parse_float,
-    "sim.yield_min": _parse_float,
-    "sim.yield_max": _parse_float,
-    "sim.maturities": _parse_float_list,
-    "sim.moneyness": _parse_float_list,
-    "sim.half_spread": _parse_float,
-    "sim.seed": _parse_int,
-    "split.train_fraction": _parse_float,
-    "split.val_fraction": _parse_float,
-    "split.test_fraction": _parse_float,
-    "split.seed": _parse_int,
-    "gbdt.num_rounds": _parse_int,
-    "gbdt.early_stopping_rounds": _parse_optional_int,
-    "gbdt.n_bins": _parse_int,
-    "gbdt.reg_lambda": _parse_float,
-    "gbdt.min_child_weight": _parse_float,
-    "gbdt.eta_base": _parse_float,
-    "gbdt.eta_min": _parse_float,
-    "gbdt.max_iter_decay": _parse_int,
-    "mlp.initial_lr": _parse_float,
-    "mlp.plateau_factor": _parse_float,
-    "mlp.plateau_patience": _parse_int,
-    "mlp.min_lr": _parse_float,
-    "mlp.early_stop_patience": _parse_int,
-    "mlp.max_epochs": _parse_int,
-    "mlp.batch_size": _parse_int,
-    "mlp.seed": _parse_int,
-    "eval.curve_bins": _parse_int,
-    "report.hist_bins": _parse_int,
+    "seed": int,
+    "eval.curve_bins": _parse_positive_int,
+    "report.hist_bins": _parse_positive_int,
+    **{
+        key: _PARSERS[field.type]
+        for section, cls in SECTIONS.items()
+        for field in _leaf_fields(cls)
+        for key in _field_keys(section, field)
+    },
 }
 
 
@@ -183,125 +192,43 @@ def load_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _seed_for(cfg: dict, key: str) -> int:
-    return cfg.get(key, cfg.get("seed", 0))
+def _build(cls, section: str, cfg: dict, fixed: dict):
+    kwargs = dict(fixed)
+    for field in dataclasses.fields(cls):
+        keys = _field_keys(section, field)
+        if field.name in kwargs or not keys:
+            continue
+        if dataclasses.is_dataclass(field.default):
+            kwargs[field.name] = _build(type(field.default), section, cfg, {})
+        elif field.name == "seed":  # a master seed fills every unset section seed
+            kwargs[field.name] = cfg.get(keys[0], cfg.get("seed", 0))
+        elif field.type == _RANGE:
+            kwargs[field.name] = tuple(cfg.get(k, d) for k, d in zip(keys, field.default))
+        else:
+            kwargs[field.name] = cfg.get(keys[0], field.default)
+    return cls(**kwargs)
 
 
-def build_sim_config(cfg: dict) -> SimConfig:
-    defaults = SimConfig()
+def build_config(section: str, cfg: dict, **fixed):
+    """The config dataclass of `section` from flat keys; `fixed` fields win."""
     try:
-        return SimConfig(
-            n_underlyings=cfg.get("sim.n_underlyings", defaults.n_underlyings),
-            days_per_underlying=cfg.get(
-                "sim.days_per_underlying", defaults.days_per_underlying
-            ),
-            s0_range=(
-                cfg.get("sim.s0_min", defaults.s0_range[0]),
-                cfg.get("sim.s0_max", defaults.s0_range[1]),
-            ),
-            vol_regimes=cfg.get("sim.vol_regimes", defaults.vol_regimes),
-            drift=cfg.get("sim.drift", defaults.drift),
-            rate_range=(
-                cfg.get("sim.rate_min", defaults.rate_range[0]),
-                cfg.get("sim.rate_max", defaults.rate_range[1]),
-            ),
-            yield_range=(
-                cfg.get("sim.yield_min", defaults.yield_range[0]),
-                cfg.get("sim.yield_max", defaults.yield_range[1]),
-            ),
-            maturities=cfg.get("sim.maturities", defaults.maturities),
-            moneyness_grid=cfg.get("sim.moneyness", defaults.moneyness_grid),
-            half_spread=cfg.get("sim.half_spread", defaults.half_spread),
-            seed=_seed_for(cfg, "sim.seed"),
-        )
+        return _build(SECTIONS[section], section, cfg, fixed)
     except ValidationError as exc:
-        raise UsageError(f"sim configuration: {exc}") from exc
+        raise UsageError(f"{section} configuration: {exc}") from exc
 
 
-def build_split_spec(cfg: dict) -> SplitSpec:
-    defaults = SplitSpec()
-    try:
-        return SplitSpec(
-            train_fraction=cfg.get("split.train_fraction", defaults.train_fraction),
-            val_fraction=cfg.get("split.val_fraction", defaults.val_fraction),
-            test_fraction=cfg.get("split.test_fraction", defaults.test_fraction),
-            seed=_seed_for(cfg, "split.seed"),
-        )
-    except ValidationError as exc:
-        raise UsageError(f"split configuration: {exc}") from exc
-
-
-def build_gbdt_config(cfg: dict, max_depth: int) -> GbdtConfig:
-    defaults = GbdtConfig()
-    try:
-        eta = EtaSchedule(
-            eta_base=cfg.get("gbdt.eta_base", EtaSchedule().eta_base),
-            eta_min=cfg.get("gbdt.eta_min", EtaSchedule().eta_min),
-            max_iter_decay=cfg.get("gbdt.max_iter_decay", EtaSchedule().max_iter_decay),
-        )
-        return GbdtConfig(
-            max_depth=max_depth,
-            num_rounds=cfg.get("gbdt.num_rounds", defaults.num_rounds),
-            early_stopping_rounds=cfg.get(
-                "gbdt.early_stopping_rounds", defaults.early_stopping_rounds
-            ),
-            n_bins=cfg.get("gbdt.n_bins", defaults.n_bins),
-            reg_lambda=cfg.get("gbdt.reg_lambda", defaults.reg_lambda),
-            min_child_weight=cfg.get("gbdt.min_child_weight", defaults.min_child_weight),
-            eta=eta,
-        )
-    except ValidationError as exc:
-        raise UsageError(f"gbdt configuration: {exc}") from exc
-
-
-def build_mlp_config(cfg: dict) -> MlpTrainConfig:
-    defaults = MlpTrainConfig()
-    try:
-        return MlpTrainConfig(
-            initial_lr=cfg.get("mlp.initial_lr", defaults.initial_lr),
-            plateau_factor=cfg.get("mlp.plateau_factor", defaults.plateau_factor),
-            plateau_patience=cfg.get("mlp.plateau_patience", defaults.plateau_patience),
-            min_lr=cfg.get("mlp.min_lr", defaults.min_lr),
-            early_stop_patience=cfg.get(
-                "mlp.early_stop_patience", defaults.early_stop_patience
-            ),
-            max_epochs=cfg.get("mlp.max_epochs", defaults.max_epochs),
-            batch_size=cfg.get("mlp.batch_size", defaults.batch_size),
-            seed=_seed_for(cfg, "mlp.seed"),
-        )
-    except ValidationError as exc:
-        raise UsageError(f"mlp configuration: {exc}") from exc
+def config_record(config) -> dict:
+    """Flat manifest record of a config dataclass, nested configs inlined."""
+    record = {}
+    for name, value in dataclasses.asdict(config).items():
+        record.update(value if isinstance(value, dict) else {name: value})
+    return record
 
 
 def _require_data(cfg: dict) -> Path:
     if "data" not in cfg:
         raise UsageError("no dataset given; pass --data or set data= in the config")
     return Path(cfg["data"])
-
-
-def _sim_config_manifest(sim: SimConfig) -> dict:
-    return {
-        "n_underlyings": sim.n_underlyings,
-        "days_per_underlying": sim.days_per_underlying,
-        "s0_range": list(sim.s0_range),
-        "vol_regimes": [list(r) for r in sim.vol_regimes],
-        "drift": sim.drift,
-        "rate_range": list(sim.rate_range),
-        "yield_range": list(sim.yield_range),
-        "maturities": list(sim.maturities),
-        "moneyness_grid": list(sim.moneyness_grid),
-        "half_spread": sim.half_spread,
-        "seed": sim.seed,
-    }
-
-
-def _split_manifest(spec: SplitSpec) -> dict:
-    return {
-        "train_fraction": spec.train_fraction,
-        "val_fraction": spec.val_fraction,
-        "test_fraction": spec.test_fraction,
-        "seed": spec.seed,
-    }
 
 
 def _write_json(doc: dict, path: Path) -> None:
@@ -317,7 +244,7 @@ def _now() -> str:
 
 
 def cmd_gen(cfg: dict, out: Path) -> int:
-    sim = build_sim_config(cfg)
+    sim = build_config("sim", cfg)
     quotes = generate_dataset(sim)
     if not quotes:
         logger.warning("generated an empty dataset (n_underlyings=%d)", sim.n_underlyings)
@@ -327,7 +254,7 @@ def cmd_gen(cfg: dict, out: Path) -> int:
         {
             "command": "gen",
             "rows": len(quotes),
-            "config": _sim_config_manifest(sim),
+            "config": config_record(sim),
             "created_at": _now(),
         },
         out / "dataset.manifest.json",
@@ -336,20 +263,23 @@ def cmd_gen(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _load_filtered(data_path: Path):
+def _load_filtered(data_path: Path) -> FilterResult:
+    """The usable quotes of a dataset CSV; a file with none is a data error."""
     quotes = read_csv(data_path)
-    kept, dropped, by_reason = filter_quotes(quotes)
-    if dropped:
-        logger.warning("dropped %d of %d quotes: %s", dropped, len(quotes), by_reason)
-    return kept, dropped, by_reason
+    result = filter_quotes(quotes)
+    if result.dropped_count:
+        logger.warning(
+            "dropped %d of %d quotes: %s", result.dropped_count, len(quotes), result.by_reason
+        )
+    if not result.kept:
+        raise ValidationError(f"{data_path}: no usable quotes after filtering")
+    return result
 
 
 def cmd_split(cfg: dict, out: Path) -> int:
     data_path = _require_data(cfg)
-    spec = build_split_spec(cfg)
+    spec = build_config("split", cfg)
     kept, dropped, by_reason = _load_filtered(data_path)
-    if not kept:
-        raise ValidationError(f"{data_path}: no usable quotes after filtering")
     train_idx, val_idx, test_idx = split_indices(len(kept), spec)
     out.mkdir(parents=True, exist_ok=True)
     parts = {}
@@ -363,7 +293,7 @@ def cmd_split(cfg: dict, out: Path) -> int:
             "kept_rows": len(kept),
             "dropped_rows": dropped,
             "dropped_by_reason": by_reason,
-            "split": _split_manifest(spec),
+            "split": config_record(spec),
             "parts": parts,
             "created_at": _now(),
         },
@@ -378,52 +308,27 @@ def cmd_split(cfg: dict, out: Path) -> int:
 
 def cmd_train(cfg: dict, kind: str, out: Path) -> int:
     data_path = _require_data(cfg)
-    spec = build_split_spec(cfg)
-    kept, _, _ = _load_filtered(data_path)
-    if not kept:
-        raise ValidationError(f"{data_path}: no usable quotes after filtering")
-    ds = Dataset.from_quotes(kept, provenance="ingested")
+    spec = build_config("split", cfg)
+    ds = Dataset.from_quotes(_load_filtered(data_path).kept)
     train, val, _ = split_dataset(ds, spec)
     digest = _file_digest(data_path)
 
     started = time.perf_counter()
     if kind in ("gbdt5", "gbdt10"):
         depth = 5 if kind == "gbdt5" else 10
-        gcfg = build_gbdt_config(cfg, max_depth=depth)
+        gcfg = build_config("gbdt", cfg, max_depth=depth)
         model = train_gbdt(train, val, gcfg)
         records = model.history
-        best = model.best_round
-        hyper = {
-            "max_depth": gcfg.max_depth,
-            "num_rounds": gcfg.num_rounds,
-            "early_stopping_rounds": gcfg.early_stopping_rounds,
-            "n_bins": gcfg.n_bins,
-            "reg_lambda": gcfg.reg_lambda,
-            "min_child_weight": gcfg.min_child_weight,
-            "eta_base": gcfg.eta.eta_base,
-            "eta_min": gcfg.eta.eta_min,
-            "max_iter_decay": gcfg.eta.max_iter_decay,
-            "eval_metric": gcfg.eval_metric,
-        }
-        progress = {"rounds_trained": len(records), "best_round": best}
+        hyper = config_record(gcfg)
+        progress = {"rounds_trained": len(records), "best_round": model.best_round}
     elif kind in ("mlp3", "mlp5"):
         arch = THREE_LAYER if kind == "mlp3" else FIVE_LAYER
-        mcfg = build_mlp_config(cfg)
+        mcfg = build_config("mlp", cfg)
         model, records = train_mlp(train, val, arch, mcfg)
         best = min(range(len(records)), key=lambda i: records[i].val_mae) + 1 if records else 0
         hyper = {
             "layers": [[spec_.units, spec_.activation] for spec_ in arch.layers],
-            "initial_lr": mcfg.initial_lr,
-            "plateau_factor": mcfg.plateau_factor,
-            "plateau_patience": mcfg.plateau_patience,
-            "min_lr": mcfg.min_lr,
-            "early_stop_patience": mcfg.early_stop_patience,
-            "max_epochs": mcfg.max_epochs,
-            "batch_size": mcfg.batch_size,
-            "beta1": mcfg.beta1,
-            "beta2": mcfg.beta2,
-            "epsilon": mcfg.epsilon,
-            "seed": mcfg.seed,
+            **config_record(mcfg),
         }
         progress = {"epochs_trained": len(records), "best_epoch": best}
     else:
@@ -436,7 +341,7 @@ def cmd_train(cfg: dict, kind: str, out: Path) -> int:
         "hyperparameters": hyper,
         "dataset_digest": digest,
         "dataset_name": data_path.name,
-        "split": _split_manifest(spec),
+        "split": config_record(spec),
     }
     model_path = save_model(model, out / f"{kind}.model", manifest)
     if records:
@@ -492,11 +397,9 @@ def _bs_predictions(test: Dataset, vols: np.ndarray) -> np.ndarray:
 
 def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path) -> int:
     data_path = _require_data(cfg)
-    spec = build_split_spec(cfg)
-    kept, _, _ = _load_filtered(data_path)
-    if not kept:
-        raise ValidationError(f"{data_path}: no usable quotes after filtering")
-    ds = Dataset.from_quotes(kept, provenance="ingested")
+    spec = build_config("split", cfg)
+    split_record = config_record(spec)
+    ds = Dataset.from_quotes(_load_filtered(data_path).kept)
     _, _, test = split_dataset(ds, spec)
     if len(test) == 0:
         raise ValidationError(
@@ -516,10 +419,10 @@ def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path)
                 f"{stored_digest[:12]}..., but {data_path} has {digest[:12]}..."
             )
         stored_split = manifest.get("split")
-        if stored_split is not None and stored_split != _split_manifest(spec):
+        if stored_split is not None and stored_split != split_record:
             raise InconsistentEvaluationError(
                 f"{path}: model was trained with split {stored_split}, "
-                f"but this evaluation uses {_split_manifest(spec)}"
+                f"but this evaluation uses {split_record}"
             )
         if isinstance(model, TreeEnsemble):
             preds = predict_gbdt(model, test.features)
@@ -556,7 +459,7 @@ def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path)
         {
             "command": "evaluate",
             "dataset_digest": digest,
-            "split": _split_manifest(spec),
+            "split": split_record,
             "rows_evaluated": report.n_rows,
             "models": [row.name for row in report.rows],
             "created_at": _now(),
@@ -581,10 +484,7 @@ REPORT_COLUMNS = (
 
 def cmd_report(cfg: dict, out: Path) -> int:
     data_path = _require_data(cfg)
-    kept, _, _ = _load_filtered(data_path)
-    if not kept:
-        raise ValidationError(f"{data_path}: no usable quotes after filtering")
-    ds = Dataset.from_quotes(kept, provenance="ingested")
+    ds = Dataset.from_quotes(_load_filtered(data_path).kept)
     n_bins = cfg.get("report.hist_bins", 30)
     out.mkdir(parents=True, exist_ok=True)
     stats = {}

@@ -171,7 +171,7 @@ class Dataset:
     """Immutable feature matrix with aligned targets and implied vols.
 
     `implied_vols` is NaN where the quote carried no implied volatility.
-    `row_ids` track provenance through subsetting so splits can be
+    `row_ids` track each row's origin through subsetting so splits can be
     audited for disjointness. Arrays are frozen on construction; the
     Dataset takes ownership of what it is given.
     """
@@ -180,7 +180,6 @@ class Dataset:
     targets: np.ndarray
     implied_vols: np.ndarray
     row_ids: np.ndarray
-    provenance: str = "synthetic"
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
@@ -203,10 +202,6 @@ class Dataset:
             raise ValidationError(
                 f"targets: every midpoint must lie in (0, {MAX_MIDPOINT:g})"
             )
-        if self.provenance not in ("synthetic", "ingested"):
-            raise ValidationError(
-                f"provenance: expected 'synthetic' or 'ingested', got {self.provenance!r}"
-            )
         for name, arr in (
             ("features", feats),
             ("targets", targs),
@@ -220,9 +215,7 @@ class Dataset:
         return self.features.shape[0]
 
     @classmethod
-    def from_quotes(
-        cls, quotes: Sequence[OptionQuote], provenance: str = "ingested"
-    ) -> "Dataset":
+    def from_quotes(cls, quotes: Sequence[OptionQuote]) -> "Dataset":
         n = len(quotes)
         feats = np.empty((n, FEATURE_COUNT), dtype=np.float64)
         targs = np.empty(n, dtype=np.float64)
@@ -231,7 +224,7 @@ class Dataset:
             feats[i] = encode_features(q)
             targs[i] = q.midpoint
             vols[i] = math.nan if q.implied_vol is None else q.implied_vol
-        return cls(feats, targs, vols, np.arange(n, dtype=np.int64), provenance)
+        return cls(feats, targs, vols, np.arange(n, dtype=np.int64))
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -240,7 +233,6 @@ class Dataset:
             self.targets[idx],
             self.implied_vols[idx],
             self.row_ids[idx],
-            self.provenance,
         )
 
     def column(self, name: str) -> np.ndarray:

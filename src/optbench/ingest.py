@@ -232,33 +232,53 @@ def _read_doc(path: Path) -> tuple[str, dict]:
     return kind, doc
 
 
+def _check_tree(tree: Tree, n_features: int) -> None:
+    """Reject a tree that prediction could not walk to a leaf in bounds.
+
+    Children strictly after their parent rule out cycles, so every walk
+    from the root ends within n_nodes steps.
+    """
+    n = tree.n_nodes
+    if n == 0:
+        raise ValueError("a tree needs at least one node")
+    if not np.all((tree.feature >= -1) & (tree.feature < n_features)):
+        raise ValueError(f"node feature outside [-1, {n_features})")
+    internal = np.nonzero(tree.feature >= 0)[0]
+    for child in (tree.left[internal], tree.right[internal]):
+        if not np.all((internal < child) & (child < n)):
+            raise ValueError(f"child index not between its parent and the node count {n}")
+    if not (np.all(np.isfinite(tree.threshold)) and np.all(np.isfinite(tree.value))):
+        raise ValueError("tree thresholds and values must be finite")
+
+
 def _rebuild_ensemble(payload: dict) -> TreeEnsemble:
     trees = []
     if payload["n_trees"] != len(payload["trees"]):
         raise ValueError(
             f"declared n_trees {payload['n_trees']} but found {len(payload['trees'])}"
         )
+    n_features = int(payload["n_features"])
     for raw in payload["trees"]:
         n = len(raw["feature"])
         for key in ("threshold", "left", "right", "value"):
             if len(raw[key]) != n:
                 raise ValueError(f"tree arrays disagree on node count for {key!r}")
-        trees.append(
-            Tree(
-                feature=np.asarray(raw["feature"], dtype=np.int32),
-                threshold=np.asarray(raw["threshold"], dtype=np.float64),
-                left=np.asarray(raw["left"], dtype=np.int32),
-                right=np.asarray(raw["right"], dtype=np.int32),
-                value=np.asarray(raw["value"], dtype=np.float64),
-            )
+        tree = Tree(
+            feature=np.asarray(raw["feature"], dtype=np.int32),
+            threshold=np.asarray(raw["threshold"], dtype=np.float64),
+            left=np.asarray(raw["left"], dtype=np.int32),
+            right=np.asarray(raw["right"], dtype=np.int32),
+            value=np.asarray(raw["value"], dtype=np.float64),
         )
+        _check_tree(tree, n_features)
+        trees.append(tree)
     if len(payload["etas"]) != len(trees):
         raise ValueError("etas do not align with trees")
     return TreeEnsemble(
         base_score=float(payload["base_score"]),
         trees=trees,
         etas=[float(e) for e in payload["etas"]],
-        n_features=int(payload["n_features"]),
+        n_features=n_features,
         best_round=int(payload["best_round"]),
         history=[
             RoundRecord(int(r), float(e), float(tm), float(vm))
@@ -306,7 +326,7 @@ def load_model(path: str | Path) -> TreeEnsemble | NetworkParams:
         if kind == "tree_ensemble":
             return _rebuild_ensemble(payload)
         return _rebuild_network(payload)
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise IncompatibleModelError(f"{path}: malformed model payload: {exc}") from exc
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blackscholes import BsInputs, bs_price
+from .blackscholes import MAX_ABS_RATE, BsInputs, bs_price
 from .core import N_LAGS, OptionQuote, OptionType
 from .errors import ValidationError
 
@@ -73,6 +73,12 @@ class SimConfig:
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValidationError(f"{name}: bad range ({lo!r}, {hi!r})")
+        for name in ("rate_range", "yield_range"):
+            lo, hi = getattr(self, name)
+            if not (-MAX_ABS_RATE < lo and hi < MAX_ABS_RATE):
+                raise ValidationError(
+                    f"{name}: pricing needs |value| < {MAX_ABS_RATE}, got ({lo!r}, {hi!r})"
+                )
         if self.s0_range[0] <= 0:
             raise ValidationError(
                 f"s0_range: spot must stay positive, got {self.s0_range!r}"

@@ -45,7 +45,7 @@ def make_dataset(n: int, seed: int = 0, with_vols: bool = True) -> Dataset:
     feats[:, 6:] = spot[:, None] * np.exp(rng.normal(0, 0.01, size=(n, 20)))
     targets = rng.uniform(0.5, 80.0, size=n)
     vols = rng.uniform(0.1, 0.8, size=n) if with_vols else np.full(n, np.nan)
-    return Dataset(feats, targets, vols, np.arange(n), "synthetic")
+    return Dataset(feats, targets, vols, np.arange(n))
 
 
 @pytest.fixture

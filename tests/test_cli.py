@@ -1,8 +1,9 @@
 import json
+from operator import attrgetter
 
 import pytest
 
-from optbench.cli import main
+from optbench.cli import KNOWN_KEYS, build_config, build_parser, load_config, main
 from optbench.ingest import CSV_HEADER
 
 
@@ -108,6 +109,10 @@ class TestTrain:
         assert side["kind"] == "gbdt5"
         assert side["hyperparameters"]["max_depth"] == 5
         assert side["hyperparameters"]["num_rounds"] == 3
+        assert set(side["hyperparameters"]) == {
+            "max_depth", "num_rounds", "early_stopping_rounds", "n_bins", "reg_lambda",
+            "min_child_weight", "eta_base", "eta_min", "max_iter_decay", "eval_metric",
+        }
         assert side["training_seconds"] > 0
         metrics = (tmp_path / "gbdt5_metrics.csv").read_text().splitlines()
         assert metrics[0] == "round_index,eta,train_mae,val_mae"
@@ -132,6 +137,11 @@ class TestTrain:
         side = json.loads((tmp_path / "mlp3.manifest.json").read_text())
         assert side["progress" if "progress" in side else "epochs_trained"] or True
         assert side["epochs_trained"] == 2
+        assert set(side["hyperparameters"]) == {
+            "layers", "initial_lr", "plateau_factor", "plateau_patience", "min_lr",
+            "early_stop_patience", "max_epochs", "batch_size", "beta1", "beta2",
+            "epsilon", "seed",
+        }
         metrics = (tmp_path / "mlp3_metrics.csv").read_text().splitlines()
         assert metrics[0] == "epoch,lr,train_mae,val_mae"
         assert len(metrics) == 3
@@ -202,6 +212,20 @@ class TestEvaluate:
         )
         assert code == 2
 
+    def test_corrupt_model_is_data_error(self, tmp_path, capsys):
+        data = self.setup_trained(tmp_path)
+        path = tmp_path / "gbdt5.model"
+        raw = path.read_bytes()
+        doc = json.loads(raw[8:])
+        doc["model"]["trees"][0]["left"][0] = 0  # a cycle at the root
+        doc["model"]["trees"][0]["right"][0] = 0
+        path.write_bytes(raw[:8] + json.dumps(doc).encode())
+        code = run(
+            "evaluate", str(path), "--data", str(data), "--out", str(tmp_path), "--seed", "9",
+        )
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_no_models_no_baseline_usage_error(self, tmp_path):
         data = gen_tiny(tmp_path)
         assert run("evaluate", "--data", str(data), "--out", str(tmp_path)) == 1
@@ -246,6 +270,55 @@ class TestConfigPlumbing:
         run("gen", "--config", str(cfg), "--out", str(tmp_path), "--seed", "8")
         manifest = json.loads((tmp_path / "dataset.manifest.json").read_text())
         assert manifest["config"]["seed"] == 8
+
+    def test_known_keys(self):
+        assert sorted(KNOWN_KEYS) == [
+            "data", "eval.curve_bins",
+            "gbdt.early_stopping_rounds", "gbdt.eta_base", "gbdt.eta_min",
+            "gbdt.max_iter_decay", "gbdt.min_child_weight", "gbdt.n_bins",
+            "gbdt.num_rounds", "gbdt.reg_lambda",
+            "mlp.batch_size", "mlp.early_stop_patience", "mlp.initial_lr", "mlp.max_epochs",
+            "mlp.min_lr", "mlp.plateau_factor", "mlp.plateau_patience", "mlp.seed",
+            "report.hist_bins", "seed",
+            "sim.days_per_underlying", "sim.drift", "sim.half_spread", "sim.maturities",
+            "sim.moneyness", "sim.n_underlyings", "sim.rate_max", "sim.rate_min",
+            "sim.s0_max", "sim.s0_min", "sim.seed", "sim.vol_regimes", "sim.yield_max",
+            "sim.yield_min",
+            "split.seed", "split.test_fraction", "split.train_fraction", "split.val_fraction",
+        ]
+
+    @pytest.mark.parametrize(
+        "setting, section, field, expected",
+        [
+            ("mlp.batch_size=64", "mlp", "batch_size", 64),
+            ("gbdt.reg_lambda=2.5", "gbdt", "reg_lambda", 2.5),
+            ("gbdt.early_stopping_rounds=7", "gbdt", "early_stopping_rounds", 7),
+            ("gbdt.early_stopping_rounds=none", "gbdt", "early_stopping_rounds", None),
+            ("sim.maturities=0.5,1", "sim", "maturities", (0.5, 1.0)),
+            ("sim.vol_regimes=0.2:0.7,0.4:0.3", "sim", "vol_regimes", ((0.2, 0.7), (0.4, 0.3))),
+            ("sim.rate_max=0.09", "sim", "rate_range", (0.003, 0.09)),
+            ("sim.moneyness=0.9,1.1", "sim", "moneyness_grid", (0.9, 1.1)),
+            ("gbdt.eta_min=0.1", "gbdt", "eta.eta_min", 0.1),
+            ("seed=4", "split", "seed", 4),
+        ],
+    )
+    def test_set_reaches_built_config(self, setting, section, field, expected):
+        cfg = load_config(build_parser().parse_args(["gen", "--set", setting]))
+        assert attrgetter(field)(build_config(section, cfg)) == expected
+
+    @pytest.mark.parametrize(
+        "command, settings",
+        [
+            (["evaluate", "--include-bs"], ["eval.curve_bins=0"]),
+            (["report"], ["report.hist_bins=0"]),
+            (["gen"], ["sim.rate_min=2", "sim.rate_max=3"]),
+        ],
+    )
+    def test_config_mistake_is_usage_error(self, tmp_path, command, settings):
+        data = gen_tiny(tmp_path)
+        sets = [arg for s in settings for arg in ("--set", s)]
+        code = run(*command, "--data", str(data), "--out", str(tmp_path / "o"), *TINY, *sets)
+        assert code == 1
 
     def test_missing_config_file(self, tmp_path):
         assert run("gen", "--config", str(tmp_path / "no.cfg"), "--out", str(tmp_path)) in (1, 2)

@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -192,6 +193,41 @@ class TestModelFiles:
         raw = path.read_bytes()
         doc = json.loads(raw[8:])
         doc["model"]["n_trees"] = 99
+        path.write_bytes(raw[:8] + json.dumps(doc).encode())
+        with pytest.raises(IncompatibleModelError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"left": 0, "right": 0},  # the root is its own child: a cycle
+            {"right": 10**6},  # a child past the last node
+            {"feature": 99},  # no such feature column
+            {"threshold": float("nan")},
+            {"value": float("inf")},
+            {"left": 2**40},  # does not fit a node index
+        ],
+        ids=["cycle", "child_out_of_range", "feature_out_of_range",
+             "nan_threshold", "inf_value", "oversized_index"],
+    )
+    def test_corrupt_tree_rejected(self, tmp_path, patch):
+        model, _ = self.make_tree_model()
+        assert model.trees[0].feature[0] >= 0  # the root splits
+        path = save_model(model, tmp_path / "m.model")
+        raw = path.read_bytes()
+        doc = json.loads(raw[8:])
+        for key, value in patch.items():
+            doc["model"]["trees"][0][key][0] = value
+        path.write_bytes(raw[:8] + json.dumps(doc).encode())
+        with pytest.raises(IncompatibleModelError):
+            load_model(path)
+
+    def test_tree_without_nodes_rejected(self, tmp_path):
+        model, _ = self.make_tree_model()
+        path = save_model(model, tmp_path / "m.model")
+        raw = path.read_bytes()
+        doc = json.loads(raw[8:])
+        doc["model"]["trees"][0] = {k: [] for k in doc["model"]["trees"][0]}
         path.write_bytes(raw[:8] + json.dumps(doc).encode())
         with pytest.raises(IncompatibleModelError):
             load_model(path)

@@ -172,6 +172,21 @@ class TestGenerateChain:
         with pytest.raises(ValidationError, match="moneyness"):
             SimConfig(moneyness_grid=(0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "name, bounds",
+        [("rate_range", (2.0, 3.0)), ("rate_range", (0.0, 1.0)), ("yield_range", (-1.0, 0.0))],
+    )
+    def test_rate_bounds_the_pricer_rejects(self, name, bounds):
+        with pytest.raises(ValidationError, match=name):
+            SimConfig(**{name: bounds})
+
+    def test_rates_just_inside_the_pricer_bound_generate(self):
+        cfg = SimConfig(
+            n_underlyings=1, days_per_underlying=22,
+            rate_range=(0.99, 0.99), yield_range=(-0.99, -0.99),
+        )
+        assert generate_dataset(cfg)
+
 
 class TestRealizedVol:
     def test_constant_lags_give_zero(self):
