@@ -245,6 +245,11 @@ def _now() -> str:
 
 def cmd_gen(cfg: dict, out: Path) -> int:
     sim = build_config("sim", cfg)
+    # SimConfig allows a zero-vol regime, but Black-Scholes cannot quote one
+    if any(sigma == 0 for sigma, _ in sim.vol_regimes):
+        raise UsageError(
+            f"sim.vol_regimes: quoting needs every sigma > 0, got {sim.vol_regimes!r}"
+        )
     quotes = generate_dataset(sim)
     if not quotes:
         logger.warning("generated an empty dataset (n_underlyings=%d)", sim.n_underlyings)

@@ -4,8 +4,12 @@ Squared-error boosting: after each round the per-row gradient is
 (prediction - target) and the hessian is identically 1, so hessian sums
 are row counts. Trees grow depth-wise (level order). Split finding is
 done on quantized features: each feature is bucketed once into at most
-`n_bins` quantile bins, per-node gradient/hessian histograms are
-accumulated with bincount, and candidate splits are scored by
+`n_bins` quantile bins, stored column-major so each feature's bin codes
+are contiguous. Per-node gradient/hessian histograms are accumulated
+with bincount for the root and for the smaller child of every split;
+the larger sibling's histogram is its parent's minus the smaller
+child's (sibling subtraction, as in LightGBM). Candidate splits are
+scored by
 
     gain = 1/2 [ GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda) ]
 
@@ -114,6 +118,8 @@ class BinnedMatrix(NamedTuple):
 
     codes[i, f] counts the edges of feature f strictly below row i's
     value, so code b covers the half-open slab (edges[b-1], edges[b]].
+    `codes` has shape (n_rows, n_features) in Fortran (column-major)
+    order, so each feature's codes are one contiguous column.
     """
 
     edges: list[np.ndarray]
@@ -138,13 +144,18 @@ def quantize_features(features: np.ndarray, n_bins: int) -> BinnedMatrix:
         raise ValidationError(f"n_bins: must lie in [2, 1024], got {n_bins}")
     quantile_points = np.arange(1, n_bins) / n_bins
     dtype = np.uint8 if n_bins <= 256 else np.uint16
-    codes = np.empty(X.shape, dtype=dtype)
+    codes = np.empty(X.shape, dtype=dtype, order="F")
     edges: list[np.ndarray] = []
     for f in range(X.shape[1]):
         col = X[:, f]
-        e = np.unique(np.quantile(col, quantile_points))
-        e = e[e < col.max()]
-        codes[:, f] = np.searchsorted(e, col, side="left")
+        # quantiles are order statistics, so the sorted column gives the
+        # same edges; its last entry is the column maximum, and sorted
+        # keys make the bin search cache-friendly
+        order = np.argsort(col)
+        ordered = col[order]
+        e = np.unique(np.quantile(ordered, quantile_points))
+        e = e[e < ordered[-1]]
+        codes[order, f] = np.searchsorted(e, ordered, side="left")
         edges.append(e)
     return BinnedMatrix(edges, codes)
 
@@ -273,12 +284,11 @@ class TreeEnsemble:
     """A trained boosted ensemble, truncated at its best validation round.
 
     `history` keeps every trained round including the discarded tail;
-    `etas` aligns with the kept trees.
+    its first len(trees) records give the kept trees' shrinkage.
     """
 
     base_score: float
     trees: list[Tree]
-    etas: list[float]
     n_features: int
     best_round: int
     history: list[RoundRecord] = field(default_factory=list)
@@ -304,6 +314,31 @@ def predict_gbdt(model: TreeEnsemble, features: np.ndarray) -> np.ndarray | floa
     return float(out[0]) if single else out
 
 
+def _accumulate_histograms(
+    codes: np.ndarray,
+    rows: np.ndarray,
+    slot_of_rows: np.ndarray,
+    grad: np.ndarray,
+    grad_hist: np.ndarray,
+    hess_hist: np.ndarray,
+) -> None:
+    """Fill the (n_slots, n_features, n_bins) histograms from `rows`.
+
+    Each row adds its gradient, and a count of 1 as its hessian, to the
+    bins of its slot: one pair of bincounts per feature.
+    """
+    n_slots, n_features, n_bins = grad_hist.shape
+    size = n_slots * n_bins
+    key_base = slot_of_rows * n_bins
+    g_rows = grad[rows]
+    for f in range(n_features):
+        key = key_base + codes[:, f].take(rows)
+        grad_hist[:, f, :] = np.bincount(key, weights=g_rows, minlength=size).reshape(
+            n_slots, n_bins
+        )
+        hess_hist[:, f, :] = np.bincount(key, minlength=size).reshape(n_slots, n_bins)
+
+
 def _grow_tree(
     codes: np.ndarray,
     edges: list[np.ndarray],
@@ -311,7 +346,17 @@ def _grow_tree(
     config: GbdtConfig,
     eta: float,
 ) -> tuple[Tree, np.ndarray]:
-    """One depth-wise tree on binned features; also returns each row's leaf."""
+    """One depth-wise tree on binned features; also returns each row's leaf.
+
+    Each open node gets one `best_split` call on its histogram, in level
+    order. Below the root only the smaller child of each split has its
+    histogram accumulated from its rows; the larger sibling's is the
+    parent's minus the smaller one's, filled in place into the next
+    level's buffer. `slot` maps node ids to buffer slots. Hessian
+    histograms are int32 row counts, so they stay exact, and a gradient
+    bin whose count is zero is set to exactly zero, so subtraction
+    residue never reaches an empty bin.
+    """
     n_rows, n_features = codes.shape
     n_bins = config.n_bins
     lam = config.reg_lambda
@@ -325,39 +370,22 @@ def _grow_tree(
     threshold = [0.0]
     left = [-1]
     right = [-1]
-    g_root = float(grad.sum())
-    value = [-g_root / (n_rows + lam) * eta]
 
     node_of_row = np.zeros(n_rows, dtype=np.int64)
     open_nodes = [0]
+    slot = np.zeros(1, dtype=np.int64)
+    k_of_row = np.zeros(n_rows, dtype=np.int64)  # slot of the row's node, -1 once closed
+    grad_hist = np.empty((1, n_features, n_bins), dtype=np.float64)
+    hess_hist = np.empty((1, n_features, n_bins), dtype=np.int32)
+    _accumulate_histograms(codes, np.arange(n_rows), k_of_row, grad, grad_hist, hess_hist)
     for depth in range(config.max_depth):
-        if not open_nodes:
-            break
-        slot = np.full(len(feature), -1, dtype=np.int64)
-        slot[open_nodes] = np.arange(len(open_nodes))
-        k_of_row = slot[node_of_row]
-        rows = np.nonzero(k_of_row >= 0)[0]
-        k_rows = k_of_row[rows]
-        n_open = len(open_nodes)
-
-        grad_hist = np.empty((n_open, n_features, n_bins), dtype=np.float64)
-        hess_hist = np.empty((n_open, n_features, n_bins), dtype=np.float64)
-        key_base = k_rows * n_bins
-        g_rows = grad[rows]
-        size = n_open * n_bins
-        for f in range(n_features):
-            key = key_base + codes[rows, f]
-            grad_hist[:, f, :] = np.bincount(key, weights=g_rows, minlength=size).reshape(
-                n_open, n_bins
-            )
-            hess_hist[:, f, :] = np.bincount(key, minlength=size).reshape(n_open, n_bins)
-
-        split_feature = np.full(n_open, -1, dtype=np.int64)
-        split_bin = np.zeros(n_open, dtype=np.int64)
-        left_child = np.zeros(n_open, dtype=np.int64)
-        right_child = np.zeros(n_open, dtype=np.int64)
+        # indexed by slot; the extra last entry serves closed rows (slot -1)
+        split_feature = np.full(len(open_nodes) + 1, -1, dtype=np.int64)
+        split_bin = np.zeros(len(open_nodes), dtype=np.int64)
+        left_child = np.zeros(len(open_nodes), dtype=np.int64)
         next_open: list[int] = []
-        for k, node_id in enumerate(open_nodes):
+        for node_id in open_nodes:
+            k = slot[node_id]
             decision = best_split(
                 NodeHistogram(grad_hist[k], hess_hist[k]),
                 lam,
@@ -365,49 +393,74 @@ def _grow_tree(
                 candidate_mask,
             )
             if decision is None:
-                continue  # stays a leaf; its value was set at creation
+                continue  # stays a leaf
             f, b, _ = decision
-            gl = float(grad_hist[k, f, : b + 1].sum())
-            hl = float(hess_hist[k, f, : b + 1].sum())
-            gt = float(grad_hist[k, f].sum())
-            ht = float(hess_hist[k, f].sum())
-            gr, hr = gt - gl, ht - hl
             lid, rid = len(feature), len(feature) + 1
-            for child_value in (-gl / (hl + lam) * eta, -gr / (hr + lam) * eta):
-                feature.append(-1)
-                threshold.append(0.0)
-                left.append(-1)
-                right.append(-1)
-                value.append(child_value)
+            feature += [-1, -1]
+            threshold += [0.0, 0.0]
+            left += [-1, -1]
+            right += [-1, -1]
             feature[node_id] = f
             threshold[node_id] = float(edges[f][b])
             left[node_id] = lid
             right[node_id] = rid
-            value[node_id] = 0.0
             split_feature[k] = f
             split_bin[k] = b
             left_child[k] = lid
-            right_child[k] = rid
-            if depth + 1 < config.max_depth:
-                next_open.extend((lid, rid))
+            next_open.extend((lid, rid))
 
-        did_split = split_feature[k_rows] >= 0
-        moving = rows[did_split]
-        k_moving = k_rows[did_split]
-        bin_values = codes[moving, split_feature[k_moving]]
-        node_of_row[moving] = np.where(
-            bin_values <= split_bin[k_moving],
-            left_child[k_moving],
-            right_child[k_moving],
-        )
+        feature_of_row = split_feature[k_of_row]
+        moving = np.nonzero(feature_of_row >= 0)[0]
+        k_moving = k_of_row[moving]
+        go_right = codes[moving, feature_of_row[moving]] > split_bin[k_moving]
+        node_of_row[moving] = left_child[k_moving] + go_right  # right child = left + 1
         open_nodes = next_open
+        if not open_nodes or depth + 1 == config.max_depth:
+            break
 
+        # smaller children take slots [0, n_pairs), their siblings the
+        # slots n_pairs onward in the same pair order
+        parents = np.nonzero(split_feature[:-1] >= 0)[0]
+        n_pairs = len(parents)
+        lc = left_child[parents]
+        rc = lc + 1
+        counts = np.bincount(node_of_row[moving], minlength=len(feature))
+        left_smaller = counts[lc] <= counts[rc]
+        slot = np.full(len(feature), -1, dtype=np.int64)
+        slot[np.where(left_smaller, lc, rc)] = np.arange(n_pairs)
+        slot[np.where(left_smaller, rc, lc)] = np.arange(n_pairs, 2 * n_pairs)
+        k_of_row = slot[node_of_row]
+        small_rows = np.nonzero((k_of_row >= 0) & (k_of_row < n_pairs))[0]
+        next_grad = np.empty((2 * n_pairs, n_features, n_bins), dtype=np.float64)
+        next_hess = np.empty((2 * n_pairs, n_features, n_bins), dtype=np.int32)
+        _accumulate_histograms(
+            codes,
+            small_rows,
+            k_of_row[small_rows],
+            grad,
+            next_grad[:n_pairs],
+            next_hess[:n_pairs],
+        )
+        for hist, nxt in ((grad_hist, next_grad), (hess_hist, next_hess)):
+            large = nxt[n_pairs:]
+            np.take(hist, parents, axis=0, out=large, mode="clip")
+            np.subtract(large, nxt[:n_pairs], out=large)
+        next_grad[n_pairs:][next_hess[n_pairs:] == 0] = 0.0
+        grad_hist, hess_hist = next_grad, next_hess
+
+    feature_arr = np.asarray(feature, dtype=np.int32)
+    leaves = feature_arr < 0
+    n_nodes = len(feature)
+    grad_sum = np.bincount(node_of_row, weights=grad, minlength=n_nodes)[leaves]
+    count = np.bincount(node_of_row, minlength=n_nodes)[leaves]
+    value = np.zeros(n_nodes, dtype=np.float64)
+    value[leaves] = -grad_sum / (count + lam) * eta
     tree = Tree(
-        feature=np.asarray(feature, dtype=np.int32),
+        feature=feature_arr,
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int32),
         right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
+        value=value,
     )
     return tree, node_of_row
 
@@ -440,7 +493,6 @@ def train_gbdt(train: Dataset, val: Dataset, config: GbdtConfig) -> TreeEnsemble
     )
 
     trees: list[Tree] = []
-    etas: list[float] = []
     history: list[RoundRecord] = []
     best_val = math.inf
     best_round = 0
@@ -453,7 +505,6 @@ def train_gbdt(train: Dataset, val: Dataset, config: GbdtConfig) -> TreeEnsemble
         train_mae = float(np.mean(np.abs(pred - y)))
         val_mae = float(np.mean(np.abs(val_pred - val.targets)))
         trees.append(tree)
-        etas.append(eta)
         history.append(RoundRecord(r, eta, train_mae, val_mae))
         if val_mae < best_val:
             best_val = val_mae
@@ -464,7 +515,6 @@ def train_gbdt(train: Dataset, val: Dataset, config: GbdtConfig) -> TreeEnsemble
     return TreeEnsemble(
         base_score=base,
         trees=trees[:keep],
-        etas=etas[:keep],
         n_features=train.features.shape[1],
         best_round=best_round,
         history=history,

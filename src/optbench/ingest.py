@@ -150,7 +150,6 @@ def _ensemble_payload(model: TreeEnsemble) -> dict:
         "base_score": float(model.base_score),
         "n_features": int(model.n_features),
         "best_round": int(model.best_round),
-        "etas": [float(e) for e in model.etas],
         "history": [
             [int(r.round_index), float(r.eta), float(r.train_mae), float(r.val_mae)]
             for r in model.history
@@ -272,12 +271,12 @@ def _rebuild_ensemble(payload: dict) -> TreeEnsemble:
         )
         _check_tree(tree, n_features)
         trees.append(tree)
-    if len(payload["etas"]) != len(trees):
+    # files written before `etas` was dropped still carry it
+    if "etas" in payload and len(payload["etas"]) != len(trees):
         raise ValueError("etas do not align with trees")
     return TreeEnsemble(
         base_score=float(payload["base_score"]),
         trees=trees,
-        etas=[float(e) for e in payload["etas"]],
         n_features=n_features,
         best_round=int(payload["best_round"]),
         history=[
@@ -309,6 +308,10 @@ def _rebuild_network(payload: dict) -> NetworkParams:
     std = np.asarray(payload["feature_std"], dtype=np.float64)
     if mean.shape != (weights[0].shape[1],) or std.shape != mean.shape:
         raise ValueError("feature statistics do not match the input width")
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("feature_mean must be finite")
+    if not np.all(np.isfinite(std) & (std > 0)):
+        raise ValueError("feature_std must be finite and > 0")
     return NetworkParams(
         architecture=Architecture(layers),
         weights=weights,

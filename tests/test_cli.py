@@ -54,6 +54,13 @@ class TestGen:
         code = run("gen", "--out", str(tmp_path), "--set", "sim.nonsense=3")
         assert code == 1
 
+    def test_zero_vol_regime_is_usage_error(self, tmp_path, capsys):
+        # SimConfig accepts a zero sigma, but no Black-Scholes quote exists for it
+        code = run("gen", "--out", str(tmp_path), *TINY, "--set", "sim.vol_regimes=0:1")
+        assert code == 1
+        assert "sim.vol_regimes" in capsys.readouterr().err
+        assert not (tmp_path / "dataset.csv").exists()
+
     def test_malformed_set_rejected(self, tmp_path):
         code = run("gen", "--out", str(tmp_path), "--set", "sim.n_underlyings")
         assert code == 1
@@ -225,6 +232,24 @@ class TestEvaluate:
         )
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_bad_network_stats_is_data_error(self, tmp_path, capsys):
+        data = gen_tiny(tmp_path)
+        run(
+            "train", "mlp3", "--data", str(data), "--out", str(tmp_path),
+            "--seed", "9", "--set", "mlp.max_epochs=2", "--set", "mlp.batch_size=64",
+        )
+        path = tmp_path / "mlp3.model"
+        raw = path.read_bytes()
+        doc = json.loads(raw[8:])
+        doc["model"]["feature_std"][0] = 0.0
+        path.write_bytes(raw[:8] + json.dumps(doc).encode())
+        code = run(
+            "evaluate", str(path), "--data", str(data), "--out", str(tmp_path), "--seed", "9",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(path) in err
 
     def test_no_models_no_baseline_usage_error(self, tmp_path):
         data = gen_tiny(tmp_path)

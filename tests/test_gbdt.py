@@ -147,6 +147,29 @@ class TestQuantize:
         for ea, eb in zip(a.edges, b.edges):
             assert np.array_equal(ea, eb)
 
+    def test_matches_quantile_definition(self):
+        # edges: deduplicated quantiles of the unsorted column below its
+        # maximum; codes: left-sided search of each value among them
+        rng = np.random.default_rng(17)
+        n = 500
+        X = np.column_stack([
+            rng.normal(size=n),
+            rng.integers(0, 5, size=n).astype(np.float64),
+            np.full(n, 3.0),
+            rng.exponential(size=n),
+        ])
+        for n_bins in (2, 16, 256, 1024):
+            binned = quantize_features(X, n_bins)
+            assert binned.codes.shape == X.shape
+            assert binned.codes.flags.f_contiguous
+            q = np.arange(1, n_bins) / n_bins
+            for f in range(X.shape[1]):
+                col = X[:, f]
+                e = np.unique(np.quantile(col, q))
+                e = e[e < col.max()]
+                assert np.array_equal(binned.edges[f], e)
+                assert np.array_equal(binned.codes[:, f], np.searchsorted(e, col, side="left"))
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             quantize_features(np.empty((0, 3)), 16)
@@ -284,6 +307,88 @@ class TestTraining:
         cfg = GbdtConfig(max_depth=6, num_rounds=1, n_bins=64)
         tree, leaf_of_row = _grow_tree(binned.codes, binned.edges, grad, cfg, 0.3)
         assert np.array_equal(tree.value[leaf_of_row], tree.predict(train.features))
+
+    def test_subtraction_matches_direct_histograms(self):
+        # every node's split and value against its own rows: the tree's
+        # split has the best gain of a histogram rebuilt from the node's
+        # rows, and each leaf predicts -G/(H+lambda)*eta of its rows
+        rng = np.random.default_rng(1717)
+        for trial in range(24):
+            n = int(rng.integers(50, 2001))
+            d = int(rng.integers(2, 7))
+            X = rng.normal(size=(n, d))
+            n_int = int(rng.integers(0, d + 1))  # integer-valued columns repeat values
+            X[:, :n_int] = rng.integers(0, 9, size=(n, n_int))
+            grad = rng.normal(size=n) * 10.0 ** rng.integers(-2, 3)
+            n_bins = int(rng.choice([16, 64, 256]))
+            lam = float(rng.choice([0.0, 1.0, 3.0]))
+            mcw = float(rng.choice([1.0, 5.0]))
+            eta = 0.3
+            cfg = GbdtConfig(
+                max_depth=int(rng.integers(1, 9)), num_rounds=1, n_bins=n_bins,
+                reg_lambda=lam, min_child_weight=mcw,
+            )
+            binned = quantize_features(X, n_bins)
+            tree, leaf_of_row = _grow_tree(binned.codes, binned.edges, grad, cfg, eta)
+            mask = np.zeros((d, n_bins - 1), dtype=bool)
+            for f in range(d):
+                mask[f, : len(binned.edges[f])] = True
+
+            rows_of = {0: np.arange(n)}
+            for node in range(tree.n_nodes):  # children come after their parent
+                rows = rows_of.pop(node)
+                f = int(tree.feature[node])
+                if f < 0:
+                    assert np.array_equal(np.nonzero(leaf_of_row == node)[0], rows)
+                    expected = -math.fsum(grad[rows]) / (len(rows) + lam) * eta
+                    noise = 1e-12 * np.abs(grad[rows]).sum() / (len(rows) + lam) * eta
+                    assert tree.value[node] == pytest.approx(expected, rel=1e-9, abs=noise)
+                    continue
+                hist_g = np.zeros((d, n_bins))
+                hist_h = np.zeros((d, n_bins))
+                for g in range(d):
+                    codes = binned.codes[rows, g]
+                    hist_g[g] = np.bincount(codes, weights=grad[rows], minlength=n_bins)
+                    hist_h[g] = np.bincount(codes, minlength=n_bins)
+                hist = NodeHistogram(hist_g, hist_h)
+                b = int(np.searchsorted(binned.edges[f], tree.threshold[node]))
+                assert binned.edges[f][b] == tree.threshold[node]
+                only = np.zeros_like(mask)
+                only[f, b] = True
+                chosen = best_split(hist, lam, mcw, only)
+                direct = best_split(hist, lam, mcw, mask)
+                assert chosen is not None and direct is not None
+                assert chosen.gain == pytest.approx(direct.gain, rel=1e-9)
+                go_left = binned.codes[rows, f] <= b
+                rows_of[int(tree.left[node])] = rows[go_left]
+                rows_of[int(tree.right[node])] = rows[~go_left]
+            assert not rows_of
+
+    def test_split_bin_is_never_empty(self):
+        # an empty bin ties its predecessor exactly and loses the tie, so
+        # a split's own bin holds rows of its node; subtraction residue
+        # left in empty bins of a larger sibling would break the tie
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(200, 2001))
+            X = rng.normal(size=(n, 4))
+            X[:, :2] = rng.integers(0, 9, size=(n, 2))
+            grad = rng.normal(size=n)
+            n_bins = int(rng.choice([16, 64, 256]))
+            binned = quantize_features(X, n_bins)
+            cfg = GbdtConfig(max_depth=8, num_rounds=1, n_bins=n_bins)
+            tree, _ = _grow_tree(binned.codes, binned.edges, grad, cfg, 0.3)
+            rows_of = {0: np.arange(n)}
+            for node in range(tree.n_nodes):
+                rows = rows_of.pop(node)
+                f = int(tree.feature[node])
+                if f < 0:
+                    continue
+                b = int(np.searchsorted(binned.edges[f], tree.threshold[node]))
+                codes = binned.codes[rows, f]
+                assert np.any(codes == b)
+                rows_of[int(tree.left[node])] = rows[codes <= b]
+                rows_of[int(tree.right[node])] = rows[codes > b]
 
     def test_determinism(self):
         train = make_dataset(150, seed=71)

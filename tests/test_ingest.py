@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,45 @@ class TestModelFiles:
         doc["model"]["trees"][0] = {k: [] for k in doc["model"]["trees"][0]}
         path.write_bytes(raw[:8] + json.dumps(doc).encode())
         with pytest.raises(IncompatibleModelError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("feature_std", 0.0),
+            ("feature_std", -1.0),
+            ("feature_std", float("inf")),
+            ("feature_std", float("nan")),
+            ("feature_mean", float("nan")),
+            ("feature_mean", float("-inf")),
+        ],
+        ids=["zero_std", "negative_std", "inf_std", "nan_std", "nan_mean", "inf_mean"],
+    )
+    def test_bad_feature_stats_rejected(self, tmp_path, key, value):
+        net, _ = self.make_net_model()
+        path = save_model(net, tmp_path / "n.model")
+        raw = path.read_bytes()
+        doc = json.loads(raw[8:])
+        doc["model"][key][0] = value
+        path.write_bytes(raw[:8] + json.dumps(doc).encode())  # NaN/Infinity literals
+        with pytest.raises(IncompatibleModelError, match=re.escape(str(path))):
+            load_model(path)
+
+    def test_older_file_with_etas_still_loads(self, tmp_path):
+        # format-v1 files written before `etas` was dropped carry one eta per tree
+        model, train = self.make_tree_model()
+        path = save_model(model, tmp_path / "m.model")
+        raw = path.read_bytes()
+        doc = json.loads(raw[8:])
+        assert "etas" not in doc["model"]
+        doc["model"]["etas"] = [r.eta for r in model.history[: len(model.trees)]]
+        path.write_bytes(raw[:8] + json.dumps(doc).encode())
+        back = load_tree_ensemble(path)
+        assert np.array_equal(predict_gbdt(back, train.features), predict_gbdt(model, train.features))
+        assert back.history == model.history
+        doc["model"]["etas"].append(0.5)
+        path.write_bytes(raw[:8] + json.dumps(doc).encode())
+        with pytest.raises(IncompatibleModelError, match="etas do not align"):
             load_model(path)
 
     def test_manifest_round_trip(self, tmp_path):
