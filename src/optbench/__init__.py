@@ -12,6 +12,7 @@ from .blackscholes import (
     BsInputs,
     bs_intermediates,
     bs_price,
+    bs_prices,
     implied_vol,
     norm_cdf,
     norm_pdf,
@@ -19,12 +20,11 @@ from .blackscholes import (
 from .core import (
     FEATURE_COUNT,
     FEATURE_NAMES,
+    QUOTE_COLUMNS,
     Dataset,
     FilterResult,
-    OptionQuote,
     OptionType,
     SplitSpec,
-    encode_features,
     filter_quotes,
     split_dataset,
     split_indices,

@@ -8,8 +8,12 @@ Prices follow the standard lognormal model:
     put  = K e^{-rT} N(-d2) - S e^{-qT} N(-d1)
 
 which satisfy put-call parity C - P = S e^{-qT} - K e^{-rT} exactly in
-exact arithmetic. The implied-volatility inverter is a safeguarded
-Newton iteration (bisection fallback) on the bracket [1e-6, 3].
+exact arithmetic. `bs_prices` is the one pricing kernel, over whole
+arrays: the generator, the repricing baselines and (through the scalar
+wrapper `bs_price`) the implied-volatility inverter all call it, so a
+quote reprices to the same bits wherever it is priced. The
+implied-volatility inverter is a safeguarded Newton iteration
+(bisection fallback) on the bracket [1e-6, 3].
 """
 
 from __future__ import annotations
@@ -18,17 +22,20 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import OptionType
+import numpy as np
+
+from .core import OptionType, check_terms
 from .errors import DegenerateVolatilityError, NoSolutionError, ValidationError
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# math.erfc per element, so arrays get the same bits as norm_cdf
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 VOL_FLOOR = 1e-6
 VOL_CAP = 3.0
 # below this, sigma * sqrt(T) makes d1/d2 numerically meaningless
 MIN_VOL_TIME = 1e-12
-MAX_ABS_RATE = 1.0
 
 
 def norm_cdf(x: float) -> float:
@@ -63,18 +70,11 @@ class BsInputs:
     option_type: OptionType
 
     def __post_init__(self) -> None:
-        for name in ("underlying_price", "strike", "maturity_years"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValidationError(f"{name}: must be positive and finite, got {v!r}")
-        for name in ("rate", "dividend_yield"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and abs(v) < MAX_ABS_RATE):
-                raise ValidationError(
-                    f"{name}: must be finite with |value| < {MAX_ABS_RATE}, got {v!r}"
-                )
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValidationError(f"sigma: must be positive and finite, got {self.sigma!r}")
+        check_terms(
+            underlying_price=self.underlying_price, strike=self.strike,
+            maturity_years=self.maturity_years, rate=self.rate,
+            dividend_yield=self.dividend_yield, sigma=self.sigma,
+        )
         if not isinstance(self.option_type, OptionType):
             raise ValidationError(
                 f"option_type: expected OptionType, got {self.option_type!r}"
@@ -86,63 +86,63 @@ class BsIntermediates(NamedTuple):
     d2: float
 
 
+def _d1_d2(S, K, T, r, q, sigma):
+    """d1 and d2 over arrays; DegenerateVolatilityError below MIN_VOL_TIME."""
+    vol_time = sigma * np.sqrt(T)
+    if (vol_time < MIN_VOL_TIME).any():
+        worst = float(np.min(vol_time))
+        raise DegenerateVolatilityError(
+            f"sigma * sqrt(T) = {worst!r} is below {MIN_VOL_TIME}; "
+            "the quote is effectively deterministic"
+        )
+    d1 = (np.log(S / K) + (r - q + 0.5 * sigma * sigma) * T) / vol_time
+    return d1, d1 - vol_time
+
+
 def bs_intermediates(inputs: BsInputs) -> BsIntermediates:
     """The d1/d2 pair for a pricing call.
 
     Raises DegenerateVolatilityError when sigma * sqrt(T) < 1e-12, where
     the division would amplify noise instead of pricing anything.
     """
-    vol_time = inputs.sigma * math.sqrt(inputs.maturity_years)
-    if vol_time < MIN_VOL_TIME:
-        raise DegenerateVolatilityError(
-            f"sigma * sqrt(T) = {vol_time!r} is below {MIN_VOL_TIME}; "
-            "the quote is effectively deterministic"
-        )
-    d1 = (
-        math.log(inputs.underlying_price / inputs.strike)
-        + (inputs.rate - inputs.dividend_yield + 0.5 * inputs.sigma * inputs.sigma)
-        * inputs.maturity_years
-    ) / vol_time
-    return BsIntermediates(d1, d1 - vol_time)
+    i = inputs
+    d1, d2 = _d1_d2(
+        i.underlying_price, i.strike, i.maturity_years, i.rate, i.dividend_yield, i.sigma
+    )
+    return BsIntermediates(float(d1), float(d2))
+
+
+def bs_prices(S, K, T, r, q, sigma, is_call) -> np.ndarray:
+    """Model prices of European options, elementwise over broadcast arrays.
+
+    Each argument is a float or a numpy array; `is_call` is boolean (or
+    the 1.0/0.0 option_type flag). Prices are never negative. Raises
+    ValidationError for an input the quote validity rule rejects (sigma:
+    positive and finite) and DegenerateVolatilityError where
+    sigma * sqrt(T) < 1e-12.
+    """
+    check_terms(
+        underlying_price=S, strike=K, maturity_years=T, rate=r, dividend_yield=q, sigma=sigma
+    )
+    call = np.asarray(is_call, dtype=bool)
+    d1, d2 = _d1_d2(S, K, T, r, q, sigma)
+    sign = np.where(call, 1.0, -1.0)
+    n1 = 0.5 * np.asarray(_erfc(-(sign * d1) / _SQRT2), dtype=np.float64)
+    n2 = 0.5 * np.asarray(_erfc(-(sign * d2) / _SQRT2), dtype=np.float64)
+    disc_s = S * np.exp(-q * T)
+    disc_k = K * np.exp(-r * T)
+    price = np.where(call, disc_s * n1 - disc_k * n2, disc_k * n2 - disc_s * n1)
+    # deep out of the money the two tiny terms can cancel below zero
+    return np.maximum(price, 0.0)
 
 
 def bs_price(inputs: BsInputs) -> float:
     """Model price of the option described by `inputs`. Never negative."""
-    d1, d2 = bs_intermediates(inputs)
-    disc_s = inputs.underlying_price * math.exp(
-        -inputs.dividend_yield * inputs.maturity_years
-    )
-    disc_k = inputs.strike * math.exp(-inputs.rate * inputs.maturity_years)
-    if inputs.option_type is OptionType.CALL:
-        price = disc_s * norm_cdf(d1) - disc_k * norm_cdf(d2)
-    else:
-        price = disc_k * norm_cdf(-d2) - disc_s * norm_cdf(-d1)
-    # deep out of the money the two tiny terms can cancel below zero
-    return max(price, 0.0)
-
-
-def _validate_quote_terms(
-    price: float,
-    underlying_price: float,
-    strike: float,
-    maturity_years: float,
-    rate: float,
-    dividend_yield: float,
-) -> None:
-    if not (math.isfinite(price) and price > 0):
-        raise ValidationError(f"price: must be positive and finite, got {price!r}")
-    for name, v in (
-        ("underlying_price", underlying_price),
-        ("strike", strike),
-        ("maturity_years", maturity_years),
-    ):
-        if not (math.isfinite(v) and v > 0):
-            raise ValidationError(f"{name}: must be positive and finite, got {v!r}")
-    for name, v in (("rate", rate), ("dividend_yield", dividend_yield)):
-        if not (math.isfinite(v) and abs(v) < MAX_ABS_RATE):
-            raise ValidationError(
-                f"{name}: must be finite with |value| < {MAX_ABS_RATE}, got {v!r}"
-            )
+    i = inputs
+    call = i.option_type is OptionType.CALL
+    return float(bs_prices(
+        i.underlying_price, i.strike, i.maturity_years, i.rate, i.dividend_yield, i.sigma, call
+    ))
 
 
 def implied_vol(
@@ -160,8 +160,9 @@ def implied_vol(
     Raises NoSolutionError when the price sits outside its no-arbitrage
     bounds or outside what the volatility bracket can attain.
     """
-    _validate_quote_terms(
-        price, underlying_price, strike, maturity_years, rate, dividend_yield
+    check_terms(
+        price=price, underlying_price=underlying_price, strike=strike,
+        maturity_years=maturity_years, rate=rate, dividend_yield=dividend_yield,
     )
     disc_s = underlying_price * math.exp(-dividend_yield * maturity_years)
     disc_k = strike * math.exp(-rate * maturity_years)

@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blackscholes import VOL_FLOOR, BsInputs, bs_price
+from .blackscholes import VOL_FLOOR, bs_prices
 from .core import (
+    FEATURE_NAMES,
     Dataset,
     FilterResult,
-    OptionType,
     SplitSpec,
     filter_quotes,
     split_dataset,
@@ -102,7 +102,7 @@ def _parse_positive_int(text: str) -> int:
 # "<stem>_range" takes the two keys "<stem>_min" and "<stem>_max".
 SECTIONS = {"sim": SimConfig, "split": SplitSpec, "gbdt": GbdtConfig, "mlp": MlpTrainConfig}
 # No key sets these: max_depth comes from the model kind, the rest keep their defaults.
-FIXED_FIELDS = {"gbdt.max_depth", "gbdt.eval_metric", "mlp.beta1", "mlp.beta2", "mlp.epsilon"}
+FIXED_FIELDS = {"gbdt.max_depth", "mlp.beta1", "mlp.beta2", "mlp.epsilon"}
 KEY_ALIASES = {"sim.moneyness_grid": "sim.moneyness"}
 
 # Parsers by annotation (a string in the config modules); a range's parses each bound.
@@ -251,7 +251,7 @@ def cmd_gen(cfg: dict, out: Path) -> int:
             f"sim.vol_regimes: quoting needs every sigma > 0, got {sim.vol_regimes!r}"
         )
     quotes = generate_dataset(sim)
-    if not quotes:
+    if len(quotes) == 0:
         logger.warning("generated an empty dataset (n_underlyings=%d)", sim.n_underlyings)
     out.mkdir(parents=True, exist_ok=True)
     data_path = write_csv(quotes, out / "dataset.csv")
@@ -276,7 +276,7 @@ def _load_filtered(data_path: Path) -> FilterResult:
         logger.warning(
             "dropped %d of %d quotes: %s", result.dropped_count, len(quotes), result.by_reason
         )
-    if not result.kept:
+    if len(result.kept) == 0:
         raise ValidationError(f"{data_path}: no usable quotes after filtering")
     return result
 
@@ -289,7 +289,7 @@ def cmd_split(cfg: dict, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     parts = {}
     for name, idx in (("train", train_idx), ("val", val_idx), ("test", test_idx)):
-        part_path = write_csv([kept[i] for i in idx], out / f"{name}.csv")
+        part_path = write_csv(kept[idx], out / f"{name}.csv")
         parts[name] = {"rows": int(len(idx)), "path": part_path.name}
     _write_json(
         {
@@ -365,6 +365,15 @@ def cmd_train(cfg: dict, kind: str, out: Path) -> int:
     return EXIT_OK
 
 
+def _reprice(test: Dataset, sigma: np.ndarray) -> np.ndarray:
+    """Closed-form prices of the test rows under the given volatilities."""
+    col = test.column
+    return bs_prices(
+        col("underlying_price"), col("strike"), col("maturity_years"), col("rate"),
+        col("dividend_yield"), sigma, col("is_call"),
+    )
+
+
 def _bs_implied_predictions(test: Dataset) -> np.ndarray:
     vols = test.implied_vols
     if not np.all(np.isfinite(vols)):
@@ -373,31 +382,12 @@ def _bs_implied_predictions(test: Dataset) -> np.ndarray:
             f"implied_vol: {missing} evaluation rows have no implied volatility; "
             "the repricing baseline needs it on every row"
         )
-    return _bs_predictions(test, vols)
+    return _reprice(test, vols)
 
 
 def _bs_realized_predictions(test: Dataset) -> np.ndarray:
-    vols = np.array(
-        [max(realized_vol(row[6:]), VOL_FLOOR) for row in test.features]
-    )
-    return _bs_predictions(test, vols)
-
-
-def _bs_predictions(test: Dataset, vols: np.ndarray) -> np.ndarray:
-    preds = np.empty(len(test))
-    for i, row in enumerate(test.features):
-        preds[i] = bs_price(
-            BsInputs(
-                underlying_price=row[1],
-                strike=row[0],
-                maturity_years=row[4],
-                rate=row[2],
-                dividend_yield=row[3],
-                sigma=float(vols[i]),
-                option_type=OptionType.CALL if row[5] == 1.0 else OptionType.PUT,
-            )
-        )
-    return preds
+    lags = test.features[:, FEATURE_NAMES.index("lag_1"):]
+    return _reprice(test, np.maximum(realized_vol(lags), VOL_FLOOR))
 
 
 def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path) -> int:

@@ -1,17 +1,17 @@
-"""Canonical data model: option quotes, feature encoding, filtering, splits.
+"""Canonical data model: the quote table, its validity rule, datasets, splits.
 
-A quote is one observed European option with its market midpoint and a
-20-day window of underlying closes. Models never see the quote object
-itself; they see the fixed 26-column feature row produced here, in this
-order:
+Quotes travel as one quote table, a float64 array of shape (n, 28) whose
+columns are QUOTE_COLUMNS, the column order of the dataset CSV. The
+option_type column holds OptionType.flag (1.0 call, 0.0 put), and
+implied_vol is NaN when unknown; lag_1 is the most recent close before
+the quote date, lag_20 the oldest. QUOTE_RULE is the one validity rule
+for quotes and pricing inputs, checked column by column in order.
 
-    [strike, underlying_price, rate, dividend_yield, maturity_years,
-     is_call, lag_1, ..., lag_20]
-
-is_call is 1.0 for calls and 0.0 for puts. lag_1 is the most recent
-close before the quote date, lag_20 the oldest. The implied volatility,
-when known, rides alongside the feature matrix but is never a model
-input: it exists so the closed-form baseline can reprice the quote.
+Models never see the table itself; they see the fixed 26-column feature
+row taken from it, in FEATURE_NAMES order (is_call is the option_type
+flag). The implied volatility rides alongside the feature matrix but is
+never a model input: it exists so the closed-form baseline can reprice
+the quote.
 """
 
 from __future__ import annotations
@@ -19,24 +19,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 
 N_LAGS = 20
+LAG_NAMES: tuple[str, ...] = tuple(f"lag_{i}" for i in range(1, N_LAGS + 1))
+QUOTE_COLUMNS: tuple[str, ...] = (
+    ("option_type", "strike", "underlying_price", "rate", "dividend_yield",
+     "maturity_years", "implied_vol")
+    + LAG_NAMES
+    + ("midpoint",)
+)
+QUOTE_WIDTH = len(QUOTE_COLUMNS)  # 28
 FEATURE_NAMES: tuple[str, ...] = (
-    "strike",
-    "underlying_price",
-    "rate",
-    "dividend_yield",
-    "maturity_years",
-    "is_call",
-) + tuple(f"lag_{i}" for i in range(1, N_LAGS + 1))
+    "strike", "underlying_price", "rate", "dividend_yield", "maturity_years", "is_call",
+) + LAG_NAMES
 FEATURE_COUNT = len(FEATURE_NAMES)  # 26
+# table column of each feature; is_call is the option_type flag
+FEATURE_COLUMNS = [
+    QUOTE_COLUMNS.index("option_type" if name == "is_call" else name)
+    for name in FEATURE_NAMES
+]
+LAG_COLUMNS = slice(QUOTE_COLUMNS.index("lag_1"), QUOTE_COLUMNS.index("lag_20") + 1)
 MAX_MIDPOINT = 100_000.0
 IMPLIED_VOL_CAP = 3.0
+MAX_ABS_RATE = 1.0
 
 
 class OptionType(Enum):
@@ -49,121 +59,114 @@ class OptionType(Enum):
         return 1.0 if self is OptionType.CALL else 0.0
 
 
-@dataclass(frozen=True)
-class OptionQuote:
-    """One option quote plus the recent history of its underlying.
+# Elementwise predicates; each takes a float or an array. Comparisons
+# with NaN are false, so every bound also rejects NaN.
+def is_positive(x):
+    return (x > 0) & (x < math.inf)
 
-    Construction is lenient so that ingest can materialize rows before
-    deciding what to do with bad ones; `validate()` / `violation()`
-    enforce the invariants. `filter_quotes` applies the structural
-    subset of those checks used to clean raw data.
+
+def is_rate(x):
+    return abs(x) < MAX_ABS_RATE
+
+
+def is_midpoint(x):
+    return (x > 0) & (x < MAX_MIDPOINT)
+
+
+def is_implied_vol(x):
+    return np.isnan(x) | ((x > 0) & (x <= IMPLIED_VOL_CAP))
+
+
+def is_flag(x):
+    return (x == 0.0) | (x == 1.0)
+
+
+class Check(NamedTuple):
+    """One step of the validity rule: a term, its test and what it requires."""
+
+    name: str
+    ok: Callable
+    requirement: str
+
+
+_POSITIVE = "must be positive and finite"
+_RATE = f"must be finite with |value| < {MAX_ABS_RATE}"
+
+# A quote is valid when every check passes; a bad quote is reported
+# under its first failing check. A check covers the column of its name
+# (see _SPANS).
+QUOTE_RULE: tuple[Check, ...] = (
+    Check("underlying_price", is_positive, _POSITIVE),
+    Check("strike", is_positive, _POSITIVE),
+    Check("maturity_years", is_positive, _POSITIVE),
+    Check("rate", is_rate, _RATE),
+    Check("dividend_yield", is_rate, _RATE),
+    Check("lags", is_positive, "every lag must be a positive finite price"),
+    Check("midpoint", is_midpoint, f"must lie in (0, {MAX_MIDPOINT:g})"),
+    Check("implied_vol", is_implied_vol, f"must be NaN or lie in (0, {IMPLIED_VOL_CAP:g}]"),
+    Check("option_type", is_flag, "must be 1.0 (call) or 0.0 (put)"),
+)
+_SPANS = {name: slice(i, i + 1) for i, name in enumerate(QUOTE_COLUMNS)}
+_SPANS["lags"] = LAG_COLUMNS
+# Pricing terms outside the table share the predicates.
+_TERMS = {
+    **{c.name: (c.ok, c.requirement) for c in QUOTE_RULE},
+    "sigma": (is_positive, _POSITIVE),
+    "price": (is_positive, _POSITIVE),
+}
+
+
+def check_terms(**terms) -> None:
+    """Raise ValidationError naming the first term with a value its check fails.
+
+    Each value is a float or an array; the message shows the first bad
+    element as a plain float.
     """
-
-    underlying_price: float
-    strike: float
-    maturity_years: float
-    rate: float
-    dividend_yield: float
-    option_type: OptionType
-    lags: tuple[float, ...]
-    midpoint: float
-    implied_vol: float | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.option_type, OptionType):
-            raise ValidationError(
-                f"option_type: expected OptionType, got {self.option_type!r}"
-            )
-        object.__setattr__(self, "lags", tuple(float(x) for x in self.lags))
-
-    def drop_reason(self) -> str | None:
-        """Structural defect that disqualifies this quote, or None.
-
-        These are the checks `filter_quotes` counts drops by: positive
-        underlying/strike/maturity, exactly 20 positive finite lags, and
-        a midpoint inside (0, 100000).
-        """
-        if not (math.isfinite(self.underlying_price) and self.underlying_price > 0):
-            return "underlying_price"
-        if not (math.isfinite(self.strike) and self.strike > 0):
-            return "strike"
-        if not (math.isfinite(self.maturity_years) and self.maturity_years > 0):
-            return "maturity_years"
-        if not math.isfinite(self.rate):
-            return "rate"
-        if not math.isfinite(self.dividend_yield):
-            return "dividend_yield"
-        if len(self.lags) != N_LAGS or not all(
-            math.isfinite(x) and x > 0 for x in self.lags
-        ):
-            return "lags"
-        if not (math.isfinite(self.midpoint) and 0 < self.midpoint < MAX_MIDPOINT):
-            return "midpoint"
-        return None
-
-    def violation(self) -> str | None:
-        """First violated invariant as "field: problem", or None if valid."""
-        reason = self.drop_reason()
-        if reason == "lags" and len(self.lags) != N_LAGS:
-            return f"lags: expected {N_LAGS} entries, got {len(self.lags)}"
-        if reason == "lags":
-            return "lags: every lag must be a positive finite price"
-        if reason == "midpoint":
-            return (
-                f"midpoint: must lie in (0, {MAX_MIDPOINT:g}), "
-                f"got {self.midpoint!r}"
-            )
-        if reason is not None:
-            return f"{reason}: must be positive and finite, got {getattr(self, reason)!r}"
-        if self.implied_vol is not None:
-            v = self.implied_vol
-            if not (math.isfinite(v) and 0 < v <= IMPLIED_VOL_CAP):
-                return (
-                    f"implied_vol: must lie in (0, {IMPLIED_VOL_CAP}] when present, "
-                    f"got {v!r}"
-                )
-        return None
-
-    def validate(self) -> None:
-        problem = self.violation()
-        if problem is not None:
-            raise ValidationError(problem)
+    for name, values in terms.items():
+        ok, requirement = _TERMS[name]
+        good = ok(values)
+        # a float input gives a plain bool
+        if not (good.all() if isinstance(good, np.ndarray) else good):
+            bad = np.atleast_1d(values)[~np.atleast_1d(good)][0]
+            raise ValidationError(f"{name}: {requirement}, got {float(bad)!r}")
 
 
-def encode_features(quote: OptionQuote) -> np.ndarray:
-    """Encode a valid quote as the fixed 26-element float64 feature row."""
-    quote.validate()
-    row = np.empty(FEATURE_COUNT, dtype=np.float64)
-    row[0] = quote.strike
-    row[1] = quote.underlying_price
-    row[2] = quote.rate
-    row[3] = quote.dividend_yield
-    row[4] = quote.maturity_years
-    row[5] = quote.option_type.flag
-    row[6:] = quote.lags
-    return row
+def check_table(quotes) -> np.ndarray:
+    """The quote table as a float64 array, after checking its shape."""
+    table = np.asarray(quotes, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] != QUOTE_WIDTH:
+        raise ValidationError(
+            f"quotes: expected a table of shape (n, {QUOTE_WIDTH}), got {table.shape}"
+        )
+    return table
+
+
+def first_violation(table: np.ndarray) -> np.ndarray:
+    """Per row, the QUOTE_RULE index of its first failing check, or -1."""
+    first = np.full(len(table), -1)
+    for i, check in enumerate(QUOTE_RULE):
+        bad = ~check.ok(table[:, _SPANS[check.name]]).all(axis=1)
+        first[bad & (first < 0)] = i
+    return first
 
 
 class FilterResult(NamedTuple):
-    kept: list[OptionQuote]
+    kept: np.ndarray
     dropped_count: int
     by_reason: dict[str, int]
 
 
-def filter_quotes(quotes: Iterable[OptionQuote]) -> FilterResult:
-    """Drop structurally unusable quotes, counting drops by offending field.
+def filter_quotes(quotes) -> FilterResult:
+    """Drop quotes that break the validity rule, counting each under its
+    first failing check.
 
-    Idempotent: filtering the kept list again drops nothing.
+    Idempotent: filtering the kept table again drops nothing.
     """
-    kept: list[OptionQuote] = []
-    by_reason: dict[str, int] = {}
-    for q in quotes:
-        reason = q.drop_reason()
-        if reason is None:
-            kept.append(q)
-        else:
-            by_reason[reason] = by_reason.get(reason, 0) + 1
-    return FilterResult(kept, sum(by_reason.values()), by_reason)
+    table = check_table(quotes)
+    first = first_violation(table)
+    counts = np.bincount(first[first >= 0], minlength=len(QUOTE_RULE))
+    by_reason = {c.name: int(n) for c, n in zip(QUOTE_RULE, counts) if n}
+    return FilterResult(table[first < 0], sum(by_reason.values()), by_reason)
 
 
 @dataclass(frozen=True)
@@ -196,9 +199,7 @@ class Dataset:
                 raise ValidationError(
                     f"{name}: expected shape ({n},), got {arr.shape}"
                 )
-        if n and not (
-            np.all(np.isfinite(targs)) and np.all(targs > 0) and np.all(targs < MAX_MIDPOINT)
-        ):
+        if not is_midpoint(targs).all():
             raise ValidationError(
                 f"targets: every midpoint must lie in (0, {MAX_MIDPOINT:g})"
             )
@@ -215,16 +216,27 @@ class Dataset:
         return self.features.shape[0]
 
     @classmethod
-    def from_quotes(cls, quotes: Sequence[OptionQuote]) -> "Dataset":
-        n = len(quotes)
-        feats = np.empty((n, FEATURE_COUNT), dtype=np.float64)
-        targs = np.empty(n, dtype=np.float64)
-        vols = np.empty(n, dtype=np.float64)
-        for i, q in enumerate(quotes):
-            feats[i] = encode_features(q)
-            targs[i] = q.midpoint
-            vols[i] = math.nan if q.implied_vol is None else q.implied_vol
-        return cls(feats, targs, vols, np.arange(n, dtype=np.int64))
+    def from_quotes(cls, quotes) -> "Dataset":
+        """Dataset of a quote table whose every row passes QUOTE_RULE."""
+        table = check_table(quotes)
+        first = first_violation(table)
+        bad = np.flatnonzero(first >= 0)
+        if bad.size:
+            row = int(bad[0])
+            check = QUOTE_RULE[first[row]]
+            span = _SPANS[check.name]
+            j = span.start + int(np.flatnonzero(~check.ok(table[row, span]))[0])
+            raise ValidationError(
+                f"{check.name}: {check.requirement}; row {row} has "
+                f"{QUOTE_COLUMNS[j]} = {float(table[row, j])!r}"
+            )
+        # np.take copies into C order, as the models expect
+        return cls(
+            np.take(table, FEATURE_COLUMNS, axis=1),
+            np.take(table, QUOTE_COLUMNS.index("midpoint"), axis=1),
+            np.take(table, QUOTE_COLUMNS.index("implied_vol"), axis=1),
+            np.arange(len(table), dtype=np.int64),
+        )
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)

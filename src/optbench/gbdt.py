@@ -89,7 +89,6 @@ class GbdtConfig:
     reg_lambda: float = 1.0
     min_child_weight: float = 1.0
     eta: EtaSchedule = EtaSchedule()
-    eval_metric: str = "mae"
 
     def __post_init__(self) -> None:
         if not (1 <= self.max_depth <= 32):
@@ -107,10 +106,6 @@ class GbdtConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValidationError(f"{name}: must be >= 0 and finite, got {v!r}")
-        if self.eval_metric != "mae":
-            raise ValidationError(
-                f"eval_metric: only 'mae' is supported, got {self.eval_metric!r}"
-            )
 
 
 class BinnedMatrix(NamedTuple):

@@ -1,10 +1,12 @@
 """Dataset CSV format and model-file persistence.
 
-The quote CSV has a fixed 28-column header. Floats are written with
-repr() so every value round-trips bit-exactly; an empty implied_vol
-cell means "unknown". Reading tolerates up to 1% malformed data rows
-(skipped with a warning, each naming its 1-based line number) and
-aborts beyond that.
+The quote CSV holds one quote table (see `core`): a header of the 28
+QUOTE_COLUMNS, then one line per row. option_type is written as C or P,
+every float with repr() so it round-trips bit-exactly, and an unknown
+(NaN) implied_vol as an empty cell. Reading decodes each line on its
+own and tolerates up to 1% malformed data rows (skipped with a warning,
+each naming its 1-based line number), a line that is not UTF-8
+included; beyond that it aborts.
 
 Model files are an 8-byte magic prefix plus one JSON document:
 
@@ -24,19 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import N_LAGS, OptionQuote, OptionType
+from .core import QUOTE_COLUMNS, QUOTE_WIDTH, OptionType, check_table, check_terms
 from .errors import CsvRowError, IncompatibleModelError, SchemaError, ValidationError
 from .gbdt import RoundRecord, Tree, TreeEnsemble
 from .mlp import Architecture, FeatureStats, LayerSpec, NetworkParams
 
 logger = logging.getLogger(__name__)
-
-CSV_HEADER: tuple[str, ...] = (
-    ("option_type", "strike", "underlying_price", "rate", "dividend_yield",
-     "maturity_years", "implied_vol")
-    + tuple(f"lag_{i}" for i in range(1, N_LAGS + 1))
-    + ("midpoint",)
-)
 
 MAX_BAD_ROW_FRACTION = 0.01
 
@@ -45,82 +40,73 @@ MAGIC_NET = b"OBNET01\n"
 FORMAT_VERSION = 1
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_TYPE_CODES = {t.flag: t.value for t in OptionType}  # 1.0: "C", 0.0: "P"
+_TYPE_FLAGS = {t.value: t.flag for t in OptionType}
+_VOL = QUOTE_COLUMNS.index("implied_vol")
+_WRITE_CHUNK = 4096  # rows formatted at a time, to bound memory
 
 
 def write_csv(quotes, path: str | Path) -> Path:
-    """Write quotes in the canonical 28-column layout."""
+    """Write a quote table in the canonical 28-column layout."""
+    table = check_table(quotes)
+    check_terms(option_type=table[:, 0])
     path = Path(path)
-    lines = [",".join(CSV_HEADER)]
-    for q in quotes:
-        cells = [
-            q.option_type.value,
-            _fmt(q.strike),
-            _fmt(q.underlying_price),
-            _fmt(q.rate),
-            _fmt(q.dividend_yield),
-            _fmt(q.maturity_years),
-            "" if q.implied_vol is None else _fmt(q.implied_vol),
-        ]
-        cells.extend(_fmt(x) for x in q.lags)
-        cells.append(_fmt(q.midpoint))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(QUOTE_COLUMNS) + "\n")
+        for start in range(0, len(table), _WRITE_CHUNK):
+            chunk = table[start : start + _WRITE_CHUNK]
+            columns = [list(map(repr, column)) for column in chunk.T.tolist()]
+            columns[0] = [_TYPE_CODES[flag] for flag in chunk[:, 0].tolist()]
+            columns[_VOL] = ["" if cell == "nan" else cell for cell in columns[_VOL]]
+            fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
     return path
 
 
-def _parse_row(cells: list[str]) -> OptionQuote:
-    if len(cells) != len(CSV_HEADER):
-        raise ValueError(f"expected {len(CSV_HEADER)} columns, got {len(cells)}")
-    type_cell = cells[0]
-    if type_cell not in ("C", "P"):
-        raise ValueError(f"option_type: expected 'C' or 'P', got {type_cell!r}")
-    vol_cell = cells[6]
-    return OptionQuote(
-        option_type=OptionType(type_cell),
-        strike=float(cells[1]),
-        underlying_price=float(cells[2]),
-        rate=float(cells[3]),
-        dividend_yield=float(cells[4]),
-        maturity_years=float(cells[5]),
-        implied_vol=None if vol_cell == "" else float(vol_cell),
-        lags=tuple(float(c) for c in cells[7 : 7 + N_LAGS]),
-        midpoint=float(cells[-1]),
-    )
+def _parse_line(line: bytes) -> list[float]:
+    cells = line.decode("utf-8").split(",")
+    if len(cells) != QUOTE_WIDTH:
+        raise ValueError(f"expected {QUOTE_WIDTH} columns, got {len(cells)}")
+    flag = _TYPE_FLAGS.get(cells[0])
+    if flag is None:
+        raise ValueError(f"option_type: expected 'C' or 'P', got {cells[0]!r}")
+    cells[_VOL] = cells[_VOL] or "nan"
+    return [flag, *map(float, cells[1:])]
 
 
-def read_csv(path: str | Path) -> list[OptionQuote]:
-    """Read a quote CSV written by write_csv.
+def read_csv(path: str | Path) -> np.ndarray:
+    """Read the quote table of a CSV written by write_csv.
 
-    Raises SchemaError on a wrong header. Malformed data rows are
-    collected with their line numbers; if more than 1% of data rows are
-    bad the whole read fails with CsvRowError, otherwise each bad row
-    is skipped with a logged warning.
+    Raises SchemaError on a missing, undecodable or wrong header.
+    Malformed data rows are collected with their line numbers; if more
+    than 1% of data rows are bad the whole read fails with CsvRowError,
+    otherwise each bad row is skipped with a logged warning. Values are
+    not checked here; `filter_quotes` applies the validity rule.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        header_line = fh.readline()
-        if header_line == "":
-            raise SchemaError(f"{path}: empty file, expected a header row")
-        header = tuple(header_line.rstrip("\r\n").split(","))
-        if header != CSV_HEADER:
-            raise SchemaError(
-                f"{path}: header mismatch; expected {','.join(CSV_HEADER)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        quotes: list[OptionQuote] = []
-        bad_rows: list[tuple[int, str]] = []
-        total = 0
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\r\n")
-            if line == "":
-                continue
-            total += 1
-            try:
-                quotes.append(_parse_row(line.split(",")))
-            except (ValueError, ValidationError) as exc:
-                bad_rows.append((lineno, str(exc)))
+    lines = path.read_bytes().splitlines()
+    if not lines:
+        raise SchemaError(f"{path}: empty file, expected a header row")
+    try:
+        header = tuple(lines[0].decode("utf-8").split(","))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: header is not UTF-8 text: {exc}") from exc
+    if header != QUOTE_COLUMNS:
+        raise SchemaError(
+            f"{path}: header mismatch; expected {','.join(QUOTE_COLUMNS)!r}, "
+            f"got {','.join(header)!r}"
+        )
+    table = np.empty((len(lines) - 1, QUOTE_WIDTH))
+    n = 0
+    bad_rows: list[tuple[int, str]] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        try:
+            table[n] = _parse_line(line)
+            n += 1
+        except ValueError as exc:  # UnicodeDecodeError included
+            bad_rows.append((lineno, str(exc)))
+    total = n + len(bad_rows)
     if bad_rows:
         if len(bad_rows) > MAX_BAD_ROW_FRACTION * total:
             shown = "; ".join(f"line {ln}: {msg}" for ln, msg in bad_rows[:5])
@@ -132,7 +118,7 @@ def read_csv(path: str | Path) -> list[OptionQuote]:
             )
         for ln, msg in bad_rows:
             logger.warning("%s: skipping malformed line %d: %s", path, ln, msg)
-    return quotes
+    return table[:n]
 
 
 def _tree_payload(tree: Tree) -> dict:
@@ -365,7 +351,7 @@ def write_metrics_csv(records, path: str | Path) -> Path:
     lines = [",".join(fields)]
     for rec in records:
         lines.append(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in rec)
+            ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in rec)
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

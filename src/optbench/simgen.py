@@ -10,6 +10,9 @@ exact sigma. A symmetric relative perturbation of up to `half_spread`
 turns fair value into a midpoint; contracts whose fair value falls
 below half a minimum tick are unquotable and are skipped.
 
+Quotes come out as a quote table (see `core`); each chain is one grid,
+priced by one `bs_prices` call, in day, maturity, moneyness, type order.
+
 Determinism: every random draw derives from (seed, underlying index,
 stream), so any underlying can be regenerated in isolation and two runs
 with equal configs produce identical datasets.
@@ -19,12 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .blackscholes import MAX_ABS_RATE, BsInputs, bs_price
-from .core import N_LAGS, OptionQuote, OptionType
+from .blackscholes import bs_prices
+from .core import (
+    LAG_COLUMNS,
+    MAX_ABS_RATE,
+    N_LAGS,
+    QUOTE_COLUMNS,
+    QUOTE_WIDTH,
+    check_terms,
+)
 from .errors import ValidationError
 
 TRADING_DAYS_PER_YEAR = 252
@@ -158,75 +168,69 @@ def simulate_underlying(config: SimConfig, index: int) -> UnderlyingPath:
     )
 
 
-def generate_chain(path: UnderlyingPath, config: SimConfig) -> list[OptionQuote]:
-    """All quotes written against one underlying's path.
+def generate_chain(path: UnderlyingPath, config: SimConfig) -> np.ndarray:
+    """The quote table written against one underlying's path.
 
     Quote days start once 20 lags exist. Strikes come from the moneyness
     grid times that day's close. Fair values below the half-tick floor
     are skipped rather than clamped so a zero-spread dataset reprices
     exactly from its implied volatilities.
     """
-    noise = _stream(config.seed, path.index, _NOISE_STREAM)
     closes = path.closes
-    quotes: list[OptionQuote] = []
-    for day in range(N_LAGS, len(closes)):
-        spot = float(closes[day])
-        lags = tuple(float(x) for x in closes[day - N_LAGS : day][::-1])
-        for maturity in config.maturities:
-            for moneyness in config.moneyness_grid:
-                strike = moneyness * spot
-                for option_type in (OptionType.CALL, OptionType.PUT):
-                    fair = bs_price(
-                        BsInputs(
-                            underlying_price=spot,
-                            strike=strike,
-                            maturity_years=maturity,
-                            rate=path.rate,
-                            dividend_yield=path.dividend_yield,
-                            sigma=path.sigma,
-                            option_type=option_type,
-                        )
-                    )
-                    if fair < MIN_MIDPOINT:
-                        continue
-                    bump = noise.uniform(-config.half_spread, config.half_spread)
-                    midpoint = max(fair * (1.0 + bump), MIN_MIDPOINT)
-                    quotes.append(
-                        OptionQuote(
-                            underlying_price=spot,
-                            strike=strike,
-                            maturity_years=maturity,
-                            rate=path.rate,
-                            dividend_yield=path.dividend_yield,
-                            option_type=option_type,
-                            lags=lags,
-                            midpoint=midpoint,
-                            implied_vol=path.sigma,
-                        )
-                    )
-    return quotes
+    # the 20 closes before each quote day, most recent first
+    lags = sliding_window_view(closes[:-1], N_LAGS)[:, ::-1]
+    maturities = np.asarray(config.maturities, dtype=np.float64)
+    moneyness = np.asarray(config.moneyness_grid, dtype=np.float64)
+    day, mat, mon, kind = np.indices(
+        (len(lags), len(maturities), len(moneyness), 2)
+    ).reshape(4, -1)
+    spot = closes[N_LAGS:][day]
+    strike = moneyness[mon] * spot
+    is_call = kind == 0
+    fair = bs_prices(
+        spot, strike, maturities[mat], path.rate, path.dividend_yield, path.sigma, is_call
+    )
+    keep = fair >= MIN_MIDPOINT
+    noise = _stream(config.seed, path.index, _NOISE_STREAM)
+    bump = noise.uniform(-config.half_spread, config.half_spread, size=int(keep.sum()))
+
+    col = QUOTE_COLUMNS.index
+    table = np.empty((len(bump), QUOTE_WIDTH))
+    table[:, col("option_type")] = is_call[keep]  # OptionType.flag
+    table[:, col("strike")] = strike[keep]
+    table[:, col("underlying_price")] = spot[keep]
+    table[:, col("rate")] = path.rate
+    table[:, col("dividend_yield")] = path.dividend_yield
+    table[:, col("maturity_years")] = maturities[mat[keep]]
+    table[:, col("implied_vol")] = path.sigma
+    table[:, LAG_COLUMNS] = lags[day[keep]]
+    table[:, col("midpoint")] = np.maximum(fair[keep] * (1.0 + bump), MIN_MIDPOINT)
+    return table
 
 
-def generate_dataset(config: SimConfig) -> list[OptionQuote]:
-    """Quotes for every underlying in the config, in underlying order."""
-    quotes: list[OptionQuote] = []
-    for index in range(config.n_underlyings):
-        quotes.extend(generate_chain(simulate_underlying(config, index), config))
-    return quotes
+def generate_dataset(config: SimConfig) -> np.ndarray:
+    """The quote table of every underlying in the config, in underlying order."""
+    chains = [
+        generate_chain(simulate_underlying(config, index), config)
+        for index in range(config.n_underlyings)
+    ]
+    return np.concatenate([np.empty((0, QUOTE_WIDTH)), *chains])
 
 
-def realized_vol(lags: Sequence[float]) -> float:
-    """Annualized close-to-close volatility of a 20-lag window.
+def realized_vol(lags):
+    """Annualized close-to-close volatility of 20-lag windows.
 
-    Sample standard deviation (divisor n-1) of the 19 daily log returns,
-    scaled by sqrt(252). Constant lags give exactly 0.
+    `lags` holds the windows along its last axis; one window gives a
+    float, an (n, 20) matrix gives n values. Sample standard deviation
+    (divisor n-1) of the 19 daily log returns, scaled by sqrt(252).
+    Constant lags give exactly 0.
     """
     arr = np.asarray(lags, dtype=np.float64)
-    if arr.shape != (N_LAGS,):
+    if arr.ndim == 0 or arr.shape[-1] != N_LAGS:
         raise ValidationError(
             f"lags: expected {N_LAGS} entries, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValidationError("lags: every lag must be a positive finite price")
-    log_returns = np.log(arr[:-1] / arr[1:])
-    return float(math.sqrt(TRADING_DAYS_PER_YEAR * log_returns.var(ddof=1)))
+    check_terms(lags=arr)
+    log_returns = np.log(arr[..., :-1] / arr[..., 1:])
+    vol = np.sqrt(TRADING_DAYS_PER_YEAR * log_returns.var(axis=-1, ddof=1))
+    return float(vol) if vol.ndim == 0 else vol

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from optbench import Dataset, OptionQuote, OptionType
+from optbench import Dataset
+from optbench.core import LAG_COLUMNS, QUOTE_COLUMNS, QUOTE_WIDTH
 
 # one line per acceptance criterion, echoed after the run
 ACCEPTANCE_RESULTS: list[str] = []
@@ -14,21 +15,34 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def make_quote(**overrides) -> OptionQuote:
-    """A valid call quote with 20 mildly varying lags."""
-    fields = dict(
-        underlying_price=100.0,
+def make_quote(**overrides) -> np.ndarray:
+    """A one-row quote table: a valid call with 20 mildly varying lags.
+
+    Overrides name table columns (option_type takes the 1.0/0.0 flag);
+    `lags` sets all 20 lag columns.
+    """
+    values = dict(
+        option_type=1.0,
         strike=90.0,
-        maturity_years=0.5,
+        underlying_price=100.0,
         rate=0.02,
         dividend_yield=0.01,
-        option_type=OptionType.CALL,
-        lags=tuple(100.0 + 0.5 * ((-1) ** i) + 0.01 * i for i in range(20)),
-        midpoint=12.5,
+        maturity_years=0.5,
         implied_vol=0.25,
+        midpoint=12.5,
     )
-    fields.update(overrides)
-    return OptionQuote(**fields)
+    lags = overrides.pop("lags", tuple(100.0 + 0.5 * ((-1) ** i) + 0.01 * i for i in range(20)))
+    values.update(overrides)
+    row = np.empty((1, QUOTE_WIDTH))
+    for name, value in values.items():
+        row[0, QUOTE_COLUMNS.index(name)] = value
+    row[0, LAG_COLUMNS] = lags
+    return row
+
+
+def make_quotes(*rows: np.ndarray) -> np.ndarray:
+    """Stack one-row tables into one table."""
+    return np.concatenate([np.empty((0, QUOTE_WIDTH)), *rows])
 
 
 def make_dataset(n: int, seed: int = 0, with_vols: bool = True) -> Dataset:
@@ -49,5 +63,5 @@ def make_dataset(n: int, seed: int = 0, with_vols: bool = True) -> Dataset:
 
 
 @pytest.fixture
-def quote() -> OptionQuote:
+def quote() -> np.ndarray:
     return make_quote()

@@ -1,0 +1,64 @@
+"""The library calls the benchmark in perfbench/ makes, at tiny scale.
+
+perfbench/workloads.py drives the package in-process and
+perfbench/tracer.py wraps package functions by name, so a change to any
+of these names or call shapes would break the benchmark; here it fails
+the unit tests first.
+"""
+
+import importlib
+import math
+import sys
+from pathlib import Path
+
+import optbench as ob
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_workload_call_chain(tmp_path):
+    sim = ob.SimConfig(n_underlyings=1, days_per_underlying=25, seed=42)
+    spec = ob.SplitSpec(train_fraction=0.8, val_fraction=0.1, test_fraction=0.1, seed=3)
+
+    # InProcessFit.setup
+    ds = ob.Dataset.from_quotes(ob.generate_dataset(sim))
+    train, val, test = ob.split_dataset(ds, spec)
+    assert ds.features.tobytes() and ds.targets.tobytes()  # the set-up digest
+
+    # BatchScore._build
+    quotes = ob.generate_dataset(sim)
+    assert len(quotes) == len(ds)
+    data = ob.write_csv(quotes, tmp_path / "dataset.csv")
+    kept = ob.filter_quotes(quotes).kept
+    assert ob.filter_quotes(quotes).dropped_count == 0
+    parts = ob.split_dataset(ob.Dataset.from_quotes(kept), spec)
+    assert [len(p) for p in parts] == [len(train), len(val), len(test)]
+    assert data.is_file()
+
+    # GbdtFit: warm-up, a fit, scoring and saving
+    ob.train_gbdt(train, val, ob.GbdtConfig(max_depth=5, num_rounds=1))
+    model = ob.train_gbdt(train, val, ob.GbdtConfig(max_depth=3, num_rounds=2))
+    assert len(model.history) == 2 and sum(t.n_nodes for t in model.trees) > 0
+    assert math.isfinite(ob.mae(ob.predict_gbdt(model, test.features), test.targets))
+    ob.save_model(model, tmp_path / "gbdt3.model", {"kind": "gbdt3"})
+    assert len(val.subset([])) == 0
+
+    # MlpFit: warm-up rows and one epoch per preset
+    rows = train.subset(range(min(len(train), ob.MlpTrainConfig().batch_size)))
+    for arch in (ob.THREE_LAYER, ob.FIVE_LAYER):
+        net, history = ob.train_mlp(rows, val, arch, ob.MlpTrainConfig(max_epochs=1))
+        assert len(history) == 1
+        assert math.isfinite(ob.mae(ob.forward(net, test.features), test.targets))
+
+
+def test_tracer_targets_resolve():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from tracer import TARGETS
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for span, (module_name, attr, _) in TARGETS.items():
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+            assert owner is not None, f"{span}: {module_name}.{attr} is gone"

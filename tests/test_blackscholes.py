@@ -11,6 +11,7 @@ from optbench import (
     ValidationError,
     bs_intermediates,
     bs_price,
+    bs_prices,
     implied_vol,
     norm_cdf,
     norm_pdf,
@@ -189,3 +190,81 @@ class TestImpliedVol:
         price = bs_price(make_inputs(sigma=2.9))
         vol = implied_vol(price, 100.0, 100.0, 1.0, 0.0, 0.0, OptionType.CALL)
         assert vol == pytest.approx(2.9, abs=1e-6)
+
+
+def reference_price(s, k, t, r, q, sigma, is_call) -> float:
+    """The math-module scalar formula: the oracle for the array kernel."""
+    vol_time = sigma * math.sqrt(t)
+    d1 = (math.log(s / k) + (r - q + 0.5 * sigma * sigma) * t) / vol_time
+    d2 = d1 - vol_time
+    disc_s = s * math.exp(-q * t)
+    disc_k = k * math.exp(-r * t)
+    if is_call:
+        price = disc_s * norm_cdf(d1) - disc_k * norm_cdf(d2)
+    else:
+        price = disc_k * norm_cdf(-d2) - disc_s * norm_cdf(-d1)
+    return max(price, 0.0)
+
+
+def random_terms(n: int, seed: int) -> tuple:
+    """n valid pricing inputs over the ranges of acceptance criterion 1."""
+    rng = np.random.default_rng(seed)
+    return (
+        rng.uniform(1.0, 5000.0, n),
+        rng.uniform(1.0, 5000.0, n),
+        rng.uniform(0.01, 5.0, n),
+        rng.uniform(-0.05, 0.2, n),
+        rng.uniform(0.0, 0.1, n),
+        rng.uniform(0.01, 2.9, n),
+        rng.uniform(size=n) < 0.5,
+    )
+
+
+class TestKernel:
+    def test_matches_math_oracle(self):
+        terms = random_terms(100_000, seed=31)
+        prices = bs_prices(*terms)
+        expected = np.array([reference_price(*row) for row in zip(*(t.tolist() for t in terms))])
+        s, k = terms[0], terms[1]
+        tol = 1e-12 * np.maximum(1.0, np.maximum(s, k))
+        assert np.all(np.abs(prices - expected) <= tol)
+
+    def test_scalar_wrapper_is_the_kernel(self):
+        terms = random_terms(2000, seed=32)
+        prices = bs_prices(*terms)
+        for i, (s, k, t, r, q, sigma, call) in enumerate(zip(*(t.tolist() for t in terms))):
+            kind = OptionType.CALL if call else OptionType.PUT
+            price = bs_price(BsInputs(s, k, t, r, q, sigma, kind))
+            assert np.float64(price).view(np.uint64) == prices[i:i + 1].view(np.uint64)[0]
+
+    def test_flags_broadcasting_and_shapes(self):
+        s = np.array([90.0, 100.0, 110.0])
+        calls = bs_prices(s, 100.0, 0.5, 0.02, 0.01, 0.3, True)
+        puts = bs_prices(s, 100.0, 0.5, 0.02, 0.01, 0.3, np.zeros(3))
+        assert np.array_equal(bs_prices(s, 100.0, 0.5, 0.02, 0.01, 0.3, np.ones(3)), calls)
+        assert calls.shape == puts.shape == (3,)
+        assert np.all(calls[1:] > calls[:-1]) and np.all(puts[1:] < puts[:-1])
+        assert bs_prices(100.0, 100.0, 1.0, 0.0, 0.0, 0.2, True).shape == ()
+        assert bs_prices(s[:0], s[:0], 1.0, 0.0, 0.0, 0.2, s[:0]).shape == (0,)
+
+    def test_same_errors_as_bs_inputs(self):
+        names = ("underlying_price", "strike", "maturity_years", "rate", "dividend_yield", "sigma")
+        good = (100.0, 100.0, 1.0, 0.0, 0.0, 0.2)
+        cases = [
+            (dict(underlying_price=0.0), ValidationError, "underlying_price"),
+            (dict(strike=-5.0), ValidationError, "strike"),
+            (dict(maturity_years=math.inf), ValidationError, "maturity_years"),
+            (dict(rate=1.5), ValidationError, "rate"),
+            (dict(dividend_yield=math.nan), ValidationError, "dividend_yield"),
+            (dict(sigma=-0.2), ValidationError, "sigma"),
+            (dict(sigma=1e-13), DegenerateVolatilityError, "sigma"),
+            (dict(sigma=1e-7, maturity_years=1e-12), DegenerateVolatilityError, "sigma"),
+        ]
+        for overrides, error, name in cases:
+            with pytest.raises(error, match=name):
+                bs_price(make_inputs(**overrides))
+            # the bad values in the middle of good rows, priced as arrays
+            terms = [np.array([g, overrides.get(n, g), g]) for n, g in zip(names, good)]
+            with pytest.raises(error, match=name) as exc:
+                bs_prices(*terms, True)
+            assert "np.float64" not in str(exc.value)

@@ -1,10 +1,11 @@
 import json
+import logging
 from operator import attrgetter
 
 import pytest
 
 from optbench.cli import KNOWN_KEYS, build_config, build_parser, load_config, main
-from optbench.ingest import CSV_HEADER
+from optbench.core import QUOTE_COLUMNS
 
 
 TINY = [
@@ -28,7 +29,7 @@ class TestGen:
         data = gen_tiny(tmp_path)
         assert data.exists()
         lines = data.read_text().splitlines()
-        assert lines[0] == ",".join(CSV_HEADER)
+        assert lines[0] == ",".join(QUOTE_COLUMNS)
         manifest = json.loads((tmp_path / "dataset.manifest.json").read_text())
         assert manifest["rows"] == len(lines) - 1
         assert manifest["config"]["n_underlyings"] == 1
@@ -48,7 +49,7 @@ class TestGen:
         code = run("gen", "--out", str(tmp_path), "--set", "sim.n_underlyings=0")
         assert code == 0
         lines = (tmp_path / "dataset.csv").read_text().splitlines()
-        assert lines == [",".join(CSV_HEADER)]
+        assert lines == [",".join(QUOTE_COLUMNS)]
 
     def test_bad_key_rejected(self, tmp_path):
         code = run("gen", "--out", str(tmp_path), "--set", "sim.nonsense=3")
@@ -95,6 +96,26 @@ class TestSplit:
         assert sizes["val"] == round(total * 0.2)
         assert sizes["test"] == round(total * 0.3)
 
+    def test_undecodable_row_is_skipped(self, tmp_path, caplog):
+        data = gen_tiny(tmp_path)
+        lines = data.read_bytes().splitlines()
+        rows = len(lines) - 1
+        assert rows > 100  # one bad row stays under the 1% limit
+        lines[3] = lines[3].replace(b",", b"\xff,", 1)  # line 4 of the file
+        data.write_bytes(b"\n".join(lines) + b"\n")
+        with caplog.at_level(logging.WARNING):
+            code = run("split", "--data", str(data), "--out", str(tmp_path / "s"))
+        assert code == 0
+        assert any("line 4" in r.getMessage() for r in caplog.records)
+        manifest = json.loads((tmp_path / "s" / "split.manifest.json").read_text())
+        assert manifest["kept_rows"] == rows - 1
+
+    def test_undecodable_header_is_data_error(self, tmp_path, capsys):
+        data = gen_tiny(tmp_path)
+        data.write_bytes(b"\xff" + data.read_bytes())
+        assert run("split", "--data", str(data), "--out", str(tmp_path / "s")) == 2
+        assert "header" in capsys.readouterr().err
+
     def test_missing_data_flag(self, tmp_path):
         assert run("split", "--out", str(tmp_path)) == 1
 
@@ -118,7 +139,7 @@ class TestTrain:
         assert side["hyperparameters"]["num_rounds"] == 3
         assert set(side["hyperparameters"]) == {
             "max_depth", "num_rounds", "early_stopping_rounds", "n_bins", "reg_lambda",
-            "min_child_weight", "eta_base", "eta_min", "max_iter_decay", "eval_metric",
+            "min_child_weight", "eta_base", "eta_min", "max_iter_decay",
         }
         assert side["training_seconds"] > 0
         metrics = (tmp_path / "gbdt5_metrics.csv").read_text().splitlines()
@@ -251,9 +272,45 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "data error" in err and str(path) in err
 
+    def test_model_manifest_with_eval_metric_still_evaluates(self, tmp_path):
+        # files written while GbdtConfig had eval_metric record it
+        data = self.setup_trained(tmp_path)
+        path = tmp_path / "gbdt5.model"
+        raw = path.read_bytes()
+        doc = json.loads(raw[8:])
+        doc["manifest"]["hyperparameters"]["eval_metric"] = "mae"
+        path.write_bytes(raw[:8] + json.dumps(doc).encode())
+        code = run(
+            "evaluate", str(path), "--data", str(data), "--out", str(tmp_path), "--seed", "9",
+        )
+        assert code == 0
+
     def test_no_models_no_baseline_usage_error(self, tmp_path):
         data = gen_tiny(tmp_path)
         assert run("evaluate", "--data", str(data), "--out", str(tmp_path)) == 1
+
+
+class TestOneValidityRule:
+    def test_rows_the_rule_drops_never_reach_a_command(self, tmp_path, capsys):
+        # split, report, train and evaluate all drop the same two rows
+        data = gen_tiny(tmp_path)
+        lines = data.read_text().splitlines()
+        cols = {name: i for i, name in enumerate(QUOTE_COLUMNS)}
+        for name, value in (("implied_vol", "5.0"), ("rate", "1.5")):
+            cells = lines[1].split(",")
+            cells[cols[name]] = value
+            lines.append(",".join(cells))
+        data.write_text("\n".join(lines) + "\n")
+
+        assert run("split", "--data", str(data), "--out", str(tmp_path / "s")) == 0
+        manifest = json.loads((tmp_path / "s" / "split.manifest.json").read_text())
+        assert manifest["dropped_by_reason"] == {"implied_vol": 1, "rate": 1}
+        assert manifest["kept_rows"] == len(lines) - 3
+        assert run("report", "--data", str(data), "--out", str(tmp_path / "r")) == 0
+        common = ("--data", str(data), "--out", str(tmp_path), "--seed", "9")
+        assert run("train", "gbdt5", *common, "--set", "gbdt.num_rounds=2") == 0
+        assert run("evaluate", str(tmp_path / "gbdt5.model"), "--include-bs", *common) == 0
+        assert "np.float64" not in capsys.readouterr().err
 
 
 class TestReport:

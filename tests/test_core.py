@@ -1,63 +1,109 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from optbench import (
     Dataset,
-    OptionQuote,
-    OptionType,
     SplitSpec,
     ValidationError,
-    encode_features,
     filter_quotes,
     split_dataset,
     split_indices,
 )
-from optbench.core import FEATURE_COUNT, FEATURE_NAMES
+from optbench.core import (
+    FEATURE_COUNT,
+    FEATURE_NAMES,
+    QUOTE_COLUMNS,
+    QUOTE_RULE,
+    QUOTE_WIDTH,
+    check_table,
+    check_terms,
+    first_violation,
+)
 
-from conftest import make_quote
+from conftest import make_quote, make_quotes
+
+
+def reason(row: np.ndarray) -> str | None:
+    """Name of the first check a one-row table fails, or None."""
+    i = first_violation(row)[0]
+    return None if i < 0 else QUOTE_RULE[i].name
 
 
 class TestOptionQuote:
+    """One quote row under the validity rule."""
+
     def test_valid_quote_has_no_violation(self, quote):
-        assert quote.violation() is None
-        quote.validate()
+        assert reason(quote) is None
+        assert len(Dataset.from_quotes(quote)) == 1
 
     def test_nineteen_lags_rejected(self):
-        q = make_quote(lags=tuple(100.0 for _ in range(19)))
-        assert q.violation().startswith("lags: expected 20")
-        with pytest.raises(ValidationError, match="lags: expected 20"):
-            q.validate()
+        # a table without all 20 lag columns has the wrong shape everywhere
+        short = np.delete(make_quote(), QUOTE_COLUMNS.index("lag_20"), axis=1)
+        message = re.escape(f"quotes: expected a table of shape (n, {QUOTE_WIDTH})")
+        for fn in (check_table, filter_quotes, Dataset.from_quotes):
+            with pytest.raises(ValidationError, match=message):
+                fn(short)
+        with pytest.raises(ValidationError, match="quotes"):
+            check_table(np.ones(QUOTE_WIDTH))
 
     def test_nonpositive_lag_rejected(self):
-        q = make_quote(lags=(0.0,) + tuple(100.0 for _ in range(19)))
-        assert q.violation().startswith("lags:")
+        assert reason(make_quote(lags=(0.0,) + (100.0,) * 19)) == "lags"
+        assert reason(make_quote(lags=(100.0,) * 19 + (math.inf,))) == "lags"
 
     def test_midpoint_bounds(self):
-        assert make_quote(midpoint=100_000.0).violation().startswith("midpoint")
-        assert make_quote(midpoint=0.0).violation().startswith("midpoint")
-        assert make_quote(midpoint=99_999.99).violation() is None
-        assert make_quote(midpoint=0.015).violation() is None
+        assert reason(make_quote(midpoint=100_000.0)) == "midpoint"
+        assert reason(make_quote(midpoint=0.0)) == "midpoint"
+        assert reason(make_quote(midpoint=math.nan)) == "midpoint"
+        assert reason(make_quote(midpoint=99_999.99)) is None
+        assert reason(make_quote(midpoint=0.015)) is None
 
     def test_implied_vol_range(self):
-        assert make_quote(implied_vol=3.0).violation() is None
-        assert make_quote(implied_vol=3.0001).violation().startswith("implied_vol")
-        assert make_quote(implied_vol=0.0).violation().startswith("implied_vol")
-        assert make_quote(implied_vol=None).violation() is None
+        assert reason(make_quote(implied_vol=3.0)) is None
+        assert reason(make_quote(implied_vol=3.0001)) == "implied_vol"
+        assert reason(make_quote(implied_vol=0.0)) == "implied_vol"
+        assert reason(make_quote(implied_vol=math.inf)) == "implied_vol"
+        assert reason(make_quote(implied_vol=math.nan)) is None
 
     def test_negative_terms_rejected(self):
-        assert make_quote(strike=-1.0).violation().startswith("strike")
-        assert make_quote(underlying_price=0.0).violation().startswith("underlying_price")
-        assert make_quote(maturity_years=0.0).violation().startswith("maturity_years")
-        assert make_quote(rate=math.nan).violation().startswith("rate")
+        assert reason(make_quote(strike=-1.0)) == "strike"
+        assert reason(make_quote(underlying_price=0.0)) == "underlying_price"
+        assert reason(make_quote(maturity_years=0.0)) == "maturity_years"
+        assert reason(make_quote(rate=math.nan)) == "rate"
+        assert reason(make_quote(rate=1.5)) == "rate"
+        assert reason(make_quote(dividend_yield=-1.0)) == "dividend_yield"
+        assert reason(make_quote(rate=-0.999)) is None
 
     def test_option_type_must_be_enum(self):
+        # the option_type column holds OptionType.flag: 1.0 or 0.0, nothing else
+        assert reason(make_quote(option_type=0.0)) is None
+        assert reason(make_quote(option_type=0.5)) == "option_type"
         with pytest.raises(ValidationError, match="option_type"):
-            make_quote(option_type="C")
+            Dataset.from_quotes(make_quote(option_type=2.0))
+
+    def test_first_failing_check_is_the_reason(self):
+        # checks run in QUOTE_RULE order; the first failure names the row
+        row = make_quote(strike=0.0, implied_vol=5.0, midpoint=-1.0)
+        assert reason(row) == "strike"
+        assert [c.name for c in QUOTE_RULE] == [
+            "underlying_price", "strike", "maturity_years", "rate", "dividend_yield",
+            "lags", "midpoint", "implied_vol", "option_type",
+        ]
+
+    def test_check_terms_names_term_and_plain_value(self):
+        with pytest.raises(ValidationError) as exc:
+            check_terms(strike=np.array([90.0, -2.5, -3.0]))
+        assert str(exc.value) == "strike: must be positive and finite, got -2.5"
+        with pytest.raises(ValidationError, match="rate: .* got 1.5$"):
+            check_terms(rate=np.float64(1.5))
+        check_terms(rate=0.5, sigma=np.array([0.1, 0.2]))
 
 
 class TestEncodeFeatures:
+    """The feature rows Dataset.from_quotes takes from the quote table."""
+
     def test_call_layout(self):
         lags = tuple(100.0 + i for i in range(20))
         q = make_quote(
@@ -66,10 +112,10 @@ class TestEncodeFeatures:
             rate=0.02,
             dividend_yield=0.01,
             maturity_years=0.5,
-            option_type=OptionType.CALL,
+            option_type=1.0,
             lags=lags,
         )
-        row = encode_features(q)
+        row = Dataset.from_quotes(q).features[0]
         assert row.shape == (FEATURE_COUNT,)
         assert row[0] == 90.0
         assert row[1] == 100.0
@@ -80,17 +126,23 @@ class TestEncodeFeatures:
         assert tuple(row[6:]) == lags
 
     def test_put_flag_is_zero(self):
-        row = encode_features(make_quote(option_type=OptionType.PUT))
+        row = Dataset.from_quotes(make_quote(option_type=0.0)).features[0]
         assert row[5] == 0.0
 
     def test_implied_vol_not_encoded(self):
-        a = encode_features(make_quote(implied_vol=0.2))
-        b = encode_features(make_quote(implied_vol=1.7))
-        assert np.array_equal(a, b)
+        a = Dataset.from_quotes(make_quote(implied_vol=0.2))
+        b = Dataset.from_quotes(make_quote(implied_vol=1.7))
+        assert np.array_equal(a.features, b.features)
 
     def test_invalid_quote_raises(self):
-        with pytest.raises(ValidationError):
-            encode_features(make_quote(midpoint=-3.0))
+        quotes = make_quotes(make_quote(), make_quote(midpoint=-3.0))
+        with pytest.raises(ValidationError) as exc:
+            Dataset.from_quotes(quotes)
+        assert str(exc.value) == "midpoint: must lie in (0, 100000); row 1 has midpoint = -3.0"
+        with pytest.raises(ValidationError, match="row 0 has lag_2 = -1.0$"):
+            Dataset.from_quotes(make_quote(lags=(100.0, -1.0) + (100.0,) * 18))
+        with pytest.raises(ValidationError, match="row 0 has rate = 1.5$"):
+            Dataset.from_quotes(make_quote(rate=1.5))
 
     def test_feature_names_align(self):
         assert FEATURE_NAMES[0] == "strike"
@@ -98,59 +150,79 @@ class TestEncodeFeatures:
         assert FEATURE_NAMES[6] == "lag_1"
         assert FEATURE_NAMES[-1] == "lag_20"
         assert len(FEATURE_NAMES) == FEATURE_COUNT == 26
+        assert QUOTE_COLUMNS[0] == "option_type" and QUOTE_COLUMNS[-1] == "midpoint"
+        assert len(QUOTE_COLUMNS) == QUOTE_WIDTH == 28
 
 
 class TestFilterQuotes:
     def test_empty_input(self):
-        kept, dropped, by_reason = filter_quotes([])
-        assert kept == [] and dropped == 0 and by_reason == {}
+        kept, dropped, by_reason = filter_quotes(make_quotes())
+        assert kept.shape == (0, QUOTE_WIDTH) and dropped == 0 and by_reason == {}
 
     def test_drops_counted_by_reason(self):
-        quotes = [
+        quotes = make_quotes(
             make_quote(),
             make_quote(midpoint=100_000.0),
             make_quote(maturity_years=-1.0),
-            make_quote(lags=(50.0,) * 19),
-            make_quote(lags=(50.0,) * 19),
-        ]
+            make_quote(lags=(50.0,) * 19 + (0.0,)),
+            make_quote(lags=(math.nan,) + (50.0,) * 19),
+            make_quote(implied_vol=5.0),
+            make_quote(rate=1.5),
+        )
         kept, dropped, by_reason = filter_quotes(quotes)
-        assert len(kept) == 1
-        assert dropped == 4
-        assert by_reason == {"midpoint": 1, "maturity_years": 1, "lags": 2}
+        assert np.array_equal(kept, quotes[:1])
+        assert dropped == 6
+        assert by_reason == {
+            "midpoint": 1, "maturity_years": 1, "lags": 2, "implied_vol": 1, "rate": 1,
+        }
 
     def test_midpoint_upper_bound_strict(self):
-        kept, dropped, _ = filter_quotes([make_quote(midpoint=100_000.0)])
-        assert kept == [] and dropped == 1
+        kept, dropped, _ = filter_quotes(make_quote(midpoint=100_000.0))
+        assert len(kept) == 0 and dropped == 1
 
     def test_small_positive_midpoint_kept(self):
-        kept, _, _ = filter_quotes([make_quote(midpoint=0.015)])
+        kept, _, _ = filter_quotes(make_quote(midpoint=0.015))
         assert len(kept) == 1
 
     def test_idempotent(self):
-        quotes = [make_quote(), make_quote(strike=0.0), make_quote(midpoint=2.0)]
+        quotes = make_quotes(make_quote(), make_quote(strike=0.0), make_quote(midpoint=2.0))
         first = filter_quotes(quotes)
         second = filter_quotes(first.kept)
-        assert second.kept == first.kept
+        assert np.array_equal(second.kept, first.kept)
         assert second.dropped_count == 0
 
     def test_implied_vol_not_a_filter_criterion(self):
-        # vol range is a validation concern, not a structural drop
-        kept, dropped, _ = filter_quotes([make_quote(implied_vol=2.999)])
+        # any implied vol inside (0, 3] is kept, however high
+        kept, dropped, _ = filter_quotes(make_quote(implied_vol=2.999))
         assert len(kept) == 1 and dropped == 0
+
+    def test_kept_rows_build_a_dataset(self):
+        # whatever the filter keeps, Dataset.from_quotes accepts
+        quotes = make_quotes(
+            make_quote(), make_quote(implied_vol=5.0), make_quote(rate=1.5),
+            make_quote(option_type=0.5), make_quote(implied_vol=math.nan),
+        )
+        kept = filter_quotes(quotes).kept
+        assert len(Dataset.from_quotes(kept)) == 2
 
 
 class TestDataset:
     def test_from_quotes_roundtrip(self):
-        quotes = [make_quote(midpoint=5.0), make_quote(midpoint=7.0, implied_vol=None)]
+        quotes = make_quotes(
+            make_quote(midpoint=5.0), make_quote(midpoint=7.0, implied_vol=math.nan)
+        )
         ds = Dataset.from_quotes(quotes)
         assert len(ds) == 2
         assert ds.targets.tolist() == [5.0, 7.0]
         assert ds.implied_vols[0] == 0.25
         assert math.isnan(ds.implied_vols[1])
         assert ds.row_ids.tolist() == [0, 1]
+        for arr in (ds.features, ds.targets, ds.implied_vols):
+            assert arr.flags["C_CONTIGUOUS"]
+            assert not np.shares_memory(arr, quotes)
 
     def test_arrays_frozen(self):
-        ds = Dataset.from_quotes([make_quote()])
+        ds = Dataset.from_quotes(make_quote())
         with pytest.raises(ValueError):
             ds.features[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -170,7 +242,7 @@ class TestDataset:
             Dataset(feats, np.array([100_000.0]), np.array([np.nan]), np.arange(1))
 
     def test_column_lookup(self):
-        ds = Dataset.from_quotes([make_quote()])
+        ds = Dataset.from_quotes(make_quote())
         assert ds.column("strike")[0] == 90.0
         assert ds.column("midpoint")[0] == 12.5
         assert ds.column("implied_vol")[0] == 0.25

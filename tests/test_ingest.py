@@ -13,6 +13,7 @@ from optbench import (
     MlpTrainConfig,
     SchemaError,
     THREE_LAYER,
+    ValidationError,
     forward,
     load_model,
     predict_gbdt,
@@ -22,8 +23,8 @@ from optbench import (
     train_mlp,
     write_csv,
 )
+from optbench.core import QUOTE_COLUMNS, QUOTE_WIDTH
 from optbench.ingest import (
-    CSV_HEADER,
     MAGIC_NET,
     MAGIC_TREES,
     load_model_manifest,
@@ -32,60 +33,68 @@ from optbench.ingest import (
     write_metrics_csv,
 )
 
-from conftest import make_dataset, make_quote
+from conftest import make_dataset, make_quote, make_quotes
+
+
+def bits(table: np.ndarray) -> np.ndarray:
+    """The table's raw float64 bit patterns, so -0.0 and NaNs compare exactly."""
+    return table.view(np.uint64)
 
 
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
-        from optbench import OptionType
-
-        quotes = [
+        quotes = make_quotes(
             make_quote(),
-            make_quote(option_type=OptionType.PUT, strike=95.0, implied_vol=None),
+            make_quote(option_type=0.0, strike=95.0, implied_vol=np.nan),
             make_quote(midpoint=0.01),
-        ]
+        )
         path = write_csv(quotes, tmp_path / "q.csv")
         back = read_csv(path)
-        assert back == quotes
+        assert back.shape == quotes.shape
+        assert np.array_equal(bits(back), bits(quotes))
 
     def test_header_written(self, tmp_path):
-        path = write_csv([make_quote()], tmp_path / "q.csv")
+        path = write_csv(make_quote(), tmp_path / "q.csv")
         first = path.read_text().splitlines()[0]
-        assert first == ",".join(CSV_HEADER)
+        assert first == ",".join(QUOTE_COLUMNS)
         assert first.startswith("option_type,strike,underlying_price")
         assert first.endswith("lag_20,midpoint")
 
     def test_missing_vol_is_empty_cell(self, tmp_path):
-        path = write_csv([make_quote(implied_vol=None)], tmp_path / "q.csv")
+        path = write_csv(make_quote(implied_vol=np.nan), tmp_path / "q.csv")
         row = path.read_text().splitlines()[1]
         cells = row.split(",")
+        assert cells[0] == "C"
         assert cells[6] == ""
-        assert read_csv(path)[0].implied_vol is None
+        assert np.isnan(read_csv(path)[0, 6])
 
     def test_float_precision_survives(self, tmp_path):
         q = make_quote(strike=100.0 / 3.0, midpoint=1.0 / 7.0)
-        back = read_csv(write_csv([q], tmp_path / "q.csv"))[0]
-        assert back.strike == q.strike
-        assert back.midpoint == q.midpoint
+        back = read_csv(write_csv(q, tmp_path / "q.csv"))
+        assert np.array_equal(bits(back), bits(q))
 
     def test_byte_determinism(self, tmp_path):
-        quotes = [make_quote(strike=90.0 + i) for i in range(10)]
+        quotes = make_quotes(*(make_quote(strike=90.0 + i) for i in range(10)))
         a = write_csv(quotes, tmp_path / "a.csv").read_bytes()
         b = write_csv(quotes, tmp_path / "b.csv").read_bytes()
         assert a == b
 
     def test_empty_file_round_trip(self, tmp_path):
-        path = write_csv([], tmp_path / "q.csv")
-        assert read_csv(path) == []
+        path = write_csv(make_quotes(), tmp_path / "q.csv")
+        assert path.read_text() == ",".join(QUOTE_COLUMNS) + "\n"
+        assert read_csv(path).shape == (0, QUOTE_WIDTH)
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(SchemaError):
             read_csv(path)
+        path.write_text("")
+        with pytest.raises(SchemaError, match="empty file"):
+            read_csv(path)
 
     def test_single_bad_row_in_tiny_file(self, tmp_path):
-        path = write_csv([make_quote()], tmp_path / "q.csv")
+        path = write_csv(make_quote(), tmp_path / "q.csv")
         with path.open("a") as fh:
             fh.write("C,not_a_number" + ",1" * 26 + "\n")
         with pytest.raises(CsvRowError) as exc:
@@ -93,7 +102,7 @@ class TestCsvRoundTrip:
         assert "line 3" in str(exc.value)
 
     def test_few_bad_rows_skipped_with_warning(self, tmp_path, caplog):
-        quotes = [make_quote(strike=50.0 + i) for i in range(300)]
+        quotes = make_quotes(*(make_quote(strike=50.0 + i) for i in range(300)))
         path = write_csv(quotes, tmp_path / "q.csv")
         lines = path.read_text().splitlines()
         lines[5] = lines[5].replace("C", "X", 1)  # corrupt one row of 300
@@ -101,10 +110,11 @@ class TestCsvRoundTrip:
         with caplog.at_level(logging.WARNING):
             back = read_csv(path)
         assert len(back) == 299
+        assert np.array_equal(back, np.delete(quotes, 4, axis=0))
         assert any("line 6" in r.message for r in caplog.records)
 
     def test_wrong_cell_count_is_bad_row(self, tmp_path):
-        path = write_csv([make_quote()], tmp_path / "q.csv")
+        path = write_csv(make_quote(), tmp_path / "q.csv")
         with path.open("a") as fh:
             fh.write("C,1,2\n")
         with pytest.raises(CsvRowError):
@@ -113,6 +123,34 @@ class TestCsvRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_csv(tmp_path / "nope.csv")
+
+    def test_undecodable_line_is_bad_row(self, tmp_path, caplog):
+        quotes = make_quotes(*(make_quote(strike=50.0 + i) for i in range(300)))
+        path = write_csv(quotes, tmp_path / "q.csv")
+        lines = path.read_bytes().splitlines()
+        lines[10] = lines[10][:4] + b"\xff" + lines[10][4:]  # line 11 of the file
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with caplog.at_level(logging.WARNING):
+            back = read_csv(path)
+        assert np.array_equal(back, np.delete(quotes, 9, axis=0))
+        assert any("line 11" in r.message for r in caplog.records)
+
+        tiny = write_csv(make_quote(), tmp_path / "tiny.csv")
+        tiny.write_bytes(tiny.read_bytes() + b"C,\xff\n")
+        with pytest.raises(CsvRowError, match="line 3"):
+            read_csv(tiny)
+
+    def test_undecodable_header_is_schema_error(self, tmp_path):
+        path = write_csv(make_quote(), tmp_path / "q.csv")
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(SchemaError, match="header"):
+            read_csv(path)
+
+    def test_write_checks_the_table(self, tmp_path):
+        with pytest.raises(ValidationError, match="quotes"):
+            write_csv(np.ones((2, QUOTE_WIDTH - 1)), tmp_path / "q.csv")
+        with pytest.raises(ValidationError, match="option_type: .* got 0.5"):
+            write_csv(make_quote(option_type=0.5), tmp_path / "q.csv")
 
 
 class TestModelFiles:

@@ -1,6 +1,8 @@
 """Invariant checks driven by randomized inputs."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +21,15 @@ from optbench import (
     mape,
     norm_cdf,
     quantize_features,
+    read_csv,
     realized_vol,
     reduce_lr_on_plateau,
     split_indices,
+    write_csv,
 )
+from optbench.core import QUOTE_COLUMNS
 
-from conftest import make_quote
+from conftest import make_quote, make_quotes
 
 price_floats = st.floats(min_value=1.0, max_value=5000.0)
 vol_floats = st.floats(min_value=0.01, max_value=2.9)
@@ -86,23 +91,49 @@ class TestFilterInvariants:
     @given(st.lists(st.integers(min_value=0, max_value=4), max_size=20))
     @settings(max_examples=50)
     def test_filter_idempotent(self, codes):
-        quotes = []
+        rows = []
         for i, code in enumerate(codes):
             if code == 0:
-                quotes.append(make_quote(strike=90.0 + i))
+                rows.append(make_quote(strike=90.0 + i))
             elif code == 1:
-                quotes.append(make_quote(midpoint=2e5))
+                rows.append(make_quote(midpoint=2e5))
             elif code == 2:
-                quotes.append(make_quote(maturity_years=0.0))
+                rows.append(make_quote(maturity_years=0.0))
             elif code == 3:
-                quotes.append(make_quote(rate=5.0))
+                rows.append(make_quote(rate=5.0))
             else:
-                quotes.append(make_quote(implied_vol=None))
+                rows.append(make_quote(implied_vol=math.nan))
+        quotes = make_quotes(*rows)
         once = filter_quotes(quotes)
         twice = filter_quotes(once.kept)
-        assert twice.kept == once.kept
+        assert np.array_equal(twice.kept, once.kept, equal_nan=True)
         assert twice.dropped_count == 0
         assert len(once.kept) + once.dropped_count == len(quotes)
+        assert len(once.kept) == sum(code in (0, 4) for code in codes)
+
+
+# any finite or infinite float, with the edge cases drawn often
+cell_floats = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.0 / 3.0, 1e308]),
+)
+quote_rows = st.tuples(
+    st.sampled_from([0.0, 1.0]),  # option_type flag
+    *[cell_floats] * 5,
+    st.one_of(st.just(math.nan), cell_floats),  # implied_vol, NaN when unknown
+    *[cell_floats] * 21,  # lags and midpoint
+)
+
+
+class TestCsvInvariants:
+    @given(st.lists(quote_rows, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_write_read_round_trip_is_bit_exact(self, rows):
+        table = np.array(rows, dtype=np.float64).reshape(len(rows), len(QUOTE_COLUMNS))
+        with tempfile.TemporaryDirectory() as tmp:
+            back = read_csv(write_csv(table, Path(tmp) / "q.csv"))
+        assert back.shape == table.shape
+        assert np.array_equal(back.view(np.uint64), table.view(np.uint64))
 
 
 class TestSplitInvariants:

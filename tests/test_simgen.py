@@ -14,7 +14,50 @@ from optbench import (
     simulate_underlying,
 )
 from optbench.blackscholes import BsInputs, bs_price
-from optbench.simgen import MIN_MIDPOINT, TRADING_DAYS_PER_YEAR
+from optbench.core import LAG_COLUMNS, QUOTE_COLUMNS, QUOTE_WIDTH, first_violation
+from optbench.simgen import (
+    _NOISE_STREAM,
+    MIN_MIDPOINT,
+    TRADING_DAYS_PER_YEAR,
+    _stream,
+)
+
+COL = {name: i for i, name in enumerate(QUOTE_COLUMNS)}
+
+
+def reprice(row: np.ndarray) -> float:
+    """The scalar model price of one quote-table row at its implied vol."""
+    return bs_price(BsInputs(
+        row[COL["underlying_price"]], row[COL["strike"]], row[COL["maturity_years"]],
+        row[COL["rate"]], row[COL["dividend_yield"]], row[COL["implied_vol"]],
+        OptionType.CALL if row[COL["option_type"]] == 1.0 else OptionType.PUT,
+    ))
+
+
+def per_contract_chain(path, config) -> np.ndarray:
+    """Reference: the chain priced one contract at a time, in loop order."""
+    noise = _stream(config.seed, path.index, _NOISE_STREAM)
+    rows = []
+    for day in range(20, len(path.closes)):
+        spot = float(path.closes[day])
+        lags = [float(x) for x in path.closes[day - 20 : day][::-1]]
+        for maturity in config.maturities:
+            for moneyness in config.moneyness_grid:
+                strike = moneyness * spot
+                for option_type in (OptionType.CALL, OptionType.PUT):
+                    fair = bs_price(BsInputs(
+                        spot, strike, maturity, path.rate, path.dividend_yield,
+                        path.sigma, option_type,
+                    ))
+                    if fair < MIN_MIDPOINT:
+                        continue
+                    bump = noise.uniform(-config.half_spread, config.half_spread)
+                    midpoint = max(fair * (1.0 + bump), MIN_MIDPOINT)
+                    rows.append([
+                        option_type.flag, strike, spot, path.rate, path.dividend_yield,
+                        maturity, path.sigma, *lags, midpoint,
+                    ])
+    return np.array(rows).reshape(len(rows), QUOTE_WIDTH)
 
 
 class TestSimulateUnderlying:
@@ -93,30 +136,25 @@ class TestGenerateChain:
         )
         path = simulate_underlying(cfg, 0)
         quotes = generate_chain(path, cfg)
-        assert len(quotes) == (30 - 20) * 1 * 1 * 2
+        assert quotes.shape == ((30 - 20) * 1 * 1 * 2, QUOTE_WIDTH)
 
     def test_zero_spread_midpoints_reprice_exactly(self):
         cfg = SimConfig(
             n_underlyings=1, days_per_underlying=40, half_spread=0.0, seed=8
         )
         path = simulate_underlying(cfg, 0)
-        for q in generate_chain(path, cfg):
-            fair = bs_price(BsInputs(
-                q.underlying_price, q.strike, q.maturity_years, q.rate,
-                q.dividend_yield, q.implied_vol, q.option_type))
-            assert q.midpoint == fair  # bit-exact round trip
+        for row in generate_chain(path, cfg):
+            assert row[COL["midpoint"]] == reprice(row)  # bit-exact round trip
 
     def test_noisy_midpoints_stay_within_band(self):
         cfg = SimConfig(
             n_underlyings=1, days_per_underlying=40, half_spread=0.02, seed=8
         )
         path = simulate_underlying(cfg, 0)
-        for q in generate_chain(path, cfg):
-            fair = bs_price(BsInputs(
-                q.underlying_price, q.strike, q.maturity_years, q.rate,
-                q.dividend_yield, q.implied_vol, q.option_type))
-            assert abs(q.midpoint - fair) <= 0.02 * fair + 1e-12
-            assert q.midpoint >= MIN_MIDPOINT
+        for row in generate_chain(path, cfg):
+            fair = reprice(row)
+            assert abs(row[COL["midpoint"]] - fair) <= 0.02 * fair + 1e-12
+            assert row[COL["midpoint"]] >= MIN_MIDPOINT
 
     def test_lags_are_recent_closes_most_recent_first(self):
         cfg = SimConfig(
@@ -126,8 +164,10 @@ class TestGenerateChain:
         path = simulate_underlying(cfg, 0)
         quotes = generate_chain(path, cfg)
         first_day = quotes[0]  # day index 20
-        assert first_day.underlying_price == path.closes[20]
-        assert first_day.lags == tuple(path.closes[19::-1])
+        assert first_day[COL["underlying_price"]] == path.closes[20]
+        assert tuple(first_day[LAG_COLUMNS]) == tuple(path.closes[19::-1])
+        last_day = quotes[-1]  # day index 24
+        assert tuple(last_day[LAG_COLUMNS]) == tuple(path.closes[23:3:-1])
 
     def test_strikes_follow_moneyness_grid(self):
         cfg = SimConfig(
@@ -136,7 +176,7 @@ class TestGenerateChain:
         )
         path = simulate_underlying(cfg, 0)
         quotes = generate_chain(path, cfg)
-        ratios = sorted({q.strike / q.underlying_price for q in quotes})
+        ratios = sorted(set(quotes[:, COL["strike"]] / quotes[:, COL["underlying_price"]]))
         assert ratios == pytest.approx([0.8, 1.2], abs=1e-12)
 
     def test_generated_quotes_all_pass_filter(self):
@@ -144,23 +184,44 @@ class TestGenerateChain:
         quotes = generate_dataset(cfg)
         kept, dropped, _ = filter_quotes(quotes)
         assert dropped == 0
-        assert len(kept) == len(quotes)
-        for q in quotes[:50]:
-            assert q.violation() is None
+        assert np.array_equal(kept, quotes)
+        assert np.all(first_violation(quotes) == -1)
 
     def test_both_types_present(self):
         cfg = SimConfig(n_underlyings=1, days_per_underlying=25, seed=1)
         quotes = generate_chain(simulate_underlying(cfg, 0), cfg)
-        types = {q.option_type for q in quotes}
-        assert types == {OptionType.CALL, OptionType.PUT}
+        types = set(quotes[:, COL["option_type"]].tolist())
+        assert types == {OptionType.CALL.flag, OptionType.PUT.flag}
 
     def test_dataset_determinism(self):
         cfg = SimConfig(n_underlyings=2, days_per_underlying=30, seed=99)
         a = generate_dataset(cfg)
         b = generate_dataset(cfg)
-        assert len(a) == len(b)
-        for qa, qb in zip(a, b):
-            assert qa == qb
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"half_spread": 0.0},
+            {"maturities": (0.02, 2.0), "moneyness_grid": (0.5, 1.0, 1.7)},
+            {"vol_regimes": ((0.05, 1.0),), "moneyness_grid": (0.7, 1.3)},  # sub-tick drops
+        ],
+    )
+    def test_matches_per_contract_loop(self, overrides):
+        # one grid priced at once equals the contract-by-contract loop, bit for bit:
+        # same rows in the same order, same noise draws
+        cfg = SimConfig(n_underlyings=3, days_per_underlying=32, seed=21, **overrides)
+        for index in range(cfg.n_underlyings):
+            path = simulate_underlying(cfg, index)
+            table = generate_chain(path, cfg)
+            expected = per_contract_chain(path, cfg)
+            assert table.shape == expected.shape
+            assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
+
+    def test_empty_dataset_is_an_empty_table(self):
+        assert generate_dataset(SimConfig(n_underlyings=0)).shape == (0, QUOTE_WIDTH)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="days_per_underlying"):
@@ -185,7 +246,7 @@ class TestGenerateChain:
             n_underlyings=1, days_per_underlying=22,
             rate_range=(0.99, 0.99), yield_range=(-0.99, -0.99),
         )
-        assert generate_dataset(cfg)
+        assert len(generate_dataset(cfg)) > 0
 
 
 class TestRealizedVol:
@@ -227,3 +288,23 @@ class TestRealizedVol:
             rets = np.log(lags[:-1] / lags[1:])
             expected = math.sqrt(252 * rets.var(ddof=1))
             assert realized_vol(tuple(lags)) == pytest.approx(expected, rel=1e-12)
+
+    def test_matrix_matches_rows(self):
+        # windows along the last axis: one call equals the per-row calls bit for bit
+        rng = np.random.default_rng(15)
+        lags = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.03, size=(2000, 20)), axis=1))
+        vols = realized_vol(lags)
+        assert vols.shape == (2000,)
+        rows = np.array([realized_vol(row) for row in lags])
+        assert np.array_equal(vols, rows)
+        # a strided view (lag columns of a wider table) gives the same bits
+        wide = np.hstack([np.ones((2000, 3)), lags])
+        assert np.array_equal(realized_vol(wide[:, 3:]), rows)
+
+    def test_matrix_rejects_a_bad_row(self):
+        lags = np.full((3, 20), 100.0)
+        lags[2, 7] = -1.0
+        with pytest.raises(ValidationError, match="lags: .* got -1.0$"):
+            realized_vol(lags)
+        with pytest.raises(ValidationError, match="lags"):
+            realized_vol(np.full((3, 19), 100.0))
