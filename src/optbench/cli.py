@@ -33,6 +33,7 @@ from .core import (
 )
 from .errors import (
     DivergenceError,
+    IncompatibleModelError,
     InconsistentEvaluationError,
     OptbenchError,
     UsageError,
@@ -49,11 +50,11 @@ from .evaluation import (
 )
 from .gbdt import GbdtConfig, TreeEnsemble, predict_gbdt, train_gbdt
 from .ingest import (
-    load_model,
-    load_model_manifest,
+    load_model_and_manifest,
     read_csv,
     save_model,
     write_csv,
+    write_file,
     write_metrics_csv,
 )
 from .mlp import FIVE_LAYER, THREE_LAYER, MlpTrainConfig, forward, train_mlp
@@ -164,8 +165,12 @@ def parse_config_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise UsageError(f"--config: no such file: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: configuration is not UTF-8 text: {exc}") from exc
     cfg: dict = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -232,7 +237,7 @@ def _require_data(cfg: dict) -> Path:
 
 
 def _write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_file(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def _file_digest(path: Path) -> str:
@@ -405,20 +410,23 @@ def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path)
     results = []
     for raw_path in model_paths:
         path = Path(raw_path)
-        model = load_model(path)
-        manifest = load_model_manifest(path)
-        stored_digest = manifest.get("dataset_digest")
-        if stored_digest is not None and stored_digest != digest:
-            raise InconsistentEvaluationError(
-                f"{path}: model was trained from a dataset with digest "
-                f"{stored_digest[:12]}..., but {data_path} has {digest[:12]}..."
-            )
-        stored_split = manifest.get("split")
-        if stored_split is not None and stored_split != split_record:
-            raise InconsistentEvaluationError(
-                f"{path}: model was trained with split {stored_split}, "
-                f"but this evaluation uses {split_record}"
-            )
+        model, manifest = load_model_and_manifest(path)
+        name = manifest.get("kind", path.stem)
+        if not isinstance(name, str):
+            raise IncompatibleModelError(f"{path}: manifest kind is not a str")
+        for key, expected in (("dataset_digest", digest), ("split", split_record)):
+            stored = manifest.get(key)
+            if stored is None:
+                logger.warning("%s: manifest has no %s; that check is skipped", path, key)
+            elif type(stored) is not type(expected):
+                raise IncompatibleModelError(
+                    f"{path}: manifest {key} is not a {type(expected).__name__}"
+                )
+            elif stored != expected:
+                raise InconsistentEvaluationError(
+                    f"{path}: model was trained with {key} {stored!r}, "
+                    f"but this evaluation uses {expected!r}"
+                )
         if isinstance(model, TreeEnsemble):
             preds = predict_gbdt(model, test.features)
         else:
@@ -434,7 +442,7 @@ def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path)
                 training_seconds = None
         results.append(
             ModelResult(
-                name=manifest.get("kind", path.stem),
+                name=name,
                 predictions=preds,
                 targets=test.targets,
                 training_seconds=training_seconds,

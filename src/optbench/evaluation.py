@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InconsistentEvaluationError, ValidationError
+from .ingest import write_file, write_rows
 
 
 def _aligned(predictions, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -245,47 +246,17 @@ def compare_models(results: Sequence[ModelResult], curve_bins: int = 20) -> Eval
     )
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
     """Write report.txt, report_table.csv, and one curve CSV per model."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    text_path = out / "report.txt"
-    text_path.write_text(report.to_text(), encoding="utf-8")
-    written.append(text_path)
-
-    table_path = out / "report_table.csv"
-    lines = ["model,mae,mape_pct,training_seconds"]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                (row.name, repr(row.mae), repr(row.mape), _csv_cell(row.training_seconds))
-            )
-        )
-    table_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(table_path)
-
+    written = [write_file(out / "report.txt", [report.to_text().encode("utf-8")])]
+    table_header = ("model", "mae", "mape_pct", "training_seconds")
+    written.append(write_rows(out / "report_table.csv", table_header, report.rows))
+    curve_header = ("lower", "upper", "count", "mae", "mape_pct")
     for name, curve in report.curves.items():
         safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
-        curve_path = out / f"curve_{safe}.csv"
-        lines = ["lower,upper,count,mae,mape_pct"]
-        for b in curve:
-            lines.append(
-                ",".join(
-                    (repr(b.lower), repr(b.upper), str(b.count), _csv_cell(b.mae), _csv_cell(b.mape))
-                )
-            )
-        curve_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(curve_path)
+        written.append(write_rows(out / f"curve_{safe}.csv", curve_header, curve))
     return written
 
 
@@ -293,32 +264,12 @@ def write_summary_csv(
     stats_by_column: dict[str, SummaryStats], path: str | Path
 ) -> Path:
     """One row of distribution summary per named column."""
-    path = Path(path)
-    lines = ["column,count,mean,std,min,q25,median,q75,max"]
-    for name, s in stats_by_column.items():
-        lines.append(
-            ",".join(
-                (
-                    name,
-                    str(s.count),
-                    repr(s.mean),
-                    repr(s.std),
-                    repr(s.minimum),
-                    repr(s.q25),
-                    repr(s.median),
-                    repr(s.q75),
-                    repr(s.maximum),
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_rows(
+        path,
+        ("column", "count", "mean", "std", "min", "q25", "median", "q75", "max"),
+        ((name, *s) for name, s in stats_by_column.items()),
+    )
 
 
 def write_histogram_csv(bins: Sequence[HistogramBin], path: str | Path) -> Path:
-    path = Path(path)
-    lines = ["lower,upper,count"]
-    for b in bins:
-        lines.append(",".join((repr(b.lower), repr(b.upper), str(b.count))))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_rows(path, HistogramBin._fields, bins)

@@ -350,16 +350,13 @@ def _grow_tree(
     level's buffer. `slot` maps node ids to buffer slots. Hessian
     histograms are int32 row counts, so they stay exact, and a gradient
     bin whose count is zero is set to exactly zero, so subtraction
-    residue never reaches an empty bin.
+    residue never reaches an empty bin. No bin needs masking: feature
+    f's codes lie in [0, len(edges[f])], so a split at or past its last
+    edge sends every row left, and `best_split` rejects an empty child.
     """
     n_rows, n_features = codes.shape
     n_bins = config.n_bins
     lam = config.reg_lambda
-
-    # only bins backed by a real edge are usable split candidates
-    candidate_mask = np.zeros((n_features, n_bins - 1), dtype=bool)
-    for f in range(n_features):
-        candidate_mask[f, : len(edges[f])] = True
 
     feature = [-1]
     threshold = [0.0]
@@ -382,10 +379,7 @@ def _grow_tree(
         for node_id in open_nodes:
             k = slot[node_id]
             decision = best_split(
-                NodeHistogram(grad_hist[k], hess_hist[k]),
-                lam,
-                config.min_child_weight,
-                candidate_mask,
+                NodeHistogram(grad_hist[k], hess_hist[k]), lam, config.min_child_weight
             )
             if decision is None:
                 continue  # stays a leaf

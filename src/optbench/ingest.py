@@ -1,4 +1,11 @@
-"""Dataset CSV format and model-file persistence.
+"""File formats: every output file, the dataset CSV and model files.
+
+`write_file` is the only code in the package that writes a file. It
+writes to a temporary file in the target's directory and moves it onto
+the target with `os.replace`, so a failed or interrupted write leaves
+the target as it was (or absent), never half-written. `write_rows` is
+the one CSV cell rule of the small result tables: None is an empty
+cell, a float its repr, anything else str().
 
 The quote CSV holds one quote table (see `core`): a header of the 28
 QUOTE_COLUMNS, then one line per row. option_type is written as C or P,
@@ -22,7 +29,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -46,20 +55,56 @@ _VOL = QUOTE_COLUMNS.index("implied_vol")
 _WRITE_CHUNK = 4096  # rows formatted at a time, to bound memory
 
 
+def write_file(path: str | Path, chunks: Iterable[bytes]) -> Path:
+    """Write `chunks` to `path` atomically: a temporary file, then os.replace.
+
+    On any exception the temporary file is removed and the exception
+    re-raised, so `path` keeps its old content or stays absent. The
+    temporary file is opened plainly, so the output's permissions follow
+    the umask.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))  # np.float64 would repr as "np.float64(...)"
+    return str(value)
+
+
+def write_rows(path: str | Path, header: Iterable[str], rows: Iterable) -> Path:
+    """A CSV of `rows` under `header`, every cell by the one cell rule."""
+    lines = (",".join(map(_cell, row)) + "\n" for row in (header, *rows))
+    return write_file(path, (line.encode("utf-8") for line in lines))
+
+
 def write_csv(quotes, path: str | Path) -> Path:
     """Write a quote table in the canonical 28-column layout."""
     table = check_table(quotes)
     check_terms(option_type=table[:, 0])
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(QUOTE_COLUMNS) + "\n")
-        for start in range(0, len(table), _WRITE_CHUNK):
-            chunk = table[start : start + _WRITE_CHUNK]
-            columns = [list(map(repr, column)) for column in chunk.T.tolist()]
-            columns[0] = [_TYPE_CODES[flag] for flag in chunk[:, 0].tolist()]
-            columns[_VOL] = ["" if cell == "nan" else cell for cell in columns[_VOL]]
-            fh.writelines(",".join(cells) + "\n" for cells in zip(*columns))
-    return path
+    return write_file(path, _csv_chunks(table))
+
+
+def _csv_chunks(table: np.ndarray) -> Iterable[bytes]:
+    yield (",".join(QUOTE_COLUMNS) + "\n").encode("utf-8")
+    for start in range(0, len(table), _WRITE_CHUNK):
+        chunk = table[start : start + _WRITE_CHUNK]
+        columns = [list(map(repr, column)) for column in chunk.T.tolist()]
+        columns[0] = [_TYPE_CODES[flag] for flag in chunk[:, 0].tolist()]
+        columns[_VOL] = ["" if cell == "nan" else cell for cell in columns[_VOL]]
+        yield "".join(",".join(cells) + "\n" for cells in zip(*columns)).encode("utf-8")
 
 
 def _parse_line(line: bytes) -> list[float]:
@@ -184,9 +229,7 @@ def save_model(
     blob = magic + json.dumps(
         doc, sort_keys=True, separators=(",", ":"), allow_nan=False
     ).encode("utf-8")
-    path = Path(path)
-    path.write_bytes(blob)
-    return path
+    return write_file(path, [blob])
 
 
 def _read_doc(path: Path) -> tuple[str, dict]:
@@ -260,8 +303,11 @@ def _rebuild_ensemble(payload: dict) -> TreeEnsemble:
     # files written before `etas` was dropped still carry it
     if "etas" in payload and len(payload["etas"]) != len(trees):
         raise ValueError("etas do not align with trees")
+    base_score = float(payload["base_score"])
+    if not np.isfinite(base_score):
+        raise ValueError("base_score must be finite")
     return TreeEnsemble(
-        base_score=float(payload["base_score"]),
+        base_score=base_score,
         trees=trees,
         n_features=n_features,
         best_round=int(payload["best_round"]),
@@ -287,6 +333,8 @@ def _rebuild_network(payload: dict) -> NetworkParams:
     for spec, w, b in zip(layers, weights, biases):
         if w.ndim != 2 or w.shape[0] != spec.units or b.shape != (spec.units,):
             raise ValueError(f"layer shape mismatch for {spec!r}: {w.shape}, {b.shape}")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise ValueError("weights and biases must be finite")
     for prev, w in zip(layers, weights[1:]):
         if w.shape[1] != prev.units:
             raise ValueError("consecutive layer shapes do not chain")
@@ -306,17 +354,27 @@ def _rebuild_network(payload: dict) -> NetworkParams:
     )
 
 
-def load_model(path: str | Path) -> TreeEnsemble | NetworkParams:
-    """Load either model kind, with structural verification."""
+def load_model_and_manifest(path: str | Path) -> tuple[TreeEnsemble | NetworkParams, dict]:
+    """Either model kind, with structural verification, and its manifest.
+
+    The file is read and parsed once for both.
+    """
     path = Path(path)
     kind, doc = _read_doc(path)
+    manifest = doc.get("manifest", {})
+    if not isinstance(manifest, dict):
+        raise IncompatibleModelError(f"{path}: manifest is not a JSON object")
+    rebuild = _rebuild_ensemble if kind == "tree_ensemble" else _rebuild_network
     try:
-        payload = doc["model"]
-        if kind == "tree_ensemble":
-            return _rebuild_ensemble(payload)
-        return _rebuild_network(payload)
+        model = rebuild(doc["model"])
     except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise IncompatibleModelError(f"{path}: malformed model payload: {exc}") from exc
+    return model, manifest
+
+
+def load_model(path: str | Path) -> TreeEnsemble | NetworkParams:
+    """Load either model kind, with structural verification."""
+    return load_model_and_manifest(path)[0]
 
 
 def load_tree_ensemble(path: str | Path) -> TreeEnsemble:
@@ -333,25 +391,9 @@ def load_network(path: str | Path) -> NetworkParams:
     return model
 
 
-def load_model_manifest(path: str | Path) -> dict:
-    _, doc = _read_doc(Path(path))
-    manifest = doc.get("manifest", {})
-    if not isinstance(manifest, dict):
-        raise IncompatibleModelError(f"{path}: manifest is not a JSON object")
-    return manifest
-
-
 def write_metrics_csv(records, path: str | Path) -> Path:
     """Per-round or per-epoch training log as CSV (header from the record type)."""
-    path = Path(path)
     records = list(records)
     if not records:
         raise ValidationError("records: need at least one record")
-    fields = records[0]._fields
-    lines = [",".join(fields)]
-    for rec in records:
-        lines.append(
-            ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in rec)
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_rows(path, records[0]._fields, records)

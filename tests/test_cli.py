@@ -1,6 +1,7 @@
 import json
 import logging
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +286,61 @@ class TestEvaluate:
         )
         assert code == 0
 
+    def patch_manifest(self, path, **changes):
+        raw = path.read_bytes()
+        doc = json.loads(raw[8:])
+        for key, value in changes.items():
+            if value is None:
+                del doc["manifest"][key]
+            else:
+                doc["manifest"][key] = value
+        path.write_bytes(raw[:8] + json.dumps(doc).encode())
+
+    @pytest.mark.parametrize(
+        "key, value", [("dataset_digest", 5), ("split", "98/1/1"), ("kind", 5)]
+    )
+    def test_mistyped_manifest_is_data_error(self, tmp_path, capsys, key, value):
+        data = self.setup_trained(tmp_path)
+        path = tmp_path / "gbdt5.model"
+        self.patch_manifest(path, **{key: value})
+        code = run(
+            "evaluate", str(path), "--data", str(data), "--out", str(tmp_path), "--seed", "9",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(path) in err
+
+    def test_unchecked_model_warns(self, tmp_path, caplog):
+        # without a digest and a split in its manifest a model cannot be checked
+        data = self.setup_trained(tmp_path)
+        path = tmp_path / "gbdt5.model"
+        self.patch_manifest(path, dataset_digest=None, split=None)
+        with caplog.at_level(logging.WARNING):
+            code = run(
+                "evaluate", str(path), "--data", str(data), "--out", str(tmp_path), "--seed", "9",
+            )
+        assert code == 0
+        warnings = [r.getMessage() for r in caplog.records if str(path) in r.getMessage()]
+        assert len(warnings) == 2
+        assert "dataset_digest" in warnings[0] and "split" in warnings[1]
+
+    def test_each_model_file_read_once(self, tmp_path, monkeypatch):
+        data = self.setup_trained(tmp_path)
+        path = tmp_path / "gbdt5.model"
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counted(self):
+            reads.append(self)
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        code = run(
+            "evaluate", str(path), "--data", str(data), "--out", str(tmp_path), "--seed", "9",
+        )
+        assert code == 0
+        assert reads.count(path) == 1
+
     def test_no_models_no_baseline_usage_error(self, tmp_path):
         data = gen_tiny(tmp_path)
         assert run("evaluate", "--data", str(data), "--out", str(tmp_path)) == 1
@@ -401,6 +457,13 @@ class TestConfigPlumbing:
         sets = [arg for s in settings for arg in ("--set", s)]
         code = run(*command, "--data", str(data), "--out", str(tmp_path / "o"), *TINY, *sets)
         assert code == 1
+
+    def test_undecodable_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"sim.n_underlyings = 2\xff\n")
+        assert run("gen", "--config", str(cfg), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and str(cfg) in err
 
     def test_missing_config_file(self, tmp_path):
         assert run("gen", "--config", str(tmp_path / "no.cfg"), "--out", str(tmp_path)) in (1, 2)

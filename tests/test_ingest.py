@@ -1,18 +1,26 @@
+import ast
 import json
 import logging
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import optbench
 from optbench import (
+    Architecture,
     CsvRowError,
     Dataset,
     GbdtConfig,
     IncompatibleModelError,
+    LayerSpec,
     MlpTrainConfig,
     SchemaError,
     THREE_LAYER,
+    TreeEnsemble,
     ValidationError,
     forward,
     load_model,
@@ -27,10 +35,12 @@ from optbench.core import QUOTE_COLUMNS, QUOTE_WIDTH
 from optbench.ingest import (
     MAGIC_NET,
     MAGIC_TREES,
-    load_model_manifest,
+    load_model_and_manifest,
     load_network,
     load_tree_ensemble,
+    write_file,
     write_metrics_csv,
+    write_rows,
 )
 
 from conftest import make_dataset, make_quote, make_quotes
@@ -293,6 +303,25 @@ class TestModelFiles:
         with pytest.raises(IncompatibleModelError, match=re.escape(str(path))):
             load_model(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("key", ["weights", "biases", "base_score"])
+    def test_non_finite_parameter_rejected(self, tmp_path, key, value):
+        # json reads NaN and Infinity, so the loader has to refuse them
+        model, _ = self.make_tree_model() if key == "base_score" else self.make_net_model()
+        path = save_model(model, tmp_path / "m.model")
+        raw = path.read_bytes()
+        doc = json.loads(raw[8:])
+        if key == "base_score":
+            doc["model"][key] = value
+        else:
+            numbers = doc["model"][key][0]
+            while isinstance(numbers[0], list):
+                numbers = numbers[0]
+            numbers[0] = value
+        path.write_bytes(raw[:8] + json.dumps(doc).encode())
+        with pytest.raises(IncompatibleModelError, match=re.escape(str(path))):
+            load_model(path)
+
     def test_older_file_with_etas_still_loads(self, tmp_path):
         # format-v1 files written before `etas` was dropped carry one eta per tree
         model, train = self.make_tree_model()
@@ -314,7 +343,7 @@ class TestModelFiles:
         model, _ = self.make_tree_model()
         manifest = {"kind": "gbdt5", "dataset_digest": "abc123"}
         path = save_model(model, tmp_path / "m.model", manifest=manifest)
-        assert load_model_manifest(path) == manifest
+        assert load_model_and_manifest(path)[1] == manifest
 
     def test_no_nan_in_file(self, tmp_path):
         model, _ = self.make_tree_model()
@@ -331,3 +360,111 @@ class TestMetricsCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "round_index,eta,train_mae,val_mae"
         assert len(lines) == 4
+
+
+PROBE = make_dataset(64, seed=8).features
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+ODD_NUMBERS = [
+    b"NaN", b"Infinity", b"-Infinity", b"0", b"-1", b"0.5", b"-0.0", b"99", b"1e300",
+    b"2147483648",
+]
+
+
+@pytest.fixture(scope="module")
+def small_model_files(tmp_path_factory):
+    """The bytes of a small saved tree-ensemble file and a small network file."""
+    out = tmp_path_factory.mktemp("models")
+    train, val = make_dataset(120, seed=3), make_dataset(30, seed=4)
+    trees = train_gbdt(train, val, GbdtConfig(max_depth=3, num_rounds=3))
+    arch = Architecture((LayerSpec(4, "relu"), LayerSpec(1, "linear")))
+    net, _ = train_mlp(train, val, arch, MlpTrainConfig(max_epochs=1, batch_size=32, seed=1))
+    blobs = {
+        "tree": save_model(trees, out / "tree.model", {"kind": "gbdt3"}).read_bytes(),
+        "net": save_model(net, out / "net.model", {"kind": "mlp1"}).read_bytes(),
+    }
+    return out, blobs
+
+
+class TestModelFileFuzz:
+    @settings(max_examples=40, deadline=1000)
+    @given(kind=st.sampled_from(["tree", "net"]), data=st.data())
+    def test_mutated_file_is_rejected_or_predicts(self, small_model_files, kind, data):
+        """One changed number or byte: IncompatibleModelError or a (64,) prediction."""
+        out, blobs = small_model_files
+        blob = blobs[kind]
+        if data.draw(st.booleans(), label="mutate a number"):
+            numbers = [m.span() for m in NUMBER.finditer(blob, 8)]  # after the magic
+            start, end = data.draw(st.sampled_from(numbers), label="number")
+            blob = blob[:start] + data.draw(st.sampled_from(ODD_NUMBERS)) + blob[end:]
+        else:
+            i = data.draw(st.integers(0, len(blob) - 1), label="byte")
+            blob = blob[:i] + bytes([data.draw(st.integers(0, 255))]) + blob[i + 1 :]
+        path = out / f"mutated_{kind}.model"
+        path.write_bytes(blob)
+        try:
+            model = load_model(path)
+        except IncompatibleModelError:
+            return
+        with np.errstate(all="ignore"):  # a huge weight may overflow; the shape still holds
+            if isinstance(model, TreeEnsemble):
+                prediction = model.predict(PROBE)
+            else:
+                prediction = forward(model, PROBE)
+        assert prediction.shape == (64,)
+
+
+WRITE_CALLS = {"open", "write_text", "write_bytes", "save", "savez", "savetxt", "tofile"}
+
+
+class TestWriteFile:
+    @pytest.mark.parametrize("old", [b"old content\n", None], ids=["existing", "absent"])
+    def test_failed_write_leaves_the_target_as_it_was(self, tmp_path, old):
+        target = tmp_path / "out.csv"
+        if old is not None:
+            target.write_bytes(old)
+
+        def chunks():
+            yield b"new content"
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError, match="disk full"):
+            write_file(target, chunks())
+        assert (target.read_bytes() if target.exists() else None) == old
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["out.csv"])
+
+    def test_write_leaves_no_temporary_file(self, tmp_path):
+        path = write_file(tmp_path / "a.txt", [b"one ", b"two\n"])
+        assert path.read_bytes() == b"one two\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+    def test_permissions_follow_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            path = write_file(tmp_path / "a.txt", [b"x"])
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_cell_rule(self, tmp_path):
+        rows = [(None, np.float64(0.1), 3, "x"), (1.5, None, np.int64(2), 0.1 + 0.2)]
+        path = write_rows(tmp_path / "r.csv", ("a", "b", "c", "d"), rows)
+        assert path.read_text() == "a,b,c,d\n,0.1,3,x\n1.5,,2,0.30000000000000004\n"
+
+    def test_only_write_file_writes(self):
+        """No function but ingest.write_file opens or writes a file."""
+        writers = []
+        for source in sorted(Path(optbench.__file__).parent.glob("*.py")):
+            tree = ast.parse(source.read_text(encoding="utf-8"))
+            allowed = {
+                id(node)
+                for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "write_file"
+                for node in ast.walk(fn)
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in WRITE_CALLS:
+                        writers.append((source.name, node.lineno, id(node) in allowed))
+        assert [(f, allowed) for f, _, allowed in writers] == [("ingest.py", True)], writers
