@@ -10,12 +10,10 @@ __version__ = "0.1.0"
 
 from .blackscholes import (
     BsInputs,
-    bs_intermediates,
     bs_price,
     bs_prices,
     implied_vol,
     norm_cdf,
-    norm_pdf,
 )
 from .core import (
     FEATURE_COUNT,
@@ -69,8 +67,6 @@ from .gbdt import (
 )
 from .ingest import (
     load_model,
-    load_network,
-    load_tree_ensemble,
     read_csv,
     save_model,
     write_csv,

@@ -9,18 +9,18 @@ Prices follow the standard lognormal model:
 
 which satisfy put-call parity C - P = S e^{-qT} - K e^{-rT} exactly in
 exact arithmetic. `bs_prices` is the one pricing kernel, over whole
-arrays: the generator, the repricing baselines and (through the scalar
-wrapper `bs_price`) the implied-volatility inverter all call it, so a
-quote reprices to the same bits wherever it is priced. The
-implied-volatility inverter is a safeguarded Newton iteration
-(bisection fallback) on the bracket [1e-6, 3].
+arrays: the generator, the repricing baselines, the scalar wrapper
+`bs_price` and the implied-volatility inverter all price through it, so
+a quote reprices to the same bits wherever it is priced. The inverter
+runs over arrays too: a safeguarded Newton iteration (bisection
+fallback) on the bracket [1e-6, 3], every row in lockstep, with price
+and vega from the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ VOL_FLOOR = 1e-6
 VOL_CAP = 3.0
 # below this, sigma * sqrt(T) makes d1/d2 numerically meaningless
 MIN_VOL_TIME = 1e-12
+MAX_STEPS = 200
 
 
 def norm_cdf(x: float) -> float:
@@ -48,13 +49,6 @@ def norm_cdf(x: float) -> float:
     if not math.isfinite(x):
         raise ValidationError(f"x: norm_cdf needs a finite input, got {x!r}")
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def norm_pdf(x: float) -> float:
-    """Standard normal density."""
-    if not math.isfinite(x):
-        raise ValidationError(f"x: norm_pdf needs a finite input, got {x!r}")
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
 @dataclass(frozen=True)
@@ -81,13 +75,24 @@ class BsInputs:
             )
 
 
-class BsIntermediates(NamedTuple):
-    d1: float
-    d2: float
+def _flags(is_call) -> np.ndarray:
+    """`is_call` as an array, refusing anything but booleans and numbers.
+
+    check_terms then holds numbers to the 1.0/0.0 flag rule.
+    """
+    flags = np.asarray(is_call)
+    if flags.dtype.kind not in "biuf":
+        raise ValidationError(
+            f"option_type: expected a bool or the 1.0/0.0 flag, got {is_call!r}"
+        )
+    return flags
 
 
-def _d1_d2(S, K, T, r, q, sigma):
-    """d1 and d2 over arrays; DegenerateVolatilityError below MIN_VOL_TIME."""
+def _prices(S, K, T, r, q, sigma, call):
+    """Model prices and d1 of checked terms; `call` is boolean.
+
+    Raises DegenerateVolatilityError where sigma * sqrt(T) < 1e-12.
+    """
     vol_time = sigma * np.sqrt(T)
     if (vol_time < MIN_VOL_TIME).any():
         worst = float(np.min(vol_time))
@@ -96,20 +101,14 @@ def _d1_d2(S, K, T, r, q, sigma):
             "the quote is effectively deterministic"
         )
     d1 = (np.log(S / K) + (r - q + 0.5 * sigma * sigma) * T) / vol_time
-    return d1, d1 - vol_time
-
-
-def bs_intermediates(inputs: BsInputs) -> BsIntermediates:
-    """The d1/d2 pair for a pricing call.
-
-    Raises DegenerateVolatilityError when sigma * sqrt(T) < 1e-12, where
-    the division would amplify noise instead of pricing anything.
-    """
-    i = inputs
-    d1, d2 = _d1_d2(
-        i.underlying_price, i.strike, i.maturity_years, i.rate, i.dividend_yield, i.sigma
-    )
-    return BsIntermediates(float(d1), float(d2))
+    sign = np.where(call, 1.0, -1.0)
+    n1 = 0.5 * np.asarray(_erfc(-(sign * d1) / _SQRT2), dtype=np.float64)
+    n2 = 0.5 * np.asarray(_erfc(-(sign * (d1 - vol_time)) / _SQRT2), dtype=np.float64)
+    disc_s = S * np.exp(-q * T)
+    disc_k = K * np.exp(-r * T)
+    price = np.where(call, disc_s * n1 - disc_k * n2, disc_k * n2 - disc_s * n1)
+    # deep out of the money the two tiny terms can cancel below zero
+    return np.maximum(price, 0.0), d1
 
 
 def bs_prices(S, K, T, r, q, sigma, is_call) -> np.ndarray:
@@ -118,109 +117,97 @@ def bs_prices(S, K, T, r, q, sigma, is_call) -> np.ndarray:
     Each argument is a float or a numpy array; `is_call` is boolean (or
     the 1.0/0.0 option_type flag). Prices are never negative. Raises
     ValidationError for an input the quote validity rule rejects (sigma:
-    positive and finite) and DegenerateVolatilityError where
-    sigma * sqrt(T) < 1e-12.
+    positive and finite; is_call: nothing but a bool or the flag) and
+    DegenerateVolatilityError where sigma * sqrt(T) < 1e-12.
     """
+    flags = _flags(is_call)
     check_terms(
-        underlying_price=S, strike=K, maturity_years=T, rate=r, dividend_yield=q, sigma=sigma
+        underlying_price=S, strike=K, maturity_years=T, rate=r, dividend_yield=q,
+        sigma=sigma, option_type=flags,
     )
-    call = np.asarray(is_call, dtype=bool)
-    d1, d2 = _d1_d2(S, K, T, r, q, sigma)
-    sign = np.where(call, 1.0, -1.0)
-    n1 = 0.5 * np.asarray(_erfc(-(sign * d1) / _SQRT2), dtype=np.float64)
-    n2 = 0.5 * np.asarray(_erfc(-(sign * d2) / _SQRT2), dtype=np.float64)
-    disc_s = S * np.exp(-q * T)
-    disc_k = K * np.exp(-r * T)
-    price = np.where(call, disc_s * n1 - disc_k * n2, disc_k * n2 - disc_s * n1)
-    # deep out of the money the two tiny terms can cancel below zero
-    return np.maximum(price, 0.0)
+    return _prices(S, K, T, r, q, sigma, flags.astype(bool))[0]
 
 
 def bs_price(inputs: BsInputs) -> float:
     """Model price of the option described by `inputs`. Never negative."""
-    i = inputs
+    i = inputs  # BsInputs checked its terms
     call = i.option_type is OptionType.CALL
-    return float(bs_prices(
+    return float(_prices(
         i.underlying_price, i.strike, i.maturity_years, i.rate, i.dividend_yield, i.sigma, call
-    ))
+    )[0])
 
 
-def implied_vol(
-    price: float,
-    underlying_price: float,
-    strike: float,
-    maturity_years: float,
-    rate: float,
-    dividend_yield: float,
-    option_type: OptionType,
-) -> float:
-    """Volatility in [1e-6, 3] whose model price reproduces `price`.
+# why a row has no implied volatility, by its failure code (0: solved)
+_FAILURES = (
+    None,
+    "violates no-arbitrage bounds ({lower!r}, {upper!r})",
+    f"is below the model price at the volatility floor {VOL_FLOOR}",
+    f"needs volatility above the cap {VOL_CAP}",
+    f"did not converge in {MAX_STEPS} steps",
+)
 
-    Converges when |model(sigma) - price| <= 1e-8 * max(1, price).
-    Raises NoSolutionError when the price sits outside its no-arbitrage
-    bounds or outside what the volatility bracket can attain.
+
+def implied_vol(price, S, K, T, r, q, is_call) -> np.ndarray:
+    """Volatilities in [1e-6, 3] whose model prices reproduce `price`.
+
+    Elementwise over broadcast arrays, with the conventions of
+    `bs_prices`; scalar inputs give a 0-d result. A row converges when
+    |model(sigma) - price| <= 1e-8 * max(1, price). Raises on the first
+    bad row: ValidationError for a term the validity rule rejects, and
+    NoSolutionError, naming the row, when its price sits outside its
+    no-arbitrage bounds or outside what the volatility bracket can
+    attain, or when the search does not converge.
     """
+    flags = _flags(is_call)
     check_terms(
-        price=price, underlying_price=underlying_price, strike=strike,
-        maturity_years=maturity_years, rate=rate, dividend_yield=dividend_yield,
+        price=price, underlying_price=S, strike=K, maturity_years=T, rate=r,
+        dividend_yield=q, option_type=flags,
     )
-    disc_s = underlying_price * math.exp(-dividend_yield * maturity_years)
-    disc_k = strike * math.exp(-rate * maturity_years)
-    if option_type is OptionType.CALL:
-        lower, upper = max(disc_s - disc_k, 0.0), disc_s
-    else:
-        lower, upper = max(disc_k - disc_s, 0.0), disc_k
-    if not (lower < price < upper):
-        raise NoSolutionError(
-            f"price: {price!r} violates no-arbitrage bounds ({lower!r}, {upper!r})"
-        )
-
-    def objective(sigma: float) -> tuple[float, float]:
-        inputs = BsInputs(
-            underlying_price,
-            strike,
-            maturity_years,
-            rate,
-            dividend_yield,
-            sigma,
-            option_type,
-        )
-        d1, _ = bs_intermediates(inputs)
-        vega = disc_s * norm_pdf(d1) * math.sqrt(maturity_years)
-        return bs_price(inputs) - price, vega
-
-    tol = 1e-8 * max(1.0, price)
-    lo, hi = VOL_FLOOR, VOL_CAP
-    f_lo, _ = objective(lo)
-    if abs(f_lo) <= tol:
-        return lo
-    if f_lo > 0:
-        raise NoSolutionError(
-            f"price: {price!r} is below the model price at the volatility floor {VOL_FLOOR}"
-        )
-    f_hi, _ = objective(hi)
-    if abs(f_hi) <= tol:
-        return hi
-    if f_hi < 0:
-        raise NoSolutionError(
-            f"price: {price!r} needs volatility above the cap {VOL_CAP}"
-        )
-
-    sigma = 0.3 if lo < 0.3 < hi else 0.5 * (lo + hi)
-    for _ in range(200):
-        value, vega = objective(sigma)
-        if abs(value) <= tol:
-            return sigma
-        if value > 0:
-            hi = sigma
-        else:
-            lo = sigma
-        if vega > 1e-12:
-            candidate = sigma - value / vega
-            if lo < candidate < hi:
-                sigma = candidate
-                continue
-        sigma = 0.5 * (lo + hi)  # Newton left the bracket; bisect instead
-    raise NoSolutionError(
-        "implied volatility search failed to converge in 200 iterations"
+    shape = np.broadcast(price, S, K, T, r, q, flags).shape
+    price, S, K, T, r, q, call = (
+        np.broadcast_to(a, shape).ravel() for a in (price, S, K, T, r, q, flags.astype(bool))
     )
+    disc_s = S * np.exp(-q * T)
+    disc_k = K * np.exp(-r * T)
+    lower = np.maximum(np.where(call, disc_s - disc_k, disc_k - disc_s), 0.0)
+    upper = np.where(call, disc_s, disc_k)
+    tol = 1e-8 * np.maximum(1.0, price)
+    f_lo = _prices(S, K, T, r, q, VOL_FLOOR, call)[0] - price
+    f_hi = _prices(S, K, T, r, q, VOL_CAP, call)[0] - price
+    at_floor = np.abs(f_lo) <= tol
+    failure = np.select(
+        [~((lower < price) & (price < upper)), at_floor, f_lo > 0, np.abs(f_hi) <= tol, f_hi < 0],
+        [1, 0, 2, 0, 3],
+        default=4,
+    )
+    sigma = np.where(at_floor, VOL_FLOOR, VOL_CAP)
+
+    # Newton from 0.3 on the rows still open, bisecting when it leaves the bracket
+    rows = np.flatnonzero(failure == 4)
+    lo, hi, guess = (np.full(rows.size, v) for v in (VOL_FLOOR, VOL_CAP, 0.3))
+    for _ in range(MAX_STEPS):
+        model, d1 = _prices(S[rows], K[rows], T[rows], r[rows], q[rows], guess, call[rows])
+        value = model - price[rows]
+        done = np.abs(value) <= tol[rows]
+        sigma[rows[done]] = guess[done]
+        failure[rows[done]] = 0
+        rows, guess, value, d1, lo, hi = (a[~done] for a in (rows, guess, value, d1, lo, hi))
+        if not rows.size:
+            break
+        above = value > 0
+        hi = np.where(above, guess, hi)
+        lo = np.where(above, lo, guess)
+        vega = disc_s[rows] * (_INV_SQRT_2PI * np.exp(-0.5 * d1 * d1)) * np.sqrt(T[rows])
+        newton = vega > 1e-12
+        candidate = guess - value / np.where(newton, vega, 1.0)
+        newton &= (lo < candidate) & (candidate < hi)
+        guess = np.where(newton, candidate, 0.5 * (lo + hi))
+
+    bad = np.flatnonzero(failure)
+    if bad.size:
+        i = bad[0]
+        index = tuple(int(n) for n in np.unravel_index(i, shape))
+        at = "" if not index else f" at row {index[0] if len(index) == 1 else index}"
+        reason = _FAILURES[failure[i]].format(lower=float(lower[i]), upper=float(upper[i]))
+        raise NoSolutionError(f"price{at}: {float(price[i])!r} {reason}")
+    return sigma.reshape(shape)

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -395,6 +396,23 @@ def _bs_realized_predictions(test: Dataset) -> np.ndarray:
     return _reprice(test, np.maximum(realized_vol(lags), VOL_FLOOR))
 
 
+def _training_seconds(side: Path) -> float | None:
+    """The finite `training_seconds` a model's side manifest records, else None.
+
+    A missing side manifest is normal; a malformed one is logged.
+    """
+    if not side.exists():
+        return None
+    try:
+        seconds = json.loads(side.read_text(encoding="utf-8"))["training_seconds"]
+        if type(seconds) in (int, float) and math.isfinite(seconds):
+            return float(seconds)
+    except (OSError, ValueError, LookupError, TypeError, OverflowError):
+        pass
+    logger.warning("%s: no finite training_seconds; reported as n/a", side)
+    return None
+
+
 def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path) -> int:
     data_path = _require_data(cfg)
     spec = build_config("split", cfg)
@@ -431,21 +449,12 @@ def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path)
             preds = predict_gbdt(model, test.features)
         else:
             preds = forward(model, test.features)
-        training_seconds = None
-        side = path.with_suffix(".manifest.json")
-        if side.exists():
-            try:
-                training_seconds = json.loads(side.read_text(encoding="utf-8")).get(
-                    "training_seconds"
-                )
-            except (OSError, json.JSONDecodeError):
-                training_seconds = None
         results.append(
             ModelResult(
                 name=name,
                 predictions=preds,
                 targets=test.targets,
-                training_seconds=training_seconds,
+                training_seconds=_training_seconds(path.with_suffix(".manifest.json")),
             )
         )
     if include_bs:

@@ -377,20 +377,6 @@ def load_model(path: str | Path) -> TreeEnsemble | NetworkParams:
     return load_model_and_manifest(path)[0]
 
 
-def load_tree_ensemble(path: str | Path) -> TreeEnsemble:
-    model = load_model(path)
-    if not isinstance(model, TreeEnsemble):
-        raise IncompatibleModelError(f"{path}: expected a tree-ensemble file")
-    return model
-
-
-def load_network(path: str | Path) -> NetworkParams:
-    model = load_model(path)
-    if not isinstance(model, NetworkParams):
-        raise IncompatibleModelError(f"{path}: expected a network file")
-    return model
-
-
 def write_metrics_csv(records, path: str | Path) -> Path:
     """Per-round or per-epoch training log as CSV (header from the record type)."""
     records = list(records)

@@ -101,10 +101,6 @@ def standardize(rows: np.ndarray, stats: FeatureStats) -> np.ndarray:
     return (np.asarray(rows, dtype=np.float64) - stats.mean) / stats.std
 
 
-def destandardize(rows: np.ndarray, stats: FeatureStats) -> np.ndarray:
-    return np.asarray(rows, dtype=np.float64) * stats.std + stats.mean
-
-
 def _identity_stats(n_inputs: int) -> FeatureStats:
     return FeatureStats(np.zeros(n_inputs), np.ones(n_inputs))
 

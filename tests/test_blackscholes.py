@@ -9,12 +9,10 @@ from optbench import (
     NoSolutionError,
     OptionType,
     ValidationError,
-    bs_intermediates,
     bs_price,
     bs_prices,
     implied_vol,
     norm_cdf,
-    norm_pdf,
 )
 
 # high-precision reference values, frozen from a 50-digit evaluation
@@ -53,9 +51,6 @@ class TestNormCdf:
         with pytest.raises(ValidationError):
             norm_cdf(math.inf)
 
-    def test_pdf_peak(self):
-        assert norm_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-15)
-
 
 def make_inputs(**overrides) -> BsInputs:
     fields = dict(
@@ -72,22 +67,23 @@ def make_inputs(**overrides) -> BsInputs:
 
 
 class TestIntermediates:
+    """d1 and d2 as the kernel prices them, and its degeneracy guard."""
+
     def test_atm_zero_rates(self):
-        d1, d2 = bs_intermediates(make_inputs())
-        assert d1 == pytest.approx(0.1, abs=1e-15)
-        assert d2 == pytest.approx(-0.1, abs=1e-15)
+        # d1 = 0.1, d2 = -0.1
+        price = bs_prices(100.0, 100.0, 1.0, 0.0, 0.0, 0.2, True)
+        assert price == pytest.approx(100.0 * (norm_cdf(0.1) - norm_cdf(-0.1)), abs=1e-12)
 
     def test_itm_example(self):
-        d1, d2 = bs_intermediates(make_inputs(strike=50.0))
-        expected = (math.log(2.0) + 0.02) / 0.2
-        assert d1 == pytest.approx(expected, abs=1e-12)
-        assert d2 == pytest.approx(expected - 0.2, abs=1e-12)
+        d1 = (math.log(2.0) + 0.02) / 0.2
+        price = bs_prices(100.0, 50.0, 1.0, 0.0, 0.0, 0.2, True)
+        assert price == pytest.approx(100.0 * norm_cdf(d1) - 50.0 * norm_cdf(d1 - 0.2), abs=1e-12)
 
     def test_degenerate_vol_time(self):
         with pytest.raises(DegenerateVolatilityError):
-            bs_intermediates(make_inputs(sigma=1e-13))
+            bs_prices(100.0, 100.0, 1.0, 0.0, 0.0, 1e-13, True)
         with pytest.raises(DegenerateVolatilityError):
-            bs_intermediates(make_inputs(sigma=1e-7, maturity_years=1e-12))
+            bs_prices(100.0, 100.0, 1e-12, 0.0, 0.0, 1e-7, True)
 
     def test_input_validation(self):
         with pytest.raises(ValidationError, match="underlying_price"):
@@ -152,7 +148,7 @@ class TestPrice:
 class TestImpliedVol:
     def test_round_trip(self):
         price = bs_price(make_inputs(strike=110.0, maturity_years=0.5, sigma=0.37))
-        vol = implied_vol(price, 100.0, 110.0, 0.5, 0.0, 0.0, OptionType.CALL)
+        vol = implied_vol(price, 100.0, 110.0, 0.5, 0.0, 0.0, True)
         assert vol == pytest.approx(0.37, abs=1e-6)
 
     def test_round_trip_put_with_carry(self):
@@ -160,35 +156,35 @@ class TestImpliedVol:
             strike=95.0, maturity_years=1.5, rate=0.04, dividend_yield=0.02,
             sigma=0.6, option_type=OptionType.PUT)
         price = bs_price(inp)
-        vol = implied_vol(price, 100.0, 95.0, 1.5, 0.04, 0.02, OptionType.PUT)
+        vol = implied_vol(price, 100.0, 95.0, 1.5, 0.04, 0.02, False)
         assert vol == pytest.approx(0.6, abs=1e-6)
 
     def test_price_below_intrinsic_rejected(self):
         # deep ITM call: discounted intrinsic is ~50
         with pytest.raises(NoSolutionError, match="no-arbitrage"):
-            implied_vol(49.0, 100.0, 50.0, 0.25, 0.0, 0.0, OptionType.CALL)
+            implied_vol(49.0, 100.0, 50.0, 0.25, 0.0, 0.0, True)
 
     def test_price_above_upper_bound_rejected(self):
         with pytest.raises(NoSolutionError, match="no-arbitrage"):
-            implied_vol(100.0, 100.0, 100.0, 1.0, 0.0, 0.0, OptionType.CALL)
+            implied_vol(100.0, 100.0, 100.0, 1.0, 0.0, 0.0, True)
 
     def test_price_above_vol_cap_rejected(self):
         almost_spot = bs_price(make_inputs(sigma=2.9999)) * 1.2
         with pytest.raises(NoSolutionError):
-            implied_vol(almost_spot, 100.0, 100.0, 1.0, 0.0, 0.0, OptionType.CALL)
+            implied_vol(almost_spot, 100.0, 100.0, 1.0, 0.0, 0.0, True)
 
     def test_zero_price_rejected(self):
         with pytest.raises(ValidationError):
-            implied_vol(0.0, 100.0, 100.0, 1.0, 0.0, 0.0, OptionType.CALL)
+            implied_vol(0.0, 100.0, 100.0, 1.0, 0.0, 0.0, True)
 
     def test_solution_at_floor_region(self):
         price = bs_price(make_inputs(sigma=1e-3))
-        vol = implied_vol(price, 100.0, 100.0, 1.0, 0.0, 0.0, OptionType.CALL)
+        vol = implied_vol(price, 100.0, 100.0, 1.0, 0.0, 0.0, True)
         assert vol == pytest.approx(1e-3, rel=1e-4)
 
     def test_solution_near_cap(self):
         price = bs_price(make_inputs(sigma=2.9))
-        vol = implied_vol(price, 100.0, 100.0, 1.0, 0.0, 0.0, OptionType.CALL)
+        vol = implied_vol(price, 100.0, 100.0, 1.0, 0.0, 0.0, True)
         assert vol == pytest.approx(2.9, abs=1e-6)
 
 
@@ -204,6 +200,52 @@ def reference_price(s, k, t, r, q, sigma, is_call) -> float:
     else:
         price = disc_k * norm_cdf(-d2) - disc_s * norm_cdf(-d1)
     return max(price, 0.0)
+
+
+def reference_implied_vol(price, s, k, t, r, q, is_call) -> float:
+    """The scalar safeguarded Newton solver on the math-module formula: the
+    oracle for the array inverter, raising the same exception classes."""
+    if not 0.0 < price < math.inf:
+        raise ValidationError(f"price: must be positive and finite, got {price!r}")
+    disc_s = s * math.exp(-q * t)
+    disc_k = k * math.exp(-r * t)
+    intrinsic = disc_s - disc_k if is_call else disc_k - disc_s
+    if not max(intrinsic, 0.0) < price < (disc_s if is_call else disc_k):
+        raise NoSolutionError("no-arbitrage bounds")
+
+    def objective(sigma):
+        d1 = (math.log(s / k) + (r - q + 0.5 * sigma * sigma) * t) / (sigma * math.sqrt(t))
+        vega = disc_s * (math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)) * math.sqrt(t)
+        return reference_price(s, k, t, r, q, sigma, is_call) - price, vega
+
+    tol = 1e-8 * max(1.0, price)
+    lo, hi = 1e-6, 3.0
+    f_lo, _ = objective(lo)
+    if abs(f_lo) <= tol:
+        return lo
+    if f_lo > 0:
+        raise NoSolutionError("below the floor")
+    f_hi, _ = objective(hi)
+    if abs(f_hi) <= tol:
+        return hi
+    if f_hi < 0:
+        raise NoSolutionError("above the cap")
+    sigma = 0.3
+    for _ in range(200):
+        value, vega = objective(sigma)
+        if abs(value) <= tol:
+            return sigma
+        if value > 0:
+            hi = sigma
+        else:
+            lo = sigma
+        if vega > 1e-12:
+            candidate = sigma - value / vega
+            if lo < candidate < hi:
+                sigma = candidate
+                continue
+        sigma = 0.5 * (lo + hi)
+    raise NoSolutionError("no convergence")
 
 
 def random_terms(n: int, seed: int) -> tuple:
@@ -260,6 +302,14 @@ class TestKernel:
             (dict(sigma=1e-13), DegenerateVolatilityError, "sigma"),
             (dict(sigma=1e-7, maturity_years=1e-12), DegenerateVolatilityError, "sigma"),
         ]
+        # an OptionType, a string or a fraction is no call flag
+        for flag in (OptionType.PUT, "P", 0.5):
+            with pytest.raises(ValidationError, match="option_type"):
+                bs_prices(*good, flag)
+            with pytest.raises(ValidationError, match="option_type"):
+                bs_prices(*good, np.array([True, flag, False]))
+            with pytest.raises(ValidationError, match="option_type"):
+                implied_vol(5.0, *good[:5], flag)
         for overrides, error, name in cases:
             with pytest.raises(error, match=name):
                 bs_price(make_inputs(**overrides))
@@ -268,3 +318,60 @@ class TestKernel:
             with pytest.raises(error, match=name) as exc:
                 bs_prices(*terms, True)
             assert "np.float64" not in str(exc.value)
+
+
+def noisy_quotes(n: int, seed: int) -> tuple:
+    """(price, S, K, T, r, q, is_call): model prices under ±1% noise."""
+    terms = random_terms(n, seed)
+    noise = np.random.default_rng(seed + 1).uniform(-0.01, 0.01, n)
+    return (bs_prices(*terms) * (1.0 + noise), *terms[:5], terms[6])
+
+
+class TestImpliedVolArrays:
+    def test_matches_scalar_oracle(self):
+        quotes = noisy_quotes(20_000, seed=33)
+        rows = list(zip(*(a.tolist() for a in quotes)))
+        expected = []
+        for row in rows:
+            try:
+                expected.append(reference_implied_vol(*row))
+            except (ValidationError, NoSolutionError) as exc:
+                expected.append(type(exc))
+        solved = np.array([isinstance(e, float) for e in expected])
+        assert 0.5 < solved.mean() < 1.0  # both outcomes are exercised
+
+        vols = implied_vol(*(a[solved] for a in quotes))
+        price, S, K, T, r, q, call = (a[solved] for a in quotes)
+        tol = 1e-8 * np.maximum(1.0, price)
+        assert np.all(np.abs(bs_prices(S, K, T, r, q, vols, call) - price) <= tol)
+        oracle = np.array([e for e in expected if isinstance(e, float)])
+        repriced = np.array([reference_price(*row) for row in zip(S, K, T, r, q, oracle, call)])
+        assert np.all(np.abs(repriced - price) <= tol)
+
+        for row, error in zip(rows, expected):
+            if not isinstance(error, float):
+                with pytest.raises((ValidationError, NoSolutionError)) as exc:
+                    implied_vol(*row)
+                assert type(exc.value) is error
+
+    def test_raises_on_first_bad_row(self):
+        good = bs_prices(100.0, 100.0, 1.0, 0.0, 0.0, 0.2, True)
+        prices = np.array([good, good, 120.0, 1e-9])
+        with pytest.raises(NoSolutionError, match="at row 2: 120.0 violates no-arbitrage"):
+            implied_vol(prices, 100.0, 100.0, 1.0, 0.0, 0.0, True)
+        with pytest.raises(NoSolutionError, match=r"at row \(1, 0\): 120.0 violates"):
+            implied_vol(prices.reshape(2, 2), 100.0, 100.0, 1.0, 0.0, 0.0, True)
+        with pytest.raises(NoSolutionError, match="at row 3: 1e-09 is below the model price"):
+            implied_vol(prices[[0, 1, 1, 3]], 100.0, 100.0, 1.0, 0.0, 0.0, True)
+
+    def test_shapes(self):
+        sigma = np.array([[0.2, 0.4, 0.6], [0.8, 1.0, 1.2]])
+        call = np.array([[True], [False]])
+        prices = bs_prices(100.0, 110.0, 0.5, 0.01, 0.0, sigma, call)
+        vols = implied_vol(prices, 100.0, 110.0, 0.5, 0.01, 0.0, call)
+        assert vols.shape == (2, 3)
+        assert vols == pytest.approx(sigma, abs=1e-6)
+        one = implied_vol(prices[0, 0], 100.0, 110.0, 0.5, 0.01, 0.0, True)
+        assert isinstance(one, np.ndarray) and one.shape == ()
+        assert one == vols[0, 0]
+        assert implied_vol(prices[:0, 0], 100.0, 110.0, 0.5, 0.01, 0.0, True).shape == (0,)

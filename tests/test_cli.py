@@ -341,6 +341,21 @@ class TestEvaluate:
         assert code == 0
         assert reads.count(path) == 1
 
+    @pytest.mark.parametrize("side", ['[1]', '{"training_seconds": "slow"}'])
+    def test_malformed_training_seconds_is_na(self, tmp_path, capsys, caplog, side):
+        data = self.setup_trained(tmp_path)
+        manifest = tmp_path / "gbdt5.manifest.json"
+        manifest.write_text(side)
+        with caplog.at_level(logging.WARNING):
+            code = run(
+                "evaluate", str(tmp_path / "gbdt5.model"),
+                "--data", str(data), "--out", str(tmp_path), "--seed", "9",
+            )
+        assert code == 0
+        assert any(str(manifest) in r.getMessage() for r in caplog.records)
+        row = [line for line in capsys.readouterr().out.splitlines() if line.startswith("gbdt5")]
+        assert row[0].split()[-1] == "n/a"
+
     def test_no_models_no_baseline_usage_error(self, tmp_path):
         data = gen_tiny(tmp_path)
         assert run("evaluate", "--data", str(data), "--out", str(tmp_path)) == 1

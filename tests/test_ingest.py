@@ -36,8 +36,6 @@ from optbench.ingest import (
     MAGIC_NET,
     MAGIC_TREES,
     load_model_and_manifest,
-    load_network,
-    load_tree_ensemble,
     write_file,
     write_metrics_csv,
     write_rows,
@@ -179,7 +177,7 @@ class TestModelFiles:
     def test_tree_round_trip_identical_predictions(self, tmp_path):
         model, train = self.make_tree_model()
         path = save_model(model, tmp_path / "m.model")
-        back = load_tree_ensemble(path)
+        back = load_model(path)
         a = predict_gbdt(model, train.features)
         b = predict_gbdt(back, train.features)
         assert np.array_equal(a, b)
@@ -189,7 +187,7 @@ class TestModelFiles:
     def test_net_round_trip_identical_predictions(self, tmp_path):
         net, train = self.make_net_model()
         path = save_model(net, tmp_path / "n.model")
-        back = load_network(path)
+        back = load_model(path)
         assert np.array_equal(forward(net, train.features), forward(back, train.features))
 
     def test_magic_bytes(self, tmp_path):
@@ -213,12 +211,6 @@ class TestModelFiles:
         n = load_model(save_model(net, tmp_path / "n.model"))
         assert type(t).__name__ == "TreeEnsemble"
         assert type(n).__name__ == "NetworkParams"
-
-    def test_wrong_kind_loader_rejects(self, tmp_path):
-        model, _ = self.make_tree_model()
-        path = save_model(model, tmp_path / "m.model")
-        with pytest.raises(IncompatibleModelError):
-            load_network(path)
 
     def test_garbage_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.model"
@@ -331,7 +323,7 @@ class TestModelFiles:
         assert "etas" not in doc["model"]
         doc["model"]["etas"] = [r.eta for r in model.history[: len(model.trees)]]
         path.write_bytes(raw[:8] + json.dumps(doc).encode())
-        back = load_tree_ensemble(path)
+        back = load_model(path)
         assert np.array_equal(predict_gbdt(back, train.features), predict_gbdt(model, train.features))
         assert back.history == model.history
         doc["model"]["etas"].append(0.5)

@@ -19,7 +19,6 @@ from optbench import (
     standardize,
     train_mlp,
 )
-from optbench.mlp import destandardize
 
 from conftest import make_dataset
 
@@ -37,7 +36,6 @@ class TestStandardize:
         assert stats.std.tolist() == [1.0, 10.0]
         scaled = standardize(X, stats)
         assert scaled.tolist() == [[-1.0, -1.0], [1.0, 1.0]]
-        assert destandardize(scaled, stats) == pytest.approx(X)
 
     def test_binary_column_left_alone(self):
         X = np.array([[0.0, 5.0], [1.0, 7.0], [1.0, 9.0]])
