@@ -88,6 +88,17 @@ def _flags(is_call) -> np.ndarray:
     return flags
 
 
+def _broadcast_shape(*terms) -> tuple[int, ...]:
+    """The shape `terms` broadcast to; ValidationError naming their shapes if none."""
+    shapes = [np.shape(t) for t in terms]
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise ValidationError(
+            f"terms: shapes {', '.join(map(str, shapes))} do not broadcast together"
+        ) from None
+
+
 def _prices(S, K, T, r, q, sigma, call):
     """Model prices and d1 of checked terms; `call` is boolean.
 
@@ -118,13 +129,15 @@ def bs_prices(S, K, T, r, q, sigma, is_call) -> np.ndarray:
     the 1.0/0.0 option_type flag). Prices are never negative. Raises
     ValidationError for an input the quote validity rule rejects (sigma:
     positive and finite; is_call: nothing but a bool or the flag) and
-    DegenerateVolatilityError where sigma * sqrt(T) < 1e-12.
+    DegenerateVolatilityError where sigma * sqrt(T) < 1e-12; terms that
+    do not broadcast together are a ValidationError too.
     """
     flags = _flags(is_call)
     check_terms(
         underlying_price=S, strike=K, maturity_years=T, rate=r, dividend_yield=q,
         sigma=sigma, option_type=flags,
     )
+    _broadcast_shape(S, K, T, r, q, sigma, flags)
     return _prices(S, K, T, r, q, sigma, flags.astype(bool))[0]
 
 
@@ -163,7 +176,7 @@ def implied_vol(price, S, K, T, r, q, is_call) -> np.ndarray:
         price=price, underlying_price=S, strike=K, maturity_years=T, rate=r,
         dividend_yield=q, option_type=flags,
     )
-    shape = np.broadcast(price, S, K, T, r, q, flags).shape
+    shape = _broadcast_shape(price, S, K, T, r, q, flags)
     price, S, K, T, r, q, call = (
         np.broadcast_to(a, shape).ravel() for a in (price, S, K, T, r, q, flags.astype(bool))
     )

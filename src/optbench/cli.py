@@ -25,6 +25,7 @@ from . import __version__
 from .blackscholes import VOL_FLOOR, bs_prices
 from .core import (
     FEATURE_NAMES,
+    QUOTE_COLUMNS,
     Dataset,
     FilterResult,
     SplitSpec,
@@ -496,12 +497,12 @@ REPORT_COLUMNS = (
 
 def cmd_report(cfg: dict, out: Path) -> int:
     data_path = _require_data(cfg)
-    ds = Dataset.from_quotes(_load_filtered(data_path).kept)
+    kept = _load_filtered(data_path).kept
     n_bins = cfg.get("report.hist_bins", 30)
     out.mkdir(parents=True, exist_ok=True)
     stats = {}
     for column in REPORT_COLUMNS:
-        values = ds.column(column)
+        values = kept[:, QUOTE_COLUMNS.index(column)]
         if column == "implied_vol":
             values = values[np.isfinite(values)]
             if values.size == 0:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -183,7 +182,6 @@ class EvalReport:
     rows: tuple[ReportRow, ...]
     curves: dict[str, list[BinStat]]
     n_rows: int
-    generated_at: str
 
     def to_text(self) -> str:
         """Fixed-width comparison table, best model first."""
@@ -242,7 +240,6 @@ def compare_models(results: Sequence[ModelResult], curve_bins: int = 20) -> Eval
         rows=tuple(rows),
         curves=curves,
         n_rows=len(results[0].targets),
-        generated_at=datetime.now(timezone.utc).isoformat(),
     )
 
 

@@ -12,7 +12,8 @@ history: it drops by `plateau_factor` for every completed
 `plateau_patience`-epoch stretch without improvement, never below
 `min_lr`. Training stops exactly `early_stop_patience` epochs after the
 best validation epoch (or at `max_epochs`) and the returned parameters
-are the checkpoint from that best epoch.
+are the checkpoint from that best epoch. Like Keras, the logged train MAE
+averages each batch's |residual| as the batch saw it, before its update.
 """
 
 from __future__ import annotations
@@ -186,16 +187,12 @@ def forward(net: NetworkParams, batch: np.ndarray) -> np.ndarray | float:
 
 def _backward_scaled(
     net: NetworkParams, scaled: np.ndarray, targets: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     layers = net.architecture.layers
-    pre_acts: list[np.ndarray] = []
     acts: list[np.ndarray] = [scaled]
-    a = scaled
     for spec, w, b in zip(layers, net.weights, net.biases):
-        z = a @ w.T + b
-        pre_acts.append(z)
-        a = np.maximum(z, 0.0) if spec.activation == "relu" else z
-        acts.append(a)
+        z = acts[-1] @ w.T + b
+        acts.append(np.maximum(z, 0.0) if spec.activation == "relu" else z)
     residual = acts[-1][:, 0] - targets
     # d(mean |r|)/d(pred): sign(r)/n, with sign(0) = 0
     delta = (np.sign(residual) / len(targets))[:, None]
@@ -207,8 +204,9 @@ def _backward_scaled(
         if l > 0:
             delta = delta @ net.weights[l]
             if layers[l - 1].activation == "relu":
-                delta = delta * (pre_acts[l - 1] > 0.0)
-    return grads_w, grads_b
+                # relu(z) > 0 exactly where z > 0
+                delta = delta * (acts[l] > 0.0)
+    return grads_w, grads_b, residual
 
 
 def backward(
@@ -225,7 +223,7 @@ def backward(
         raise ValidationError(
             f"targets: expected shape ({X.shape[0]},), got {y.shape}"
         )
-    return _backward_scaled(net, standardize(X, net.stats), y)
+    return _backward_scaled(net, standardize(X, net.stats), y)[:2]
 
 
 @dataclass
@@ -331,8 +329,8 @@ class MlpTrainConfig:
 class EpochRecord(NamedTuple):
     epoch: int  # 1-based
     lr: float
-    train_mae: float
-    val_mae: float
+    train_mae: float  # mean |residual| of the epoch's batches, each before its update
+    val_mae: float  # at the end-of-epoch weights
 
 
 def reduce_lr_on_plateau(val_history: Sequence[float], config: MlpTrainConfig) -> float:
@@ -398,9 +396,11 @@ def train_mlp(
     for epoch in range(1, config.max_epochs + 1):
         lr = reduce_lr_on_plateau([rec.val_mae for rec in history], config)
         order = shuffle_rng.permutation(n)
+        abs_residual_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            grads_w, grads_b = _backward_scaled(net, scaled_train[batch], y_train[batch])
+            grads_w, grads_b, residual = _backward_scaled(net, scaled_train[batch], y_train[batch])
+            abs_residual_sum += float(np.abs(residual).sum())
             adam_step(
                 net,
                 state,
@@ -411,7 +411,7 @@ def train_mlp(
                 beta2=config.beta2,
                 epsilon=config.epsilon,
             )
-        train_mae = float(np.mean(np.abs(_forward_scaled(net, scaled_train) - y_train)))
+        train_mae = abs_residual_sum / n
         val_mae = float(np.mean(np.abs(_forward_scaled(net, scaled_val) - y_val)))
         if not (
             math.isfinite(train_mae)

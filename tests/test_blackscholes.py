@@ -310,6 +310,11 @@ class TestKernel:
                 bs_prices(*good, np.array([True, flag, False]))
             with pytest.raises(ValidationError, match="option_type"):
                 implied_vol(5.0, *good[:5], flag)
+        # terms that do not broadcast together
+        with pytest.raises(ValidationError, match=r"shapes \(2,\), \(3,\)"):
+            bs_prices(np.ones(2) * 100, np.ones(3) * 100, *good[2:], True)
+        with pytest.raises(ValidationError, match=r"shapes \(2,\), \(\), \(3,\)"):
+            implied_vol(np.full(2, 5.0), 100.0, np.ones(3) * 100, *good[2:5], True)
         for overrides, error, name in cases:
             with pytest.raises(error, match=name):
                 bs_price(make_inputs(**overrides))

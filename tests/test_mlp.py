@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import optbench.mlp
 from optbench import (
     FIVE_LAYER,
     THREE_LAYER,
@@ -326,6 +327,33 @@ class TestTraining:
         best_epoch = int(np.argmin(vals)) + 1
         if len(history) < cfg.max_epochs:
             assert len(history) == best_epoch + cfg.early_stop_patience
+
+    def test_train_mae_is_measured_before_each_update(self):
+        # one batch per epoch: epoch 1 logs the fresh network's training MAE
+        train = make_dataset(60, seed=33)
+        val = make_dataset(15, seed=34)
+        cfg = MlpTrainConfig(max_epochs=3, batch_size=len(train), seed=6)
+        _, history = train_mlp(train, val, self.tiny_arch(), cfg)
+        fresh = init_network(
+            self.tiny_arch(), 26, seed=6, stats=fit_feature_stats(train.features)
+        )
+        assert history[0].train_mae == pytest.approx(mae_of(fresh, train), rel=1e-9)
+
+    def test_forward_passes_see_only_validation_rows(self, monkeypatch):
+        train = make_dataset(48, seed=37)
+        val = make_dataset(11, seed=38)
+        rows = []
+        forward_scaled = optbench.mlp._forward_scaled
+
+        def counted(net, scaled):
+            rows.append(len(scaled))
+            return forward_scaled(net, scaled)
+
+        monkeypatch.setattr(optbench.mlp, "_forward_scaled", counted)
+        _, history = train_mlp(
+            train, val, self.tiny_arch(), MlpTrainConfig(max_epochs=4, batch_size=16, seed=0)
+        )
+        assert rows == [len(val)] * len(history)
 
     def test_divergence_raises(self):
         train = make_dataset(30, seed=29)
