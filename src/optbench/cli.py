@@ -593,6 +593,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse --help/--version
         code = exc.code
         return int(code) if isinstance(code, int) else 0
+    except Exception as exc:  # a defect, not bad input: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

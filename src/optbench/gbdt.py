@@ -252,19 +252,23 @@ class Tree:
         return walk(0)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Leaf contribution per row of a raw (unbinned) feature matrix."""
+        """Leaf contribution per row of a raw (unbinned) feature matrix.
+
+        A root-to-leaf walk visits each node at most once, so a walk still
+        at an internal node after n_nodes levels has met a cycle: ValueError.
+        """
         X = np.asarray(features, dtype=np.float64)
         node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
+        for _ in range(self.n_nodes):
             f = self.feature[node]
             live = f >= 0
             if not live.any():
-                break
+                return self.value[node]
             rows = np.nonzero(live)[0]
             at = node[rows]
             go_left = X[rows, f[live]] <= self.threshold[at]
             node[rows] = np.where(go_left, self.left[at], self.right[at])
-        return self.value[node]
+        raise ValueError(f"tree walk passed {self.n_nodes} levels: the tree has a cycle")
 
 
 class RoundRecord(NamedTuple):

@@ -15,6 +15,11 @@ own and tolerates up to 1% malformed data rows (skipped with a warning,
 each naming its 1-based line number), a line that is not UTF-8
 included; beyond that it aborts.
 
+Most cells repeat: every quote of a chain carries the same 25 terms.
+The writer formats each distinct float of a chunk once, and the reader
+parses a line's terms only when their text differs from the last good
+line's. Neither changes the bytes or the table.
+
 Model files are an 8-byte magic prefix plus one JSON document:
 
     {"format_version": 1, "kind": ..., "manifest": {...}, "model": {...}}
@@ -52,6 +57,11 @@ FORMAT_VERSION = 1
 _TYPE_CODES = {t.flag: t.value for t in OptionType}  # 1.0: "C", 0.0: "P"
 _TYPE_FLAGS = {t.value: t.flag for t in OptionType}
 _VOL = QUOTE_COLUMNS.index("implied_vol")
+_STRIKE = QUOTE_COLUMNS.index("strike")
+_MIDPOINT = QUOTE_COLUMNS.index("midpoint")
+# The cells between strike and midpoint are the terms every quote of a
+# chain repeats: spot, rate, yield, maturity, implied vol and the lags.
+_TERMS = slice(_STRIKE + 1, _MIDPOINT)
 _WRITE_CHUNK = 4096  # rows formatted at a time, to bound memory
 
 
@@ -101,21 +111,34 @@ def _csv_chunks(table: np.ndarray) -> Iterable[bytes]:
     yield (",".join(QUOTE_COLUMNS) + "\n").encode("utf-8")
     for start in range(0, len(table), _WRITE_CHUNK):
         chunk = table[start : start + _WRITE_CHUNK]
-        columns = [list(map(repr, column)) for column in chunk.T.tolist()]
-        columns[0] = [_TYPE_CODES[flag] for flag in chunk[:, 0].tolist()]
-        columns[_VOL] = ["" if cell == "nan" else cell for cell in columns[_VOL]]
-        yield "".join(",".join(cells) + "\n" for cells in zip(*columns)).encode("utf-8")
+        # Distinct by bit pattern, so -0.0 and 0.0 keep their own text.
+        keys, inverse = np.unique(chunk.view(np.uint64).ravel(), return_inverse=True)
+        texts = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+        cells = texts[inverse].reshape(chunk.shape)
+        cells[:, 0] = [_TYPE_CODES[flag] for flag in chunk[:, 0].tolist()]
+        cells[np.isnan(chunk[:, _VOL]), _VOL] = ""
+        yield "".join(",".join(row) + "\n" for row in cells.tolist()).encode("utf-8")
 
 
-def _parse_line(line: bytes) -> list[float]:
+def _parse_line(
+    line: bytes, last_terms: list[str] | None, last_values: list[float] | None
+) -> tuple[float, float, list[str], list[float], float]:
+    """(flag, strike, term cells, term values, midpoint) of one data line.
+
+    The term values are reused from the last good line when its term
+    cells read the same: equal text parses to equal floats.
+    """
     cells = line.decode("utf-8").split(",")
     if len(cells) != QUOTE_WIDTH:
         raise ValueError(f"expected {QUOTE_WIDTH} columns, got {len(cells)}")
     flag = _TYPE_FLAGS.get(cells[0])
     if flag is None:
         raise ValueError(f"option_type: expected 'C' or 'P', got {cells[0]!r}")
+    strike = float(cells[_STRIKE])
     cells[_VOL] = cells[_VOL] or "nan"
-    return [flag, *map(float, cells[1:])]
+    terms = cells[_TERMS]
+    values = last_values if terms == last_terms else list(map(float, terms))
+    return flag, strike, terms, values, float(cells[_MIDPOINT])
 
 
 def read_csv(path: str | Path) -> np.ndarray:
@@ -141,16 +164,27 @@ def read_csv(path: str | Path) -> np.ndarray:
             f"got {','.join(header)!r}"
         )
     table = np.empty((len(lines) - 1, QUOTE_WIDTH))
-    n = 0
+    n = run = 0  # rows read; first row of the current run of equal terms
+    terms = values = None
     bad_rows: list[tuple[int, str]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         try:
-            table[n] = _parse_line(line)
-            n += 1
+            flag, strike, line_terms, line_values, midpoint = _parse_line(line, terms, values)
         except ValueError as exc:  # UnicodeDecodeError included
             bad_rows.append((lineno, str(exc)))
+            continue
+        if line_values is not values:
+            if n:
+                table[run:n, _TERMS] = values
+            run, terms, values = n, line_terms, line_values
+        table[n, 0] = flag
+        table[n, _STRIKE] = strike
+        table[n, _MIDPOINT] = midpoint
+        n += 1
+    if n:
+        table[run:n, _TERMS] = values
     total = n + len(bad_rows)
     if bad_rows:
         if len(bad_rows) > MAX_BAD_ROW_FRACTION * total:

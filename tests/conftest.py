@@ -45,6 +45,23 @@ def make_quotes(*rows: np.ndarray) -> np.ndarray:
     return np.concatenate([np.empty((0, QUOTE_WIDTH)), *rows])
 
 
+def per_cell_csv(table: np.ndarray) -> bytes:
+    """The quote CSV bytes of `table`, formatted one cell at a time.
+
+    The oracle of `write_csv`: a header, then per row the C/P code, repr
+    of every other cell, and an empty cell for a NaN implied_vol.
+    """
+    vol = QUOTE_COLUMNS.index("implied_vol")
+    lines = [",".join(QUOTE_COLUMNS)]
+    for row in table.tolist():
+        cells = [repr(value) for value in row]
+        cells[0] = "C" if row[0] == 1.0 else "P"
+        if cells[vol] == "nan":
+            cells[vol] = ""
+        lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 def make_dataset(n: int, seed: int = 0, with_vols: bool = True) -> Dataset:
     """Random but plausible feature rows for model-level tests."""
     rng = np.random.default_rng(seed)

@@ -398,6 +398,19 @@ class TestReport:
         assert summary[0].startswith("column,count")
         assert any(line.startswith("midpoint,") for line in summary)
 
+    def test_unexpected_exception_is_one_line_exit_2(self, tmp_path, capsys, monkeypatch):
+        data = gen_tiny(tmp_path)
+        capsys.readouterr()
+
+        def broken(values):
+            raise KeyError("count")
+
+        monkeypatch.setattr("optbench.cli.summary_stats", broken)
+        code = run("report", "--data", str(data), "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "internal error: KeyError: 'count'\n"
+
 
 class TestConfigPlumbing:
     def test_config_file_and_set_precedence(self, tmp_path):

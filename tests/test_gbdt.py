@@ -442,3 +442,15 @@ class TestTraining:
         leaves_full = full.trees[0].value[full.trees[0].feature < 0]
         leaves_half = half.trees[0].value[half.trees[0].feature < 0]
         assert leaves_half == pytest.approx(leaves_full * 0.5, rel=1e-12)
+
+    def test_predict_stops_on_a_cycle(self):
+        # in memory only: load_model refuses such a tree before it gets here
+        tree = Tree(
+            feature=np.array([0, 0], dtype=np.int32),
+            threshold=np.zeros(2),
+            left=np.array([1, 0], dtype=np.int32),
+            right=np.array([1, 0], dtype=np.int32),
+            value=np.zeros(2),
+        )
+        with pytest.raises(ValueError, match="cycle"):
+            tree.predict(np.zeros((3, 1)))

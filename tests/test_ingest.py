@@ -35,13 +35,14 @@ from optbench.core import QUOTE_COLUMNS, QUOTE_WIDTH
 from optbench.ingest import (
     MAGIC_NET,
     MAGIC_TREES,
+    _WRITE_CHUNK,
     load_model_and_manifest,
     write_file,
     write_metrics_csv,
     write_rows,
 )
 
-from conftest import make_dataset, make_quote, make_quotes
+from conftest import make_dataset, make_quote, make_quotes, per_cell_csv
 
 
 def bits(table: np.ndarray) -> np.ndarray:
@@ -153,6 +154,73 @@ class TestCsvRoundTrip:
         path.write_bytes(b"\xff" + path.read_bytes())
         with pytest.raises(SchemaError, match="header"):
             read_csv(path)
+
+    @pytest.mark.parametrize(
+        "column, first, second",
+        [
+            ("rate", 0.0, -0.0),
+            ("lag_7", 100.07, np.nextafter(100.07, np.inf)),
+            ("implied_vol", np.nan, 0.25),
+        ],
+        ids=["signed-zero", "one-ulp", "nan-vol"],
+    )
+    def test_terms_differing_only_in_bits(self, tmp_path, column, first, second):
+        # runs of one chain's terms, then twins that differ only in `column`
+        quotes = make_quotes(*(make_quote(strike=90.0 + i) for i in range(8)))
+        quotes[:, QUOTE_COLUMNS.index(column)] = [first, first, second, first, second, second, first, second]
+        path = write_csv(quotes, tmp_path / "q.csv")
+        assert path.read_bytes() == per_cell_csv(quotes)
+        assert np.array_equal(bits(read_csv(path)), bits(quotes))
+
+    def test_runs_across_write_chunks(self, tmp_path):
+        # one chain longer than a write chunk; -0.0 and 0.0 share a chunk
+        n = _WRITE_CHUNK + 3
+        quotes = np.repeat(make_quote(rate=-0.0), n, axis=0)
+        quotes[:, QUOTE_COLUMNS.index("strike")] = 50.0 + np.arange(n) / 8
+        quotes[::2, QUOTE_COLUMNS.index("dividend_yield")] = 0.0
+        quotes[-2:, QUOTE_COLUMNS.index("rate")] = 0.0
+        path = write_csv(quotes, tmp_path / "q.csv")
+        assert path.read_bytes() == per_cell_csv(quotes)
+        assert np.array_equal(bits(read_csv(path)), bits(quotes))
+
+    def test_malformed_line_after_a_good_line_of_its_chain(self, tmp_path, caplog):
+        chain_a = [make_quote(strike=50.0 + i) for i in range(400)]
+        chain_b = [make_quote(strike=50.0 + i, rate=0.03) for i in range(400)]
+        quotes = make_quotes(*chain_a, *chain_b)
+        path = write_csv(quotes, tmp_path / "q.csv")
+        header, *rows = path.read_bytes().splitlines()
+
+        def edit(row: bytes, index: int, cell: bytes) -> bytes:
+            cells = row.split(b",")
+            cells[index] = cell
+            return b",".join(cells)
+
+        lag_3, midpoint = QUOTE_COLUMNS.index("lag_3"), QUOTE_COLUMNS.index("midpoint")
+        utf8_at = len(b",".join(rows[61].split(b",")[:lag_3])) + 1
+        # (row the bad line follows, bad line, the warning it gives)
+        bad = [
+            (10, rows[11] + b",", "expected 28 columns, got 29"),
+            (20, b"X" + rows[21][1:], "option_type: expected 'C' or 'P', got 'X'"),
+            (30, edit(rows[31], 1, b"9O.0"), "could not convert string to float: '9O.0'"),
+            (40, edit(rows[41], lag_3, b"1e"), "could not convert string to float: '1e'"),
+            (50, edit(rows[51], midpoint, b""), "could not convert string to float: ''"),
+            (60, edit(rows[61], lag_3, b"\xff"),
+             f"'utf-8' codec can't decode byte 0xff in position {utf8_at}: invalid start byte"),
+            # chain b's terms after a good line of chain a: parsed, then refused
+            (399, edit(rows[400], midpoint, b"-"), "could not convert string to float: '-'"),
+        ]
+        lines, expected = [header], []
+        for i, row in enumerate(rows):
+            lines.append(row)
+            for after, line, message in bad:
+                if after == i:
+                    lines.append(line)
+                    expected.append(f"{path}: skipping malformed line {len(lines)}: {message}")
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with caplog.at_level(logging.WARNING):
+            back = read_csv(path)
+        assert [r.getMessage() for r in caplog.records] == expected
+        assert np.array_equal(bits(back), bits(quotes))
 
     def test_write_checks_the_table(self, tmp_path):
         with pytest.raises(ValidationError, match="quotes"):

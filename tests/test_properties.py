@@ -29,7 +29,7 @@ from optbench import (
 )
 from optbench.core import QUOTE_COLUMNS
 
-from conftest import make_quote, make_quotes
+from conftest import make_quote, make_quotes, per_cell_csv
 
 price_floats = st.floats(min_value=1.0, max_value=5000.0)
 vol_floats = st.floats(min_value=0.01, max_value=2.9)
@@ -125,13 +125,24 @@ quote_rows = st.tuples(
 )
 
 
+# the cells between strike and midpoint: the terms a chain's quotes share
+TERMS = slice(QUOTE_COLUMNS.index("strike") + 1, QUOTE_COLUMNS.index("midpoint"))
+
+
 class TestCsvInvariants:
-    @given(st.lists(quote_rows, max_size=12))
+    @given(st.lists(st.tuples(quote_rows, st.booleans()), max_size=12))
     @settings(max_examples=100, deadline=None)
-    def test_write_read_round_trip_is_bit_exact(self, rows):
+    def test_write_read_round_trip_is_bit_exact(self, drawn):
+        rows = [row for row, _ in drawn]
         table = np.array(rows, dtype=np.float64).reshape(len(rows), len(QUOTE_COLUMNS))
+        # a drawn flag gives the row its predecessor's chain terms, as in a chain
+        for i, (_, same_chain) in enumerate(drawn[1:], start=1):
+            if same_chain:
+                table[i, TERMS] = table[i - 1, TERMS]
         with tempfile.TemporaryDirectory() as tmp:
-            back = read_csv(write_csv(table, Path(tmp) / "q.csv"))
+            path = write_csv(table, Path(tmp) / "q.csv")
+            assert path.read_bytes() == per_cell_csv(table)
+            back = read_csv(path)
         assert back.shape == table.shape
         assert np.array_equal(back.view(np.uint64), table.view(np.uint64))
 
