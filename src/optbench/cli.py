@@ -232,18 +232,34 @@ def config_record(config) -> dict:
     return record
 
 
-def _require_data(cfg: dict) -> Path:
-    if "data" not in cfg:
-        raise UsageError("no dataset given; pass --data or set data= in the config")
-    return Path(cfg["data"])
-
-
 def _write_json(doc: dict, path: Path) -> None:
     write_file(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
-def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _load(cfg: dict) -> FilterResult:
+    """The usable quotes of the dataset CSV `data` names; a file with none is a data error."""
+    data_path = Path(cfg["data"])
+    quotes = read_csv(data_path)
+    result = filter_quotes(quotes)
+    if result.dropped_count:
+        logger.warning(
+            "dropped %d of %d quotes: %s", result.dropped_count, len(quotes), result.by_reason
+        )
+    if len(result.kept) == 0:
+        raise ValidationError(f"{data_path}: no usable quotes after filtering")
+    return result
+
+
+def _identity(data_path: Path, spec: SplitSpec) -> dict:
+    """What ties a model to its data: the dataset file's sha256 and the split.
+
+    Taken before the dataset is loaded, so that the file's bytes are freed
+    before the parse reaches its peak memory.
+    """
+    return {
+        "dataset_digest": hashlib.sha256(data_path.read_bytes()).hexdigest(),
+        "split": config_record(spec),
+    }
 
 
 def _now() -> str:
@@ -275,23 +291,9 @@ def cmd_gen(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _load_filtered(data_path: Path) -> FilterResult:
-    """The usable quotes of a dataset CSV; a file with none is a data error."""
-    quotes = read_csv(data_path)
-    result = filter_quotes(quotes)
-    if result.dropped_count:
-        logger.warning(
-            "dropped %d of %d quotes: %s", result.dropped_count, len(quotes), result.by_reason
-        )
-    if len(result.kept) == 0:
-        raise ValidationError(f"{data_path}: no usable quotes after filtering")
-    return result
-
-
 def cmd_split(cfg: dict, out: Path) -> int:
-    data_path = _require_data(cfg)
     spec = build_config("split", cfg)
-    kept, dropped, by_reason = _load_filtered(data_path)
+    kept, dropped, by_reason = _load(cfg)
     train_idx, val_idx, test_idx = split_indices(len(kept), spec)
     out.mkdir(parents=True, exist_ok=True)
     parts = {}
@@ -319,42 +321,36 @@ def cmd_split(cfg: dict, out: Path) -> int:
 
 
 def cmd_train(cfg: dict, kind: str, out: Path) -> int:
-    data_path = _require_data(cfg)
     spec = build_config("split", cfg)
-    ds = Dataset.from_quotes(_load_filtered(data_path).kept)
-    train, val, _ = split_dataset(ds, spec)
-    digest = _file_digest(data_path)
-
-    started = time.perf_counter()
     if kind in ("gbdt5", "gbdt10"):
-        depth = 5 if kind == "gbdt5" else 10
-        gcfg = build_config("gbdt", cfg, max_depth=depth)
-        model = train_gbdt(train, val, gcfg)
-        records = model.history
-        hyper = config_record(gcfg)
-        progress = {"rounds_trained": len(records), "best_round": model.best_round}
+        mcfg = build_config("gbdt", cfg, max_depth=5 if kind == "gbdt5" else 10)
+        hyper = config_record(mcfg)
     elif kind in ("mlp3", "mlp5"):
         arch = THREE_LAYER if kind == "mlp3" else FIVE_LAYER
         mcfg = build_config("mlp", cfg)
-        model, records = train_mlp(train, val, arch, mcfg)
-        best = min(range(len(records)), key=lambda i: records[i].val_mae) + 1 if records else 0
         hyper = {
-            "layers": [[spec_.units, spec_.activation] for spec_ in arch.layers],
+            "layers": [[layer.units, layer.activation] for layer in arch.layers],
             **config_record(mcfg),
         }
-        progress = {"epochs_trained": len(records), "best_epoch": best}
     else:
         raise UsageError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    data_path = Path(cfg["data"])
+    identity = _identity(data_path, spec)
+    train, val, _ = split_dataset(Dataset.from_quotes(_load(cfg).kept), spec)
+
+    started = time.perf_counter()
+    if isinstance(mcfg, GbdtConfig):
+        model = train_gbdt(train, val, mcfg)
+        records = model.history
+        progress = {"rounds_trained": len(records), "best_round": model.best_round}
+    else:
+        model, records = train_mlp(train, val, arch, mcfg)
+        best = min(range(len(records)), key=lambda i: records[i].val_mae) + 1 if records else 0
+        progress = {"epochs_trained": len(records), "best_epoch": best}
     seconds = time.perf_counter() - started
 
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "kind": kind,
-        "hyperparameters": hyper,
-        "dataset_digest": digest,
-        "dataset_name": data_path.name,
-        "split": config_record(spec),
-    }
+    manifest = {"kind": kind, "hyperparameters": hyper, **identity, "dataset_name": data_path.name}
     model_path = save_model(model, out / f"{kind}.model", manifest)
     if records:
         write_metrics_csv(records, out / f"{kind}_metrics.csv")
@@ -415,16 +411,16 @@ def _training_seconds(side: Path) -> float | None:
 
 
 def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path) -> int:
-    data_path = _require_data(cfg)
     spec = build_config("split", cfg)
-    split_record = config_record(spec)
-    ds = Dataset.from_quotes(_load_filtered(data_path).kept)
-    _, _, test = split_dataset(ds, spec)
-    if len(test) == 0:
+    data_path = Path(cfg["data"])
+    identity = _identity(data_path, spec)
+    kept = _load(cfg).kept
+    test_idx = split_indices(len(kept), spec)[2]
+    if len(test_idx) == 0:
         raise ValidationError(
             f"{data_path}: the test fraction selects zero rows; nothing to evaluate"
         )
-    digest = _file_digest(data_path)
+    test = Dataset.from_quotes(kept[test_idx])
 
     results = []
     for raw_path in model_paths:
@@ -433,7 +429,7 @@ def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path)
         name = manifest.get("kind", path.stem)
         if not isinstance(name, str):
             raise IncompatibleModelError(f"{path}: manifest kind is not a str")
-        for key, expected in (("dataset_digest", digest), ("split", split_record)):
+        for key, expected in identity.items():
             stored = manifest.get(key)
             if stored is None:
                 logger.warning("%s: manifest has no %s; that check is skipped", path, key)
@@ -471,8 +467,7 @@ def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path)
     _write_json(
         {
             "command": "evaluate",
-            "dataset_digest": digest,
-            "split": split_record,
+            **identity,
             "rows_evaluated": report.n_rows,
             "models": [row.name for row in report.rows],
             "created_at": _now(),
@@ -496,8 +491,7 @@ REPORT_COLUMNS = (
 
 
 def cmd_report(cfg: dict, out: Path) -> int:
-    data_path = _require_data(cfg)
-    kept = _load_filtered(data_path).kept
+    kept = _load(cfg).kept
     n_bins = cfg.get("report.hist_bins", 30)
     out.mkdir(parents=True, exist_ok=True)
     stats = {}
@@ -567,6 +561,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args)
+        if args.command != "gen" and "data" not in cfg:
+            raise UsageError("no dataset given; pass --data or set data= in the config")
         out = Path(args.out)
         if args.command == "gen":
             return cmd_gen(cfg, out)

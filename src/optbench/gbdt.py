@@ -14,7 +14,11 @@ scored by
     gain = 1/2 [ GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda) ]
 
 taking the first (lowest feature, then lowest bin) maximizer with both
-children at or above `min_child_weight` hessian mass. Leaves predict
+children at or above `min_child_weight` hessian mass. That rule breaks
+exact ties of the computed gains only: two splits that partition a
+node's rows identically (say `rate` and `dividend_yield`, both constant
+per underlying) can differ in the last bits of their computed gains,
+and then the larger one wins whatever its feature. Leaves predict
 -G/(H+lambda) scaled by the round's shrinkage, which decays from
 `eta_base` toward `eta_min` on a slow Gaussian-in-iteration schedule.
 
@@ -176,11 +180,15 @@ def best_split(
 ) -> SplitDecision | None:
     """Highest-gain split of one node's histogram, or None.
 
-    Ties go to the lowest feature index, then the lowest bin. Splits
-    leaving a child with hessian mass below `min_child_weight` (or
-    empty) are ineligible. Returns None when no eligible split has
-    strictly positive gain. `candidate_mask`, shape (n_features,
-    n_bins - 1), can further restrict which bins are usable edges.
+    Exact ties of the computed gain go to the lowest feature index,
+    then the lowest bin. Two splits that partition the node's rows
+    identically can still differ in the last bits of their computed
+    gains (each feature's sums run over its own bins), and then the
+    larger computed gain wins. Splits leaving a child with hessian mass
+    below `min_child_weight` (or empty) are ineligible. Returns None
+    when no eligible split has strictly positive gain. `candidate_mask`,
+    shape (n_features, n_bins - 1), can further restrict which bins are
+    usable edges.
     """
     g = np.asarray(hist.grad_sums, dtype=np.float64)
     h = np.asarray(hist.hess_sums, dtype=np.float64)

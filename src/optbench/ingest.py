@@ -298,7 +298,9 @@ def _check_tree(tree: Tree, n_features: int) -> None:
     """Reject a tree that prediction could not walk to a leaf in bounds.
 
     Children strictly after their parent rule out cycles, so every walk
-    from the root ends within n_nodes steps.
+    from the root ends within n_nodes steps; every node but the root being
+    the child of exactly one internal node means each node is reached by
+    exactly one path from the root.
     """
     n = tree.n_nodes
     if n == 0:
@@ -306,9 +308,17 @@ def _check_tree(tree: Tree, n_features: int) -> None:
     if not np.all((tree.feature >= -1) & (tree.feature < n_features)):
         raise ValueError(f"node feature outside [-1, {n_features})")
     internal = np.nonzero(tree.feature >= 0)[0]
-    for child in (tree.left[internal], tree.right[internal]):
-        if not np.all((internal < child) & (child < n)):
-            raise ValueError(f"child index not between its parent and the node count {n}")
+    children = np.concatenate((tree.left[internal], tree.right[internal]))
+    if not np.all((np.tile(internal, 2) < children) & (children < n)):
+        raise ValueError(f"child index not between its parent and the node count {n}")
+    parents = np.bincount(children, minlength=n)
+    wrong = np.flatnonzero(parents != (np.arange(n) > 0))
+    if wrong.size:
+        node = int(wrong[0])
+        raise ValueError(
+            f"node {node} is the child of {int(parents[node])} internal nodes; "
+            "the root must be the child of none and every other node of one"
+        )
     if not (np.all(np.isfinite(tree.threshold)) and np.all(np.isfinite(tree.value))):
         raise ValueError("tree thresholds and values must be finite")
 

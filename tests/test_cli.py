@@ -3,8 +3,19 @@ import logging
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from optbench import (
+    Dataset,
+    SplitSpec,
+    filter_quotes,
+    forward,
+    load_model,
+    predict_gbdt,
+    read_csv,
+    split_dataset,
+)
 from optbench.cli import KNOWN_KEYS, build_config, build_parser, load_config, main
 from optbench.core import QUOTE_COLUMNS
 
@@ -23,6 +34,17 @@ def gen_tiny(out, seed="9", extra=()):
     code = run("gen", "--out", str(out), "--seed", seed, *TINY, *extra)
     assert code == 0
     return out / "dataset.csv"
+
+
+def set_column(data, name, value):
+    """Rewrite one column of every quote row of a dataset CSV."""
+    lines = data.read_text().splitlines()
+    col = QUOTE_COLUMNS.index(name)
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        cells[col] = value
+        lines[i] = ",".join(cells)
+    data.write_text("\n".join(lines) + "\n")
 
 
 class TestGen:
@@ -178,6 +200,18 @@ class TestTrain:
     def test_unknown_kind_usage_error(self, tmp_path):
         data = gen_tiny(tmp_path)
         assert run("train", "forest", "--data", str(data), "--out", str(tmp_path)) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_training_error(self, tmp_path, capsys):
+        data = gen_tiny(tmp_path)
+        capsys.readouterr()
+        code = run(
+            "train", "mlp3", "--data", str(data), "--out", str(tmp_path), "--seed", "9",
+            "--set", "mlp.max_epochs=2", "--set", "mlp.initial_lr=1e300",
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("training error: ")
+        assert not (tmp_path / "mlp3.model").exists()
 
     def test_invalid_hyperparameter_usage_error(self, tmp_path):
         data = gen_tiny(tmp_path)
@@ -356,6 +390,56 @@ class TestEvaluate:
         row = [line for line in capsys.readouterr().out.splitlines() if line.startswith("gbdt5")]
         assert row[0].split()[-1] == "n/a"
 
+    def test_scores_match_the_library_on_its_test_split(self, tmp_path):
+        data = gen_tiny(tmp_path)
+        fractions = ("split.train_fraction=0.6", "split.val_fraction=0.1",
+                     "split.test_fraction=0.3")
+        common = ("--data", str(data), "--out", str(tmp_path), "--seed", "9",
+                  *(arg for f in fractions for arg in ("--set", f)))
+        assert run("train", "gbdt5", *common, "--set", "gbdt.num_rounds=3") == 0
+        assert run("train", "mlp3", *common,
+                   "--set", "mlp.max_epochs=2", "--set", "mlp.batch_size=64") == 0
+        models = [str(tmp_path / "gbdt5.model"), str(tmp_path / "mlp3.model")]
+        assert run("evaluate", *models, *common) == 0
+
+        spec = SplitSpec(0.6, 0.1, 0.3, seed=9)
+        ds = Dataset.from_quotes(filter_quotes(read_csv(data)).kept)
+        _, _, test = split_dataset(ds, spec)
+        expected = {
+            "gbdt5": predict_gbdt(load_model(models[0]), test.features),
+            "mlp3": forward(load_model(models[1]), test.features),
+        }
+        table = (tmp_path / "report_table.csv").read_text().splitlines()[1:]
+        reported = {line.split(",")[0]: float(line.split(",")[1]) for line in table}
+        assert set(reported) == set(expected)
+        for name, preds in expected.items():
+            mae = float(np.mean(np.abs(preds - test.targets)))
+            assert reported[name] == pytest.approx(mae, rel=1e-12, abs=0)
+        manifest = json.loads((tmp_path / "evaluate.manifest.json").read_text())
+        assert manifest["rows_evaluated"] == len(test)
+
+    def test_baseline_without_implied_vol_is_data_error(self, tmp_path, capsys):
+        data = gen_tiny(tmp_path)
+        set_column(data, "implied_vol", "")
+        n_test = round(len(filter_quotes(read_csv(data)).kept) * 0.01)
+        assert n_test > 0
+        capsys.readouterr()
+        code = run("evaluate", "--include-bs", "--data", str(data), "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"implied_vol: {n_test} evaluation rows have no implied volatility" in err
+
+    def test_empty_test_part_is_data_error(self, tmp_path, capsys):
+        data = gen_tiny(tmp_path)
+        code = run(
+            "evaluate", "--include-bs", "--data", str(data), "--out", str(tmp_path),
+            "--set", "split.train_fraction=0.999", "--set", "split.val_fraction=0",
+            "--set", "split.test_fraction=0.001",
+        )
+        assert code == 2
+        assert "selects zero rows" in capsys.readouterr().err
+        assert not (tmp_path / "evaluate.manifest.json").exists()
+
     def test_no_models_no_baseline_usage_error(self, tmp_path):
         data = gen_tiny(tmp_path)
         assert run("evaluate", "--data", str(data), "--out", str(tmp_path)) == 1
@@ -382,6 +466,39 @@ class TestOneValidityRule:
         assert run("train", "gbdt5", *common, "--set", "gbdt.num_rounds=2") == 0
         assert run("evaluate", str(tmp_path / "gbdt5.model"), "--include-bs", *common) == 0
         assert "np.float64" not in capsys.readouterr().err
+
+
+DATA_COMMANDS = [["split"], ["train", "gbdt5"], ["report"], ["evaluate", "--include-bs"]]
+
+
+class TestLoad:
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
+    def test_no_usable_quotes_is_data_error(self, tmp_path, capsys, command):
+        data = gen_tiny(tmp_path)
+        set_column(data, "rate", "1.5")  # outside the rule's rate bounds on every row
+        capsys.readouterr()
+        assert run(*command, "--data", str(data), "--out", str(tmp_path / "o")) == 2
+        assert "no usable quotes after filtering" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
+    def test_missing_data_is_usage_error(self, tmp_path, capsys, command):
+        assert run(*command, "--out", str(tmp_path)) == 1
+        assert "no dataset given" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            (["split"], "split.test_fraction=2"),
+            (["train", "gbdt5"], "gbdt.num_rounds=0"),
+            (["train", "mlp3"], "mlp.batch_size=0"),
+            (["evaluate", "--include-bs"], "split.val_fraction=0.5"),
+        ],
+    )
+    def test_config_mistake_exits_before_the_dataset_is_read(self, tmp_path, command, setting):
+        missing = tmp_path / "no.csv"  # reading it would be a data error, exit 2
+        code = run(*command, "--data", str(missing), "--out", str(tmp_path), "--set", setting)
+        assert code == 1
 
 
 class TestReport:

@@ -315,20 +315,23 @@ class TestModelFiles:
             {"threshold": float("nan")},
             {"value": float("inf")},
             {"left": 2**40},  # does not fit a node index
+            {"right": 1},  # node 1 is both children of the root; node 2 has no parent
+            {"feature": -1},  # the root is a leaf, so no other node has a parent
         ],
         ids=["cycle", "child_out_of_range", "feature_out_of_range",
-             "nan_threshold", "inf_value", "oversized_index"],
+             "nan_threshold", "inf_value", "oversized_index", "shared_child", "orphan_node"],
     )
     def test_corrupt_tree_rejected(self, tmp_path, patch):
         model, _ = self.make_tree_model()
-        assert model.trees[0].feature[0] >= 0  # the root splits
+        tree = model.trees[0]
+        assert tree.feature[0] >= 0 and (tree.left[0], tree.right[0]) == (1, 2)  # the root splits
         path = save_model(model, tmp_path / "m.model")
         raw = path.read_bytes()
         doc = json.loads(raw[8:])
         for key, value in patch.items():
             doc["model"]["trees"][0][key][0] = value
         path.write_bytes(raw[:8] + json.dumps(doc).encode())
-        with pytest.raises(IncompatibleModelError):
+        with pytest.raises(IncompatibleModelError, match=re.escape(str(path))):
             load_model(path)
 
     def test_tree_without_nodes_rejected(self, tmp_path):
