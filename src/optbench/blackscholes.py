@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OptionType, check_terms
+from .core import IMPLIED_VOL_CAP, OptionType, check_terms
 from .errors import DegenerateVolatilityError, NoSolutionError, ValidationError
 
 _SQRT2 = math.sqrt(2.0)
@@ -33,7 +33,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 VOL_FLOOR = 1e-6
-VOL_CAP = 3.0
 # below this, sigma * sqrt(T) makes d1/d2 numerically meaningless
 MIN_VOL_TIME = 1e-12
 MAX_STEPS = 200
@@ -155,7 +154,7 @@ _FAILURES = (
     None,
     "violates no-arbitrage bounds ({lower!r}, {upper!r})",
     f"is below the model price at the volatility floor {VOL_FLOOR}",
-    f"needs volatility above the cap {VOL_CAP}",
+    f"needs volatility above the cap {IMPLIED_VOL_CAP}",
     f"did not converge in {MAX_STEPS} steps",
 )
 
@@ -186,18 +185,18 @@ def implied_vol(price, S, K, T, r, q, is_call) -> np.ndarray:
     upper = np.where(call, disc_s, disc_k)
     tol = 1e-8 * np.maximum(1.0, price)
     f_lo = _prices(S, K, T, r, q, VOL_FLOOR, call)[0] - price
-    f_hi = _prices(S, K, T, r, q, VOL_CAP, call)[0] - price
+    f_hi = _prices(S, K, T, r, q, IMPLIED_VOL_CAP, call)[0] - price
     at_floor = np.abs(f_lo) <= tol
     failure = np.select(
         [~((lower < price) & (price < upper)), at_floor, f_lo > 0, np.abs(f_hi) <= tol, f_hi < 0],
         [1, 0, 2, 0, 3],
         default=4,
     )
-    sigma = np.where(at_floor, VOL_FLOOR, VOL_CAP)
+    sigma = np.where(at_floor, VOL_FLOOR, IMPLIED_VOL_CAP)
 
     # Newton from 0.3 on the rows still open, bisecting when it leaves the bracket
     rows = np.flatnonzero(failure == 4)
-    lo, hi, guess = (np.full(rows.size, v) for v in (VOL_FLOOR, VOL_CAP, 0.3))
+    lo, hi, guess = (np.full(rows.size, v) for v in (VOL_FLOOR, IMPLIED_VOL_CAP, 0.3))
     for _ in range(MAX_STEPS):
         model, d1 = _prices(S[rows], K[rows], T[rows], r[rows], q[rows], guess, call[rows])
         value = model - price[rows]

@@ -104,8 +104,8 @@ def _parse_positive_int(text: str) -> int:
 # dataclasses flattened into their parent's section; a (min, max) field
 # "<stem>_range" takes the two keys "<stem>_min" and "<stem>_max".
 SECTIONS = {"sim": SimConfig, "split": SplitSpec, "gbdt": GbdtConfig, "mlp": MlpTrainConfig}
-# No key sets these: max_depth comes from the model kind, the rest keep their defaults.
-FIXED_FIELDS = {"gbdt.max_depth", "mlp.beta1", "mlp.beta2", "mlp.epsilon"}
+# No key sets this: max_depth comes from the model kind.
+FIXED_FIELDS = {"gbdt.max_depth"}
 KEY_ALIASES = {"sim.moneyness_grid": "sim.moneyness"}
 
 # Parsers by annotation (a string in the config modules); a range's parses each bound.

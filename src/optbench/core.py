@@ -12,6 +12,9 @@ row taken from it, in FEATURE_NAMES order (is_call is the option_type
 flag). The implied volatility rides alongside the feature matrix but is
 never a model input: it exists so the closed-form baseline can reprice
 the quote.
+
+The input rules both learners share (check_fit_pair, check_features,
+predict_rows) and the seed rule (check_seed) are defined here once.
 """
 
 from __future__ import annotations
@@ -258,6 +261,51 @@ class Dataset:
         raise ValidationError(f"name: unknown column {name!r}")
 
 
+def check_fit_pair(train: Dataset, val: Dataset) -> None:
+    """The input rule of both learners: non-empty train and val sets of one arity."""
+    if len(train) == 0:
+        raise ValidationError("train: need at least one row")
+    if len(val) == 0:
+        raise ValidationError("val: need at least one row")
+    if train.features.shape[1] != val.features.shape[1]:
+        raise ValidationError(
+            f"val: feature arity {val.features.shape[1]} does not match "
+            f"train arity {train.features.shape[1]}"
+        )
+
+
+def check_features(features) -> np.ndarray:
+    """A non-empty 2-D feature matrix of finite values, as float64."""
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValidationError(f"features: expected a non-empty 2-D array, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValidationError("features: all values must be finite")
+    return X
+
+
+def check_width(rows, width: int, name: str) -> np.ndarray:
+    """`rows` as a float64 matrix of `width` columns; `name` heads the error."""
+    X = np.asarray(rows, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != width:
+        raise ValidationError(f"{name}: expected {width} columns, got shape {X.shape}")
+    return X
+
+
+def predict_rows(predict: Callable, rows, width: int, name: str):
+    """`predict` of a matrix of `width` columns; a 1-D `rows` is one row and gives a float."""
+    X = np.asarray(rows, dtype=np.float64)
+    single = X.ndim == 1
+    out = predict(check_width(X[None, :] if single else X, width, name))
+    return float(out[0]) if single else out
+
+
+def check_seed(seed) -> None:
+    """Every seed of the package is an integer in [0, 2**64)."""
+    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+        raise ValidationError(f"seed: must be an integer in [0, 2**64), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Seeded random train/val/test partition by row fractions."""
@@ -277,8 +325,7 @@ class SplitSpec:
             raise ValidationError(
                 f"fractions must sum to 1 within 1e-12, got {total!r}"
             )
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise ValidationError(f"seed: must be an integer in [0, 2**64), got {self.seed!r}")
+        check_seed(self.seed)
 
 
 def split_indices(

@@ -110,13 +110,19 @@ class SummaryStats(NamedTuple):
     maximum: float
 
 
-def summary_stats(values) -> SummaryStats:
-    """Distribution summary: sample (n-1) deviation, linear quantiles."""
+def _check_values(values) -> np.ndarray:
+    """A non-empty 1-D array of finite values, as float64."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] == 0:
         raise ValidationError(f"values: expected a non-empty 1-D array, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValidationError("values: all values must be finite")
+    return v
+
+
+def summary_stats(values) -> SummaryStats:
+    """Distribution summary: sample (n-1) deviation, linear quantiles."""
+    v = _check_values(values)
     n = v.shape[0]
     std = float(np.std(v, ddof=1)) if n > 1 else 0.0
     q25, q50, q75 = (float(q) for q in np.quantile(v, [0.25, 0.5, 0.75]))
@@ -140,11 +146,7 @@ class HistogramBin(NamedTuple):
 
 def histogram(values, n_bins: int = 30) -> list[HistogramBin]:
     """Equal-width histogram; bin counts always sum to len(values)."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] == 0:
-        raise ValidationError(f"values: expected a non-empty 1-D array, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("values: all values must be finite")
+    v = _check_values(values)
     if n_bins < 1:
         raise ValidationError(f"n_bins: must be >= 1, got {n_bins}")
     counts, edges = np.histogram(v, bins=n_bins)

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, check_features, check_fit_pair, predict_rows
 from .errors import ValidationError
 
 
@@ -84,6 +84,17 @@ def eta_decay(iteration: int, schedule: EtaSchedule = EtaSchedule()) -> float:
     )
 
 
+def _check_n_bins(n_bins: int) -> None:
+    if not (2 <= n_bins <= 1024):
+        raise ValidationError(f"n_bins: must lie in [2, 1024], got {n_bins}")
+
+
+def _check_regularization(reg_lambda: float, min_child_weight: float) -> None:
+    for name, v in (("reg_lambda", reg_lambda), ("min_child_weight", min_child_weight)):
+        if not (math.isfinite(v) and v >= 0):
+            raise ValidationError(f"{name}: must be >= 0 and finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class GbdtConfig:
     max_depth: int = 5
@@ -104,12 +115,8 @@ class GbdtConfig:
                 f"early_stopping_rounds: must be >= 1 or None, "
                 f"got {self.early_stopping_rounds}"
             )
-        if not (2 <= self.n_bins <= 1024):
-            raise ValidationError(f"n_bins: must lie in [2, 1024], got {self.n_bins}")
-        for name in ("reg_lambda", "min_child_weight"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValidationError(f"{name}: must be >= 0 and finite, got {v!r}")
+        _check_n_bins(self.n_bins)
+        _check_regularization(self.reg_lambda, self.min_child_weight)
 
 
 class BinnedMatrix(NamedTuple):
@@ -134,13 +141,8 @@ def quantize_features(features: np.ndarray, n_bins: int) -> BinnedMatrix:
     most n_bins distinct values every distinct value lands in its own
     bin, so binned split finding is exact for it.
     """
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValidationError(f"features: expected a non-empty 2-D array, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValidationError("features: all values must be finite")
-    if not (2 <= n_bins <= 1024):
-        raise ValidationError(f"n_bins: must lie in [2, 1024], got {n_bins}")
+    X = check_features(features)
+    _check_n_bins(n_bins)
     quantile_points = np.arange(1, n_bins) / n_bins
     dtype = np.uint8 if n_bins <= 256 else np.uint16
     codes = np.empty(X.shape, dtype=dtype, order="F")
@@ -196,12 +198,7 @@ def best_split(
         raise ValidationError(
             f"histogram: grad/hess shapes must match and be 2-D, got {g.shape} vs {h.shape}"
         )
-    if not (math.isfinite(reg_lambda) and reg_lambda >= 0):
-        raise ValidationError(f"reg_lambda: must be >= 0 and finite, got {reg_lambda!r}")
-    if not (math.isfinite(min_child_weight) and min_child_weight >= 0):
-        raise ValidationError(
-            f"min_child_weight: must be >= 0 and finite, got {min_child_weight!r}"
-        )
+    _check_regularization(reg_lambda, min_child_weight)
     n_features, n_bins = g.shape
     if n_bins < 2:
         return None
@@ -309,16 +306,7 @@ class TreeEnsemble:
 
 def predict_gbdt(model: TreeEnsemble, features: np.ndarray) -> np.ndarray | float:
     """Ensemble prediction for one feature row (returns float) or a matrix."""
-    X = np.asarray(features, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ValidationError(
-            f"features: expected {model.n_features} columns, got shape {X.shape}"
-        )
-    out = model.predict(X)
-    return float(out[0]) if single else out
+    return predict_rows(model.predict, features, model.n_features, "features")
 
 
 def _accumulate_histograms(
@@ -473,15 +461,7 @@ def train_gbdt(train: Dataset, val: Dataset, config: GbdtConfig) -> TreeEnsemble
     has not improved for `early_stopping_rounds` rounds (never, when
     that is None) and truncates the ensemble at the best round.
     """
-    if len(train) == 0:
-        raise ValidationError("train: need at least one row")
-    if len(val) == 0:
-        raise ValidationError("val: need at least one row")
-    if train.features.shape[1] != val.features.shape[1]:
-        raise ValidationError(
-            f"val: feature arity {val.features.shape[1]} does not match "
-            f"train arity {train.features.shape[1]}"
-        )
+    check_fit_pair(train, val)
     binned = quantize_features(train.features, config.n_bins)
     y = train.targets
     base = float(np.mean(y))

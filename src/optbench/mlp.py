@@ -24,10 +24,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, check_features, check_fit_pair, check_seed, check_width, predict_rows
 from .errors import DivergenceError, ValidationError
 
 ACTIVATIONS = ("relu", "linear")
+# Adam's published constants, which the paper's networks keep
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,11 +89,7 @@ def fit_feature_stats(features: np.ndarray) -> FeatureStats:
     Binary 0/1 columns keep (mean 0, std 1) so they pass through
     unscaled; a constant column gets std 1 and maps to exactly 0.
     """
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValidationError(f"features: expected a non-empty 2-D array, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValidationError("features: values must be finite")
+    X = check_features(features)
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     binary = np.all((X == 0.0) | (X == 1.0), axis=0)
@@ -173,16 +173,9 @@ def _forward_scaled(net: NetworkParams, scaled: np.ndarray) -> np.ndarray:
 
 def forward(net: NetworkParams, batch: np.ndarray) -> np.ndarray | float:
     """Predictions for one raw feature row (returns float) or a matrix."""
-    X = np.asarray(batch, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != net.n_inputs:
-        raise ValidationError(
-            f"batch: expected {net.n_inputs} columns, got shape {X.shape}"
-        )
-    out = _forward_scaled(net, standardize(X, net.stats))
-    return float(out[0]) if single else out
+    return predict_rows(
+        lambda X: _forward_scaled(net, standardize(X, net.stats)), batch, net.n_inputs, "batch"
+    )
 
 
 def _backward_scaled(
@@ -213,12 +206,8 @@ def backward(
     net: NetworkParams, batch: np.ndarray, targets: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """MAE-loss gradients for every weight and bias, averaged over the batch."""
-    X = np.asarray(batch, dtype=np.float64)
+    X = check_width(batch, net.n_inputs, "batch")
     y = np.asarray(targets, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != net.n_inputs:
-        raise ValidationError(
-            f"batch: expected {net.n_inputs} columns, got shape {X.shape}"
-        )
     if y.shape != (X.shape[0],) or X.shape[0] == 0:
         raise ValidationError(
             f"targets: expected shape ({X.shape[0]},), got {y.shape}"
@@ -252,27 +241,23 @@ def adam_step(
     grads_w: Sequence[np.ndarray],
     grads_b: Sequence[np.ndarray],
     lr: float,
-    *,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
 ) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update. Mutates net and state in place."""
+    """One bias-corrected Adam update with the ADAM_* constants. Mutates net and state in place."""
     if not (math.isfinite(lr) and lr > 0):
         raise ValidationError(f"lr: must be positive and finite, got {lr!r}")
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     for params, moments1, moments2, grads in (
         (net.weights, state.m_weights, state.v_weights, grads_w),
         (net.biases, state.m_biases, state.v_biases, grads_b),
     ):
         for p, m, v, g in zip(params, moments1, moments2, grads):
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * (g * g)
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + epsilon)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
     return net, state
 
 
@@ -285,9 +270,6 @@ class MlpTrainConfig:
     early_stop_patience: int = 150
     max_epochs: int = 1000
     batch_size: int = 4096
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -313,17 +295,7 @@ class MlpTrainConfig:
             raise ValidationError(f"max_epochs: must be >= 0, got {self.max_epochs}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size: must be >= 1, got {self.batch_size}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValidationError(
-                f"beta: moment decays must lie in [0, 1), got "
-                f"({self.beta1!r}, {self.beta2!r})"
-            )
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValidationError(f"epsilon: must be > 0, got {self.epsilon!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise ValidationError(
-                f"seed: must be an integer in [0, 2**64), got {self.seed!r}"
-            )
+        check_seed(self.seed)
 
 
 class EpochRecord(NamedTuple):
@@ -370,15 +342,7 @@ def train_mlp(
     Returns the parameters of the best validation epoch (the freshly
     initialized network when max_epochs is 0) plus the per-epoch log.
     """
-    if len(train) == 0:
-        raise ValidationError("train: need at least one row")
-    if len(val) == 0:
-        raise ValidationError("val: need at least one row")
-    if train.features.shape[1] != val.features.shape[1]:
-        raise ValidationError(
-            f"val: feature arity {val.features.shape[1]} does not match "
-            f"train arity {train.features.shape[1]}"
-        )
+    check_fit_pair(train, val)
     stats = fit_feature_stats(train.features)
     net = init_network(architecture, train.features.shape[1], config.seed, stats)
     scaled_train = standardize(train.features, stats)
@@ -393,43 +357,38 @@ def train_mlp(
     best_epoch = 0
     history: list[EpochRecord] = []
     n = len(y_train)
-    for epoch in range(1, config.max_epochs + 1):
-        lr = reduce_lr_on_plateau([rec.val_mae for rec in history], config)
-        order = shuffle_rng.permutation(n)
-        abs_residual_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grads_w, grads_b, residual = _backward_scaled(net, scaled_train[batch], y_train[batch])
-            abs_residual_sum += float(np.abs(residual).sum())
-            adam_step(
-                net,
-                state,
-                grads_w,
-                grads_b,
-                lr,
-                beta1=config.beta1,
-                beta2=config.beta2,
-                epsilon=config.epsilon,
-            )
-        train_mae = abs_residual_sum / n
-        val_mae = float(np.mean(np.abs(_forward_scaled(net, scaled_val) - y_val)))
-        if not (
-            math.isfinite(train_mae)
-            and math.isfinite(val_mae)
-            and max(train_mae, val_mae) < _DIVERGENCE_CEILING
-        ):
-            raise DivergenceError(
-                f"training diverged at epoch {epoch}: "
-                f"train MAE {train_mae!r}, val MAE {val_mae!r}",
-                epoch=epoch,
-            )
-        history.append(EpochRecord(epoch, lr, train_mae, val_mae))
-        if val_mae < best_val:
-            best_val = val_mae
-            best_epoch = epoch
-            best_weights, best_biases = net.copy_arrays()
-        if epoch - best_epoch >= config.early_stop_patience:
-            break
+    # a diverging run overflows on the way; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.max_epochs + 1):
+            lr = reduce_lr_on_plateau([rec.val_mae for rec in history], config)
+            order = shuffle_rng.permutation(n)
+            abs_residual_sum = 0.0
+            for start in range(0, n, config.batch_size):
+                batch = order[start : start + config.batch_size]
+                grads_w, grads_b, residual = _backward_scaled(
+                    net, scaled_train[batch], y_train[batch]
+                )
+                abs_residual_sum += float(np.abs(residual).sum())
+                adam_step(net, state, grads_w, grads_b, lr)
+            train_mae = abs_residual_sum / n
+            val_mae = float(np.mean(np.abs(_forward_scaled(net, scaled_val) - y_val)))
+            if not (
+                math.isfinite(train_mae)
+                and math.isfinite(val_mae)
+                and max(train_mae, val_mae) < _DIVERGENCE_CEILING
+            ):
+                raise DivergenceError(
+                    f"training diverged at epoch {epoch}: "
+                    f"train MAE {train_mae!r}, val MAE {val_mae!r}",
+                    epoch=epoch,
+                )
+            history.append(EpochRecord(epoch, lr, train_mae, val_mae))
+            if val_mae < best_val:
+                best_val = val_mae
+                best_epoch = epoch
+                best_weights, best_biases = net.copy_arrays()
+            if epoch - best_epoch >= config.early_stop_patience:
+                break
     net.weights = best_weights
     net.biases = best_biases
     return net, history

@@ -33,6 +33,7 @@ from .core import (
     N_LAGS,
     QUOTE_COLUMNS,
     QUOTE_WIDTH,
+    check_seed,
     check_terms,
 )
 from .errors import ValidationError
@@ -112,10 +113,7 @@ class SimConfig:
             raise ValidationError(
                 f"half_spread: must lie in [0, 1), got {self.half_spread!r}"
             )
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise ValidationError(
-                f"seed: must be an integer in [0, 2**64), got {self.seed!r}"
-            )
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -143,7 +141,7 @@ def _stream(seed: int, index: int, stream: int) -> np.random.Generator:
 
 def simulate_underlying(config: SimConfig, index: int) -> UnderlyingPath:
     """Draw parameters and the daily GBM path for underlying `index`."""
-    if not (0 <= index < max(config.n_underlyings, index + 1)):
+    if index < 0:
         raise ValidationError(f"index: must be >= 0, got {index}")
     params = _stream(config.seed, index, _PARAM_STREAM)
     s0 = params.uniform(*config.s0_range)

@@ -186,22 +186,22 @@ class TestTrain:
         )
         assert code == 0
         side = json.loads((tmp_path / "mlp3.manifest.json").read_text())
-        assert side["progress" if "progress" in side else "epochs_trained"] or True
         assert side["epochs_trained"] == 2
         assert set(side["hyperparameters"]) == {
             "layers", "initial_lr", "plateau_factor", "plateau_patience", "min_lr",
-            "early_stop_patience", "max_epochs", "batch_size", "beta1", "beta2",
-            "epsilon", "seed",
+            "early_stop_patience", "max_epochs", "batch_size", "seed",
         }
         metrics = (tmp_path / "mlp3_metrics.csv").read_text().splitlines()
         assert metrics[0] == "epoch,lr,train_mae,val_mae"
         assert len(metrics) == 3
+        val_maes = [float(line.split(",")[3]) for line in metrics[1:]]
+        assert side["best_epoch"] == 1 + int(np.argmin(val_maes))
 
     def test_unknown_kind_usage_error(self, tmp_path):
         data = gen_tiny(tmp_path)
         assert run("train", "forest", "--data", str(data), "--out", str(tmp_path)) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_is_training_error(self, tmp_path, capsys):
         data = gen_tiny(tmp_path)
         capsys.readouterr()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -5,12 +6,23 @@ import numpy as np
 import pytest
 
 from optbench import (
+    THREE_LAYER,
     Dataset,
+    GbdtConfig,
+    MlpTrainConfig,
+    SimConfig,
     SplitSpec,
     ValidationError,
     filter_quotes,
+    fit_feature_stats,
+    forward,
+    init_network,
+    predict_gbdt,
+    quantize_features,
     split_dataset,
     split_indices,
+    train_gbdt,
+    train_mlp,
 )
 from optbench.core import (
     FEATURE_COUNT,
@@ -23,7 +35,7 @@ from optbench.core import (
     first_violation,
 )
 
-from conftest import make_quote, make_quotes
+from conftest import make_dataset, make_quote, make_quotes
 
 
 def reason(row: np.ndarray) -> str | None:
@@ -296,3 +308,85 @@ class TestSplit:
         j = int(train.row_ids[0])
         assert np.array_equal(train.features[0], ds.features[j])
         assert train.targets[0] == ds.targets[j]
+
+
+def _narrow(ds: Dataset, width: int) -> Dataset:
+    """`ds` with only its first `width` feature columns; a built Dataset always has 26."""
+    narrow = object.__new__(Dataset)
+    for field in dataclasses.fields(Dataset):
+        object.__setattr__(narrow, field.name, getattr(ds, field.name))
+    object.__setattr__(narrow, "features", ds.features[:, :width])
+    return narrow
+
+
+def _fit_mlp(train, val):
+    return train_mlp(train, val, THREE_LAYER, MlpTrainConfig(max_epochs=1))
+
+
+def _fit_gbdt(train, val):
+    return train_gbdt(train, val, GbdtConfig(num_rounds=1))
+
+
+class TestSharedRules:
+    """Each input rule both learners share, through every public entry point."""
+
+    @pytest.mark.parametrize(
+        "fit, train, val, message",
+        [
+            (_fit_mlp, make_dataset(0), make_dataset(5), "train: need at least one row"),
+            (_fit_mlp, make_dataset(5), make_dataset(0), "val: need at least one row"),
+            (_fit_mlp, make_dataset(5), _narrow(make_dataset(5), 25),
+             "val: feature arity 25 does not match train arity 26"),
+            (_fit_gbdt, make_dataset(5), _narrow(make_dataset(5), 25),
+             "val: feature arity 25 does not match train arity 26"),
+        ],
+        ids=["mlp-empty-train", "mlp-empty-val", "mlp-arity", "gbdt-arity"],
+    )
+    def test_fit_pair(self, fit, train, val, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            fit(train, val)
+
+    @pytest.mark.parametrize("check", [quantize_features, fit_feature_stats])
+    @pytest.mark.parametrize(
+        "features, message",
+        [
+            (np.ones(26), "features: expected a non-empty 2-D array, got shape (26,)"),
+            (np.ones((0, 26)), "features: expected a non-empty 2-D array, got shape (0, 26)"),
+            (np.full((2, 26), np.nan), "features: all values must be finite"),
+            (np.full((2, 26), np.inf), "features: all values must be finite"),
+        ],
+    )
+    def test_feature_matrix(self, check, features, message):
+        args = (features, 256) if check is quantize_features else (features,)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            check(*args)
+
+    @pytest.mark.parametrize(
+        "predict, name",
+        [
+            (lambda x: predict_gbdt(_fit_gbdt(make_dataset(30), make_dataset(5, 1)), x),
+             "features"),
+            (lambda x: forward(init_network(THREE_LAYER, 26), x), "batch"),
+        ],
+        ids=["predict_gbdt", "forward"],
+    )
+    def test_one_row_or_matrix_of_the_model_width(self, predict, name):
+        rows = make_dataset(4).features
+        # a 1-D input is checked as the one row it stands for
+        cases = ((rows[:, :25], (4, 25)), (rows[0, :25], (1, 25)), (rows[None], (1, 4, 26)))
+        for bad, shape in cases:
+            message = f"{name}: expected 26 columns, got shape {shape}"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                predict(bad)
+
+    @pytest.mark.parametrize(
+        "make", [lambda s: SimConfig(seed=s), lambda s: SplitSpec(seed=s),
+                 lambda s: MlpTrainConfig(seed=s)],
+        ids=["SimConfig", "SplitSpec", "MlpTrainConfig"],
+    )
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_seed(self, make, seed):
+        message = f"seed: must be an integer in [0, 2**64), got {seed!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make(seed)
+        assert make(2**64 - 1).seed == 2**64 - 1
