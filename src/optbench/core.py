@@ -14,7 +14,8 @@ never a model input: it exists so the closed-form baseline can reprice
 the quote.
 
 The input rules both learners share (check_fit_pair, check_features,
-predict_rows) and the seed rule (check_seed) are defined here once.
+predict_rows), the seed rule (check_seed) and the seeded random streams
+(seeded_rng) are defined here once.
 """
 
 from __future__ import annotations
@@ -304,6 +305,11 @@ def check_seed(seed) -> None:
     """Every seed of the package is an integer in [0, 2**64)."""
     if not (isinstance(seed, int) and 0 <= seed < 2**64):
         raise ValidationError(f"seed: must be an integer in [0, 2**64), got {seed!r}")
+
+
+def seeded_rng(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
+    """The independent generator that `spawn_key` names under `seed`."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
 
 
 @dataclass(frozen=True)

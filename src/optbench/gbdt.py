@@ -141,7 +141,7 @@ def quantize_features(features: np.ndarray, n_bins: int) -> BinnedMatrix:
     most n_bins distinct values every distinct value lands in its own
     bin, so binned split finding is exact for it.
     """
-    X = check_features(features)
+    X = np.asfortranarray(check_features(features))
     _check_n_bins(n_bins)
     quantile_points = np.arange(1, n_bins) / n_bins
     dtype = np.uint8 if n_bins <= 256 else np.uint16
@@ -150,13 +150,16 @@ def quantize_features(features: np.ndarray, n_bins: int) -> BinnedMatrix:
     for f in range(X.shape[1]):
         col = X[:, f]
         # quantiles are order statistics, so the sorted column gives the
-        # same edges; its last entry is the column maximum, and sorted
-        # keys make the bin search cache-friendly
+        # same edges; its last entry is the column maximum
         order = np.argsort(col)
         ordered = col[order]
         e = np.unique(np.quantile(ordered, quantile_points))
         e = e[e < ordered[-1]]
-        codes[order, f] = np.searchsorted(e, ordered, side="left")
+        # the sorted column's codes rise by one past each edge: bin k
+        # holds the rows between the (k-1)-th and k-th run boundaries
+        bounds = np.searchsorted(ordered, e, side="right")
+        counts = np.diff(bounds, prepend=0, append=len(ordered))
+        codes[order, f] = np.repeat(np.arange(len(e) + 1, dtype=dtype), counts)
         edges.append(e)
     return BinnedMatrix(edges, codes)
 

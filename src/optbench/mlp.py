@@ -14,6 +14,19 @@ history: it drops by `plateau_factor` for every completed
 best validation epoch (or at `max_epochs`) and the returned parameters
 are the checkpoint from that best epoch. Like Keras, the logged train MAE
 averages each batch's |residual| as the batch saw it, before its update.
+
+The layer arithmetic runs in place. `train_mlp` builds one workspace per
+fit, sized for min(n, batch_size) rows: an activation buffer per layer,
+one bool ReLU-mask buffer as wide as the widest ReLU layer, a residual
+buffer and a weight-gradient buffer per layer; each batch is gathered
+into one input buffer. A short last batch uses row-prefix views of the
+same buffers. Backward overwrites each activation once its gradient and
+mask are taken, so the deltas need no buffers of their own. The
+operations and their order are those of the plain `a @ w.T + b`
+formulation, so the trained weights are the same bit for bit. The one
+substitution, a broadcast multiply for the one-column delta's product
+with the output weights, can differ from that matmul only in the sign
+of an exact zero.
 """
 
 from __future__ import annotations
@@ -24,7 +37,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Dataset, check_features, check_fit_pair, check_seed, check_width, predict_rows
+from .core import (
+    Dataset,
+    check_features,
+    check_fit_pair,
+    check_seed,
+    check_width,
+    predict_rows,
+    seeded_rng,
+)
 from .errors import DivergenceError, ValidationError
 
 ACTIVATIONS = ("relu", "linear")
@@ -131,10 +152,6 @@ class NetworkParams:
         return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
-
-
 def init_network(
     architecture: Architecture,
     n_inputs: int,
@@ -144,7 +161,7 @@ def init_network(
     """He-initialized network: N(0, sqrt(2/fan_in)) weights, zero biases."""
     if n_inputs < 1:
         raise ValidationError(f"n_inputs: must be >= 1, got {n_inputs}")
-    rng = _rng(seed, 0)
+    rng = seeded_rng(seed, (0,))
     weights: list[np.ndarray] = []
     biases: list[np.ndarray] = []
     fan_in = n_inputs
@@ -163,11 +180,21 @@ def init_network(
     return NetworkParams(architecture, weights, biases, stats)
 
 
+def _layer(
+    a: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool, out: np.ndarray | None = None
+) -> np.ndarray:
+    """relu(a @ w.T + b) (or without the relu), into `out` when given."""
+    z = np.matmul(a, w.T, out=out)
+    z += b
+    if relu:
+        np.maximum(z, 0.0, out=z)
+    return z
+
+
 def _forward_scaled(net: NetworkParams, scaled: np.ndarray) -> np.ndarray:
     a = scaled
     for spec, w, b in zip(net.architecture.layers, net.weights, net.biases):
-        z = a @ w.T + b
-        a = np.maximum(z, 0.0) if spec.activation == "relu" else z
+        a = _layer(a, w, b, spec.activation == "relu")
     return a[:, 0]
 
 
@@ -178,27 +205,57 @@ def forward(net: NetworkParams, batch: np.ndarray) -> np.ndarray | float:
     )
 
 
+class _Workspace:
+    """The buffers of `_backward_scaled` for batches of up to `rows` rows."""
+
+    def __init__(self, net: NetworkParams, rows: int) -> None:
+        layers = net.architecture.layers
+        self.acts = [np.empty((rows, spec.units)) for spec in layers]
+        width = max((spec.units for spec in layers if spec.activation == "relu"), default=0)
+        self.mask = np.empty(rows * width, dtype=bool)
+        self.residual = np.empty(rows)
+        self.grads_w = [np.empty_like(w) for w in net.weights]
+
+
 def _backward_scaled(
-    net: NetworkParams, scaled: np.ndarray, targets: np.ndarray
+    net: NetworkParams, scaled: np.ndarray, targets: np.ndarray, ws: _Workspace
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Gradients and residuals of one batch, computed in `ws`'s buffers.
+
+    The weight gradients and the residual are `ws`'s own arrays, valid
+    until its next use; `scaled` is only read.
+    """
+    m = len(targets)
     layers = net.architecture.layers
-    acts: list[np.ndarray] = [scaled]
-    for spec, w, b in zip(layers, net.weights, net.biases):
-        z = acts[-1] @ w.T + b
-        acts.append(np.maximum(z, 0.0) if spec.activation == "relu" else z)
-    residual = acts[-1][:, 0] - targets
-    # d(mean |r|)/d(pred): sign(r)/n, with sign(0) = 0
-    delta = (np.sign(residual) / len(targets))[:, None]
-    grads_w: list[np.ndarray] = [np.empty(0)] * len(layers)
+    acts = [scaled] + [buf[:m] for buf in ws.acts]
+    for l, (spec, w, b) in enumerate(zip(layers, net.weights, net.biases)):
+        _layer(acts[l], w, b, spec.activation == "relu", out=acts[l + 1])
+    residual = np.subtract(acts[-1][:, 0], targets, out=ws.residual[:m])
+    # d(mean |r|)/d(pred): sign(r)/n, with sign(0) = 0; the spent output holds it
+    delta = acts[-1]
+    np.sign(residual, out=delta[:, 0])
+    delta /= m
+    grads_w = ws.grads_w
     grads_b: list[np.ndarray] = [np.empty(0)] * len(layers)
     for l in range(len(layers) - 1, -1, -1):
-        grads_w[l] = delta.T @ acts[l]
+        np.matmul(delta.T, acts[l], out=grads_w[l])
         grads_b[l] = delta.sum(axis=0)
         if l > 0:
-            delta = delta @ net.weights[l]
-            if layers[l - 1].activation == "relu":
+            # acts[l] is spent once its mask is taken, so it receives delta @ W[l]
+            relu = layers[l - 1].activation == "relu"
+            if relu:
                 # relu(z) > 0 exactly where z > 0
-                delta = delta * (acts[l] > 0.0)
+                mask = ws.mask[: acts[l].size].reshape(acts[l].shape)
+                np.greater(acts[l], 0.0, out=mask)
+            if delta.shape[1] == 1:
+                # a one-term dot product is one rounded multiply; only an
+                # exact zero product may differ, as -0.0 against +0.0
+                np.multiply(delta, net.weights[l][0], out=acts[l])
+            else:
+                np.matmul(delta, net.weights[l], out=acts[l])
+            delta = acts[l]
+            if relu:
+                delta *= mask
     return grads_w, grads_b, residual
 
 
@@ -212,7 +269,8 @@ def backward(
         raise ValidationError(
             f"targets: expected shape ({X.shape[0]},), got {y.shape}"
         )
-    return _backward_scaled(net, standardize(X, net.stats), y)[:2]
+    ws = _Workspace(net, len(y))
+    return _backward_scaled(net, standardize(X, net.stats), y, ws)[:2]
 
 
 @dataclass
@@ -350,13 +408,16 @@ def train_mlp(
     y_train = train.targets
     y_val = val.targets
     state = AdamState.for_network(net)
-    shuffle_rng = _rng(config.seed, 1)
+    shuffle_rng = seeded_rng(config.seed, (1,))
 
     best_weights, best_biases = net.copy_arrays()
     best_val = math.inf
     best_epoch = 0
     history: list[EpochRecord] = []
     n = len(y_train)
+    rows = min(n, config.batch_size)
+    ws = _Workspace(net, rows)
+    inputs = np.empty((rows, net.n_inputs))
     # a diverging run overflows on the way; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.max_epochs + 1):
@@ -365,9 +426,8 @@ def train_mlp(
             abs_residual_sum = 0.0
             for start in range(0, n, config.batch_size):
                 batch = order[start : start + config.batch_size]
-                grads_w, grads_b, residual = _backward_scaled(
-                    net, scaled_train[batch], y_train[batch]
-                )
+                scaled = np.take(scaled_train, batch, axis=0, out=inputs[: len(batch)])
+                grads_w, grads_b, residual = _backward_scaled(net, scaled, y_train[batch], ws)
                 abs_residual_sum += float(np.abs(residual).sum())
                 adam_step(net, state, grads_w, grads_b, lr)
             train_mae = abs_residual_sum / n

@@ -35,6 +35,7 @@ from .core import (
     QUOTE_WIDTH,
     check_seed,
     check_terms,
+    seeded_rng,
 )
 from .errors import ValidationError
 
@@ -132,18 +133,11 @@ class UnderlyingPath:
         object.__setattr__(self, "closes", closes)
 
 
-def _stream(seed: int, index: int, stream: int) -> np.random.Generator:
-    """Independent generator for one (underlying, purpose) pair."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index, stream))
-    )
-
-
 def simulate_underlying(config: SimConfig, index: int) -> UnderlyingPath:
     """Draw parameters and the daily GBM path for underlying `index`."""
     if index < 0:
         raise ValidationError(f"index: must be >= 0, got {index}")
-    params = _stream(config.seed, index, _PARAM_STREAM)
+    params = seeded_rng(config.seed, (index, _PARAM_STREAM))
     s0 = params.uniform(*config.s0_range)
     weights = np.array([w for _, w in config.vol_regimes], dtype=np.float64)
     regime = int(params.choice(len(config.vol_regimes), p=weights / weights.sum()))
@@ -151,7 +145,7 @@ def simulate_underlying(config: SimConfig, index: int) -> UnderlyingPath:
     rate = params.uniform(*config.rate_range)
     dividend_yield = params.uniform(*config.yield_range)
 
-    path_rng = _stream(config.seed, index, _PATH_STREAM)
+    path_rng = seeded_rng(config.seed, (index, _PATH_STREAM))
     dt = 1.0 / TRADING_DAYS_PER_YEAR
     shocks = path_rng.standard_normal(config.days_per_underlying - 1)
     log_steps = (config.drift - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * shocks
@@ -189,7 +183,7 @@ def generate_chain(path: UnderlyingPath, config: SimConfig) -> np.ndarray:
         spot, strike, maturities[mat], path.rate, path.dividend_yield, path.sigma, is_call
     )
     keep = fair >= MIN_MIDPOINT
-    noise = _stream(config.seed, path.index, _NOISE_STREAM)
+    noise = seeded_rng(config.seed, (path.index, _NOISE_STREAM))
     bump = noise.uniform(-config.half_spread, config.half_spread, size=int(keep.sum()))
 
     col = QUOTE_COLUMNS.index

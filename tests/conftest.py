@@ -3,6 +3,7 @@ import pytest
 
 from optbench import Dataset
 from optbench.core import LAG_COLUMNS, QUOTE_COLUMNS, QUOTE_WIDTH
+from optbench.gbdt import BinnedMatrix
 
 # one line per acceptance criterion, echoed after the run
 ACCEPTANCE_RESULTS: list[str] = []
@@ -60,6 +61,68 @@ def per_cell_csv(table: np.ndarray) -> bytes:
             cells[vol] = ""
         lines.append(",".join(cells))
     return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def per_row_quantize(features: np.ndarray, n_bins: int) -> BinnedMatrix:
+    """Quantile bins with one edge search per row.
+
+    The oracle of `quantize_features`: per column, the deduplicated
+    quantiles below the column maximum, and each row's code the number
+    of edges below its value.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    quantile_points = np.arange(1, n_bins) / n_bins
+    dtype = np.uint8 if n_bins <= 256 else np.uint16
+    codes = np.empty(X.shape, dtype=dtype, order="F")
+    edges = []
+    for f in range(X.shape[1]):
+        col = X[:, f]
+        order = np.argsort(col)
+        ordered = col[order]
+        e = np.unique(np.quantile(ordered, quantile_points))
+        e = e[e < ordered[-1]]
+        codes[order, f] = np.searchsorted(e, ordered, side="left")
+        edges.append(e)
+    return BinnedMatrix(edges, codes)
+
+
+def allocating_forward_scaled(net, scaled: np.ndarray) -> np.ndarray:
+    """The oracle of `mlp._forward_scaled`: a fresh array per operation."""
+    a = scaled
+    for spec, w, b in zip(net.architecture.layers, net.weights, net.biases):
+        z = a @ w.T + b
+        a = np.maximum(z, 0.0) if spec.activation == "relu" else z
+    return a[:, 0]
+
+
+def allocating_backward_scaled(net, scaled: np.ndarray, targets: np.ndarray):
+    """The oracle of `mlp._backward_scaled`: a fresh array per operation.
+
+    Returns (weight gradients, bias gradients, residuals).
+    """
+    layers = net.architecture.layers
+    acts = [scaled]
+    for spec, w, b in zip(layers, net.weights, net.biases):
+        z = acts[-1] @ w.T + b
+        acts.append(np.maximum(z, 0.0) if spec.activation == "relu" else z)
+    residual = acts[-1][:, 0] - targets
+    delta = (np.sign(residual) / len(targets))[:, None]
+    grads_w = [np.empty(0)] * len(layers)
+    grads_b = [np.empty(0)] * len(layers)
+    for l in range(len(layers) - 1, -1, -1):
+        grads_w[l] = delta.T @ acts[l]
+        grads_b[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = delta @ net.weights[l]
+            if layers[l - 1].activation == "relu":
+                delta = delta * (acts[l] > 0.0)
+    return grads_w, grads_b, residual
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: -0.0 and 0.0 differ, NaNs compare."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def make_dataset(n: int, seed: int = 0, with_vols: bool = True) -> Dataset:

@@ -7,16 +7,20 @@ from optbench import (
     Dataset,
     EtaSchedule,
     GbdtConfig,
+    SimConfig,
+    SplitSpec,
     ValidationError,
     best_split,
     eta_decay,
+    generate_dataset,
     predict_gbdt,
     quantize_features,
+    split_dataset,
     train_gbdt,
 )
 from optbench.gbdt import NodeHistogram, Tree, _grow_tree
 
-from conftest import make_dataset
+from conftest import make_dataset, per_row_quantize
 
 
 def brute_force_best_split(X, grad, hess, edges, reg_lambda, min_child_weight):
@@ -169,6 +173,28 @@ class TestQuantize:
                 e = e[e < col.max()]
                 assert np.array_equal(binned.edges[f], e)
                 assert np.array_equal(binned.codes[:, f], np.searchsorted(e, col, side="left"))
+
+    @pytest.mark.parametrize("case", ["default_split", "integer_ties", "normal", "five_zeros_one_one"])
+    def test_matches_per_row_oracle(self, case):
+        rng = np.random.default_rng(19)
+        if case == "default_split":
+            quotes = generate_dataset(SimConfig(seed=42))
+            X = split_dataset(Dataset.from_quotes(quotes), SplitSpec(seed=1301))[0].features
+        elif case == "integer_ties":
+            X = rng.integers(0, 7, size=(500, 3)).astype(np.float64)
+        elif case == "normal":
+            X = rng.normal(size=(400, 4))
+        else:
+            X = np.array([[0.0]] * 5 + [[1.0]])
+        for n_bins in (2, 16, 256, 1024):
+            binned = quantize_features(X, n_bins)
+            oracle = per_row_quantize(X, n_bins)
+            assert binned.codes.dtype == oracle.codes.dtype
+            assert binned.codes.flags.f_contiguous
+            assert np.array_equal(binned.codes, oracle.codes)
+            assert len(binned.edges) == len(oracle.edges)
+            for ours, theirs in zip(binned.edges, oracle.edges):
+                assert np.array_equal(ours, theirs)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -21,7 +21,12 @@ from optbench import (
     train_mlp,
 )
 
-from conftest import make_dataset
+from conftest import (
+    allocating_backward_scaled,
+    allocating_forward_scaled,
+    make_dataset,
+    same_bits,
+)
 
 
 def mae_of(net, ds):
@@ -165,6 +170,78 @@ class TestGradients:
             forward(net, np.ones((3, 7)))
         with pytest.raises(ValidationError):
             backward(net, np.ones((3, 4)), np.ones(2))
+
+
+WITH_LINEAR_HIDDEN = Architecture(
+    (LayerSpec(16, "relu"), LayerSpec(8, "linear"), LayerSpec(4, "relu"), LayerSpec(1, "linear"))
+)
+ARCHITECTURES = pytest.mark.parametrize(
+    "arch", [THREE_LAYER, FIVE_LAYER, WITH_LINEAR_HIDDEN], ids=["three", "five", "linear_hidden"]
+)
+
+
+class TestInPlaceLayers:
+    """The workspace path against the allocating oracles of conftest, bit for bit."""
+
+    def scaled_batch(self, arch, n, seed):
+        ds = make_dataset(n, seed=seed)
+        stats = fit_feature_stats(ds.features)
+        net = init_network(arch, 26, seed=seed, stats=stats)
+        return net, standardize(ds.features, stats), ds.targets
+
+    @ARCHITECTURES
+    def test_backward_matches_allocating_oracle(self, arch):
+        net, scaled, targets = self.scaled_batch(arch, 64, seed=41)
+        ws = optbench.mlp._Workspace(net, 64)
+        # a full workspace, then row-prefix views of it, then full again
+        for m in (64, 37, 1, 64):
+            grads_w, grads_b, residual = optbench.mlp._backward_scaled(
+                net, scaled[:m], targets[:m], ws
+            )
+            want_w, want_b, want_residual = allocating_backward_scaled(net, scaled[:m], targets[:m])
+            assert same_bits(residual, want_residual)
+            for ours, theirs in zip(grads_w + grads_b, want_w + want_b):
+                assert same_bits(ours, theirs)
+
+    @ARCHITECTURES
+    def test_forward_matches_allocating_oracle(self, arch):
+        net, scaled, _ = self.scaled_batch(arch, 50, seed=43)
+        assert same_bits(
+            optbench.mlp._forward_scaled(net, scaled), allocating_forward_scaled(net, scaled)
+        )
+
+    @ARCHITECTURES
+    @pytest.mark.parametrize("batch_size", [30, 64, 1000], ids=["divides", "remainder", "exceeds"])
+    def test_training_matches_allocating_oracle(self, arch, batch_size, monkeypatch):
+        train = make_dataset(150, seed=45)
+        val = make_dataset(20, seed=46)
+        cfg = MlpTrainConfig(max_epochs=3, batch_size=batch_size, seed=8)
+        net, history = train_mlp(train, val, arch, cfg)
+        monkeypatch.setattr(
+            optbench.mlp,
+            "_backward_scaled",
+            lambda net, scaled, targets, ws: allocating_backward_scaled(net, scaled, targets),
+        )
+        monkeypatch.setattr(optbench.mlp, "_forward_scaled", allocating_forward_scaled)
+        want_net, want_history = train_mlp(train, val, arch, cfg)
+        assert history == want_history
+        for ours, theirs in zip(net.weights + net.biases, want_net.weights + want_net.biases):
+            assert same_bits(ours, theirs)
+
+    def test_backward_results_do_not_alias(self):
+        ds = make_dataset(40, seed=47)
+        net = init_network(THREE_LAYER, 26, seed=47, stats=fit_feature_stats(ds.features))
+        X, y = ds.features, ds.targets
+        X_before, y_before = X.copy(), y.copy()
+        first_w, first_b = backward(net, X[:20], y[:20])
+        kept = [g.copy() for g in first_w + first_b]
+        second_w, _ = backward(net, X[20:], y[20:])
+        for now, then in zip(first_w + first_b, kept):
+            assert same_bits(now, then)
+        assert not any(np.shares_memory(a, b) for a in first_w for b in second_w)
+        assert same_bits(X, X_before) and same_bits(y, y_before)
+        forward(net, X)
+        assert same_bits(X, X_before)
 
 
 class TestAdam:

@@ -14,13 +14,8 @@ from optbench import (
     simulate_underlying,
 )
 from optbench.blackscholes import BsInputs, bs_price
-from optbench.core import LAG_COLUMNS, QUOTE_COLUMNS, QUOTE_WIDTH, first_violation
-from optbench.simgen import (
-    _NOISE_STREAM,
-    MIN_MIDPOINT,
-    TRADING_DAYS_PER_YEAR,
-    _stream,
-)
+from optbench.core import LAG_COLUMNS, QUOTE_COLUMNS, QUOTE_WIDTH, first_violation, seeded_rng
+from optbench.simgen import _NOISE_STREAM, MIN_MIDPOINT, TRADING_DAYS_PER_YEAR
 
 COL = {name: i for i, name in enumerate(QUOTE_COLUMNS)}
 
@@ -36,7 +31,7 @@ def reprice(row: np.ndarray) -> float:
 
 def per_contract_chain(path, config) -> np.ndarray:
     """Reference: the chain priced one contract at a time, in loop order."""
-    noise = _stream(config.seed, path.index, _NOISE_STREAM)
+    noise = seeded_rng(config.seed, (path.index, _NOISE_STREAM))
     rows = []
     for day in range(20, len(path.closes)):
         spot = float(path.closes[day])
