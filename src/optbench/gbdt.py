@@ -22,6 +22,16 @@ and then the larger one wins whatever its feature. Leaves predict
 -G/(H+lambda) scaled by the round's shrinkage, which decays from
 `eta_base` toward `eta_min` on a slow Gaussian-in-iteration schedule.
 
+Split search runs once per tree level over all of its open nodes and
+scores only occupied bins, those holding rows of the node, as XGBoost's
+sparsity-aware split finding enumerates only present entries. That is
+exact, not an approximation: an empty bin adds exactly 0.0 to the
+prefix sums, so its split has the same children as the previous
+occupied bin's (or an empty left child), ties it and loses the tie.
+The picks are those of `best_split` on each node's dense histogram,
+bit for bit, and no gradient of an empty bin is read, so subtraction
+residue left there needs no masking.
+
 Thresholds stored in the tree are the raw bin edges, so prediction on
 unbinned values routes rows exactly as binned training did: value <=
 edges[b] if and only if bin(value) <= b.
@@ -194,6 +204,10 @@ def best_split(
     when no eligible split has strictly positive gain. `candidate_mask`,
     shape (n_features, n_bins - 1), can further restrict which bins are
     usable edges.
+
+    This is the public reference of split finding: training does not
+    call it, and tests check that the level search in `_grow_tree`
+    picks what it picks for every node.
     """
     g = np.asarray(hist.grad_sums, dtype=np.float64)
     h = np.asarray(hist.hess_sums, dtype=np.float64)
@@ -337,6 +351,78 @@ def _accumulate_histograms(
         hess_hist[:, f, :] = np.bincount(key, minlength=size).reshape(n_slots, n_bins)
 
 
+# slots scored together by _level_splits: bounds its packed arrays to a
+# few MB however wide the level is
+_SLOT_CHUNK = 64
+
+
+def _level_splits(
+    grad_hist: np.ndarray,
+    hess_hist: np.ndarray,
+    reg_lambda: float,
+    min_child_weight: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's `best_split` pick from one level's histograms.
+
+    Takes (n_slots, n_features, n_bins) gradient sums and int32 row
+    counts; returns per slot the split feature (-1 where the slot stays
+    a leaf) and the split bin. Only occupied bins are scored, which the
+    module docstring shows to be exact. Each (slot, feature) line packs
+    its occupied bins in bin order into a zero-padded row, whose cumsum
+    has the dense cumsum's partial sums, added in the same order. Gains
+    follow `best_split`'s formula and operation order, each slot takes
+    its first maximum in (feature, bin) order, and a NaN maximum, as
+    overflowing gradients give, is no split, as in `best_split`.
+    """
+    n_slots, n_features, n_bins = grad_hist.shape
+    split_feature = np.full(n_slots, -1, dtype=np.int64)
+    split_bin = np.zeros(n_slots, dtype=np.int64)
+    # counts are integers: hl >= mcw and hl > 0 is hl >= max(mcw, 1)
+    least = max(min_child_weight, 1.0)
+    for lo in range(0, n_slots, _SLOT_CHUNK):
+        counts = hess_hist[lo : lo + _SLOT_CHUNK].reshape(-1)
+        occupied = np.flatnonzero(counts != 0)
+        if len(occupied) == 0:
+            continue
+        line = occupied // n_bins  # chunk slot * n_features + feature
+        n_lines = len(counts) // n_bins
+        per_line = np.bincount(line, minlength=n_lines)
+        line_start = np.cumsum(per_line) - per_line
+        width = int(per_line.max())
+        at = line * width + (np.arange(len(occupied)) - line_start[line])
+        packed = np.zeros(n_lines * width)
+        packed[at] = grad_hist[lo : lo + _SLOT_CHUNK].reshape(-1)[occupied]
+        grad_left = np.cumsum(packed.reshape(n_lines, width), axis=1)
+        grad_total = grad_left[:, -1]
+        gl = grad_left.reshape(-1)[at]
+        # integer sums are exact in any grouping, so one running count
+        # over the chunk, less what precedes each line, gives the counts
+        count_left = np.zeros(len(occupied) + 1, dtype=np.int64)
+        np.cumsum(counts[occupied], out=count_left[1:])
+        before = count_left[line_start]
+        count_total = count_left[line_start + per_line] - before
+        hl = count_left[1:] - before[line]
+        hr = count_total[line] - hl
+        gr = grad_total[line] - gl
+        with np.errstate(divide="ignore", invalid="ignore"):
+            parent = grad_total * grad_total / (count_total + reg_lambda)
+            gain = 0.5 * (
+                gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent[line]
+            )
+        gain[(hl < least) | (hr < least)] = -np.inf
+        # entries run slot by slot; a NaN maximum is not > 0
+        per_slot = per_line.reshape(-1, n_features).sum(axis=1)
+        slot_start = np.cumsum(per_slot) - per_slot
+        filled = np.flatnonzero(per_slot)
+        top = np.maximum.reduceat(gain, slot_start[filled])
+        hits = np.flatnonzero(gain == np.repeat(top, per_slot[filled]))
+        won = filled[top > 0.0]
+        pick = hits[np.searchsorted(hits, slot_start[won])]
+        split_feature[lo + won] = line[pick] % n_features
+        split_bin[lo + won] = occupied[pick] % n_bins
+    return split_feature, split_bin
+
+
 def _grow_tree(
     codes: np.ndarray,
     edges: list[np.ndarray],
@@ -346,16 +432,18 @@ def _grow_tree(
 ) -> tuple[Tree, np.ndarray]:
     """One depth-wise tree on binned features; also returns each row's leaf.
 
-    Each open node gets one `best_split` call on its histogram, in level
-    order. Below the root only the smaller child of each split has its
-    histogram accumulated from its rows; the larger sibling's is the
-    parent's minus the smaller one's, filled in place into the next
-    level's buffer. `slot` maps node ids to buffer slots. Hessian
-    histograms are int32 row counts, so they stay exact, and a gradient
-    bin whose count is zero is set to exactly zero, so subtraction
-    residue never reaches an empty bin. No bin needs masking: feature
-    f's codes lie in [0, len(edges[f])], so a split at or past its last
-    edge sends every row left, and `best_split` rejects an empty child.
+    Each level makes one `_level_splits` call over the histograms of all
+    its open nodes, which gives every node `best_split`'s pick. Below the
+    root only the smaller child of each split has its histogram
+    accumulated from its rows; the larger sibling's is the parent's minus
+    the smaller one's, filled in place into the next level's buffer.
+    `slot` maps node ids to buffer slots. Hessian histograms are int32
+    row counts, so they stay exact; a zero-count bin of a larger sibling
+    may keep subtraction residue in its gradient, which the level search
+    never reads. No bin needs masking: feature f's codes lie in
+    [0, len(edges[f])], and a split at a node's last occupied bin sends
+    every row left, so it is never eligible and every split bin has an
+    edge.
     """
     n_rows, n_features = codes.shape
     n_bins = config.n_bins
@@ -374,30 +462,27 @@ def _grow_tree(
     hess_hist = np.empty((1, n_features, n_bins), dtype=np.int32)
     _accumulate_histograms(codes, np.arange(n_rows), k_of_row, grad, grad_hist, hess_hist)
     for depth in range(config.max_depth):
+        level_feature, split_bin = _level_splits(
+            grad_hist, hess_hist, lam, config.min_child_weight
+        )
         # indexed by slot; the extra last entry serves closed rows (slot -1)
-        split_feature = np.full(len(open_nodes) + 1, -1, dtype=np.int64)
-        split_bin = np.zeros(len(open_nodes), dtype=np.int64)
+        split_feature = np.append(level_feature, -1)
         left_child = np.zeros(len(open_nodes), dtype=np.int64)
         next_open: list[int] = []
         for node_id in open_nodes:
             k = slot[node_id]
-            decision = best_split(
-                NodeHistogram(grad_hist[k], hess_hist[k]), lam, config.min_child_weight
-            )
-            if decision is None:
+            f = int(split_feature[k])
+            if f < 0:
                 continue  # stays a leaf
-            f, b, _ = decision
             lid, rid = len(feature), len(feature) + 1
             feature += [-1, -1]
             threshold += [0.0, 0.0]
             left += [-1, -1]
             right += [-1, -1]
             feature[node_id] = f
-            threshold[node_id] = float(edges[f][b])
+            threshold[node_id] = float(edges[f][split_bin[k]])
             left[node_id] = lid
             right[node_id] = rid
-            split_feature[k] = f
-            split_bin[k] = b
             left_child[k] = lid
             next_open.extend((lid, rid))
 
@@ -437,7 +522,6 @@ def _grow_tree(
             large = nxt[n_pairs:]
             np.take(hist, parents, axis=0, out=large, mode="clip")
             np.subtract(large, nxt[:n_pairs], out=large)
-        next_grad[n_pairs:][next_hess[n_pairs:] == 0] = 0.0
         grad_hist, hess_hist = next_grad, next_hess
 
     feature_arr = np.asarray(feature, dtype=np.int32)

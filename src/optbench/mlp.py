@@ -300,22 +300,39 @@ def adam_step(
     grads_b: Sequence[np.ndarray],
     lr: float,
 ) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update with the ADAM_* constants. Mutates net and state in place."""
+    """One bias-corrected Adam update with the ADAM_* constants. Mutates net and state in place.
+
+    Per parameter p, in this operation order:
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    p -= lr*(m/c1) / (sqrt(v/c2) + eps). The temporaries go through two
+    scratch buffers sized to the largest parameter.
+    """
     if not (math.isfinite(lr) and lr > 0):
         raise ValidationError(f"lr: must be positive and finite, got {lr!r}")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
+    scratch = np.empty((2, max(p.size for p in (*net.weights, *net.biases))))
     for params, moments1, moments2, grads in (
         (net.weights, state.m_weights, state.v_weights, grads_w),
         (net.biases, state.m_biases, state.v_biases, grads_b),
     ):
         for p, m, v, g in zip(params, moments1, moments2, grads):
+            step = scratch[0, : p.size].reshape(p.shape)
+            root = scratch[1, : p.size].reshape(p.shape)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=step)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
+            np.multiply(g, g, out=root)
+            root *= 1.0 - ADAM_BETA2
+            v += root
+            np.divide(m, c1, out=step)
+            step *= lr
+            np.divide(v, c2, out=root)
+            np.sqrt(root, out=root)
+            root += ADAM_EPSILON
+            step /= root
+            p -= step
     return net, state
 
 

@@ -3,7 +3,15 @@ import pytest
 
 from optbench import Dataset
 from optbench.core import LAG_COLUMNS, QUOTE_COLUMNS, QUOTE_WIDTH
-from optbench.gbdt import BinnedMatrix
+from optbench.gbdt import (
+    BinnedMatrix,
+    GbdtConfig,
+    NodeHistogram,
+    Tree,
+    _accumulate_histograms,
+    best_split,
+)
+from optbench.mlp import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
 # one line per acceptance criterion, echoed after the run
 ACCEPTANCE_RESULTS: list[str] = []
@@ -86,6 +94,120 @@ def per_row_quantize(features: np.ndarray, n_bins: int) -> BinnedMatrix:
     return BinnedMatrix(edges, codes)
 
 
+def per_node_grow_tree(
+    codes: np.ndarray,
+    edges: list[np.ndarray],
+    grad: np.ndarray,
+    config: GbdtConfig,
+    eta: float,
+) -> tuple[Tree, np.ndarray]:
+    """The oracle of `gbdt._grow_tree`: one `best_split` call per open node.
+
+    Grows the same level-order tree from the same histograms, but scores
+    each open node's dense histogram on its own, and sets every
+    zero-count gradient bin of a subtracted sibling to exactly zero (the
+    residue mask) so that `best_split` never reads subtraction residue.
+    """
+    n_rows, n_features = codes.shape
+    n_bins = config.n_bins
+    lam = config.reg_lambda
+
+    feature = [-1]
+    threshold = [0.0]
+    left = [-1]
+    right = [-1]
+
+    node_of_row = np.zeros(n_rows, dtype=np.int64)
+    open_nodes = [0]
+    slot = np.zeros(1, dtype=np.int64)
+    k_of_row = np.zeros(n_rows, dtype=np.int64)  # slot of the row's node, -1 once closed
+    grad_hist = np.empty((1, n_features, n_bins), dtype=np.float64)
+    hess_hist = np.empty((1, n_features, n_bins), dtype=np.int32)
+    _accumulate_histograms(codes, np.arange(n_rows), k_of_row, grad, grad_hist, hess_hist)
+    for depth in range(config.max_depth):
+        # indexed by slot; the extra last entry serves closed rows (slot -1)
+        split_feature = np.full(len(open_nodes) + 1, -1, dtype=np.int64)
+        split_bin = np.zeros(len(open_nodes), dtype=np.int64)
+        left_child = np.zeros(len(open_nodes), dtype=np.int64)
+        next_open: list[int] = []
+        for node_id in open_nodes:
+            k = slot[node_id]
+            decision = best_split(
+                NodeHistogram(grad_hist[k], hess_hist[k]), lam, config.min_child_weight
+            )
+            if decision is None:
+                continue  # stays a leaf
+            f, b, _ = decision
+            lid, rid = len(feature), len(feature) + 1
+            feature += [-1, -1]
+            threshold += [0.0, 0.0]
+            left += [-1, -1]
+            right += [-1, -1]
+            feature[node_id] = f
+            threshold[node_id] = float(edges[f][b])
+            left[node_id] = lid
+            right[node_id] = rid
+            split_feature[k] = f
+            split_bin[k] = b
+            left_child[k] = lid
+            next_open.extend((lid, rid))
+
+        feature_of_row = split_feature[k_of_row]
+        moving = np.nonzero(feature_of_row >= 0)[0]
+        k_moving = k_of_row[moving]
+        go_right = codes[moving, feature_of_row[moving]] > split_bin[k_moving]
+        node_of_row[moving] = left_child[k_moving] + go_right  # right child = left + 1
+        open_nodes = next_open
+        if not open_nodes or depth + 1 == config.max_depth:
+            break
+
+        # smaller children take slots [0, n_pairs), their siblings the
+        # slots n_pairs onward in the same pair order
+        parents = np.nonzero(split_feature[:-1] >= 0)[0]
+        n_pairs = len(parents)
+        lc = left_child[parents]
+        rc = lc + 1
+        counts = np.bincount(node_of_row[moving], minlength=len(feature))
+        left_smaller = counts[lc] <= counts[rc]
+        slot = np.full(len(feature), -1, dtype=np.int64)
+        slot[np.where(left_smaller, lc, rc)] = np.arange(n_pairs)
+        slot[np.where(left_smaller, rc, lc)] = np.arange(n_pairs, 2 * n_pairs)
+        k_of_row = slot[node_of_row]
+        small_rows = np.nonzero((k_of_row >= 0) & (k_of_row < n_pairs))[0]
+        next_grad = np.empty((2 * n_pairs, n_features, n_bins), dtype=np.float64)
+        next_hess = np.empty((2 * n_pairs, n_features, n_bins), dtype=np.int32)
+        _accumulate_histograms(
+            codes,
+            small_rows,
+            k_of_row[small_rows],
+            grad,
+            next_grad[:n_pairs],
+            next_hess[:n_pairs],
+        )
+        for hist, nxt in ((grad_hist, next_grad), (hess_hist, next_hess)):
+            large = nxt[n_pairs:]
+            np.take(hist, parents, axis=0, out=large, mode="clip")
+            np.subtract(large, nxt[:n_pairs], out=large)
+        next_grad[n_pairs:][next_hess[n_pairs:] == 0] = 0.0
+        grad_hist, hess_hist = next_grad, next_hess
+
+    feature_arr = np.asarray(feature, dtype=np.int32)
+    leaves = feature_arr < 0
+    n_nodes = len(feature)
+    grad_sum = np.bincount(node_of_row, weights=grad, minlength=n_nodes)[leaves]
+    count = np.bincount(node_of_row, minlength=n_nodes)[leaves]
+    value = np.zeros(n_nodes, dtype=np.float64)
+    value[leaves] = -grad_sum / (count + lam) * eta
+    tree = Tree(
+        feature=feature_arr,
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=value,
+    )
+    return tree, node_of_row
+
+
 def allocating_forward_scaled(net, scaled: np.ndarray) -> np.ndarray:
     """The oracle of `mlp._forward_scaled`: a fresh array per operation."""
     a = scaled
@@ -117,6 +239,23 @@ def allocating_backward_scaled(net, scaled: np.ndarray, targets: np.ndarray):
             if layers[l - 1].activation == "relu":
                 delta = delta * (acts[l] > 0.0)
     return grads_w, grads_b, residual
+
+
+def allocating_adam_step(net, state, grads_w, grads_b, lr):
+    """The oracle of `mlp.adam_step`: a fresh array per operation."""
+    state.t += 1
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
+    for params, moments1, moments2, grads in (
+        (net.weights, state.m_weights, state.v_weights, grads_w),
+        (net.biases, state.m_biases, state.v_biases, grads_b),
+    ):
+        for p, m, v, g in zip(params, moments1, moments2, grads):
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

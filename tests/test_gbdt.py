@@ -12,6 +12,7 @@ from optbench import (
     ValidationError,
     best_split,
     eta_decay,
+    filter_quotes,
     generate_dataset,
     predict_gbdt,
     quantize_features,
@@ -20,7 +21,7 @@ from optbench import (
 )
 from optbench.gbdt import NodeHistogram, Tree, _grow_tree
 
-from conftest import make_dataset, per_row_quantize
+from conftest import make_dataset, per_node_grow_tree, per_row_quantize, same_bits
 
 
 def brute_force_best_split(X, grad, hess, edges, reg_lambda, min_child_weight):
@@ -44,6 +45,16 @@ def brute_force_best_split(X, grad, hess, edges, reg_lambda, min_child_weight):
             if gain > 0 and (best is None or gain > best[2]):
                 best = (f, b, gain)
     return best
+
+
+def assert_same_growth(binned, grad, cfg, eta=0.3):
+    """`_grow_tree` and the per-node oracle give the same tree, bit for bit."""
+    tree, leaf_of_row = _grow_tree(binned.codes, binned.edges, grad, cfg, eta)
+    want, want_leaf = per_node_grow_tree(binned.codes, binned.edges, grad, cfg, eta)
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert same_bits(getattr(tree, name), getattr(want, name)), name
+    assert same_bits(leaf_of_row, want_leaf)
+    return tree
 
 
 def exhaustive_partition_best_gain(X, grad, hess, reg_lambda, min_child_weight):
@@ -389,6 +400,38 @@ class TestTraining:
                 rows_of[int(tree.left[node])] = rows[go_left]
                 rows_of[int(tree.right[node])] = rows[~go_left]
             assert not rows_of
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_matches_per_node_growth(self, case):
+        # every (n_bins, min_child_weight) pair once, each lambda and each
+        # depth 1-10; integer columns tie rows within a feature, and a
+        # duplicated column ties whole splits across features exactly
+        n_bins = (2, 16, 256, 1024)[case % 4]
+        lam = (0.0, 1.0, 3.0)[case % 3]
+        mcw = (0.0, 0.5, 1.0, 1.5, 5.0)[case % 5]
+        depth = case % 10 + 1
+        rng = np.random.default_rng(4000 + case)
+        n = int(rng.integers(50, 3001))
+        d = int(rng.integers(3, 8))
+        X = rng.normal(size=(n, d))
+        n_int = int(rng.integers(1, d))
+        X[:, :n_int] = rng.integers(0, 9, size=(n, n_int))
+        X[:, d - 1] = X[:, int(rng.integers(0, d - 1))]
+        grad = rng.normal(size=n) * 10.0 ** rng.integers(-2, 3)
+        cfg = GbdtConfig(max_depth=depth, n_bins=n_bins, reg_lambda=lam, min_child_weight=mcw)
+        binned = quantize_features(X, n_bins)
+        assert binned.codes.dtype == (np.uint16 if n_bins > 256 else np.uint8)
+        assert_same_growth(binned, grad, cfg)
+
+    def test_default_split_tree_matches_per_node_growth(self):
+        # the first tree of criterion 6's depth-10 fit, about 1,400 nodes
+        quotes = generate_dataset(SimConfig(seed=42))
+        ds = Dataset.from_quotes(filter_quotes(quotes).kept)
+        train, _, _ = split_dataset(ds, SplitSpec(seed=42))
+        binned = quantize_features(train.features, 256)
+        grad = np.mean(train.targets) - train.targets
+        tree = assert_same_growth(binned, grad, GbdtConfig(max_depth=10), eta=eta_decay(0))
+        assert tree.n_nodes > 1000
 
     def test_split_bin_is_never_empty(self):
         # an empty bin ties its predecessor exactly and loses the tie, so

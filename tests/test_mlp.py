@@ -22,6 +22,7 @@ from optbench import (
 )
 
 from conftest import (
+    allocating_adam_step,
     allocating_backward_scaled,
     allocating_forward_scaled,
     make_dataset,
@@ -288,6 +289,30 @@ class TestAdam:
         adam_step(net, state, [np.ones((1, 1))], [np.zeros(1)], lr=0.01)
         adam_step(net, state, [np.ones((1, 1))], [np.zeros(1)], lr=0.01)
         assert state.t == 2
+
+    @pytest.mark.parametrize("arch", [THREE_LAYER, FIVE_LAYER], ids=["three", "five"])
+    def test_matches_allocating_oracle(self, arch):
+        # the in-place update keeps the operation order, so p, m and v
+        # equal the allocating oracle's bit for bit after every step
+        nets = [init_network(arch, 26, seed=3) for _ in range(2)]
+        states = [AdamState.for_network(net) for net in nets]
+
+        def arrays(net, state):
+            return (*net.weights, *net.biases, *state.m_weights, *state.v_weights,
+                    *state.m_biases, *state.v_biases)
+
+        rng = np.random.default_rng(11)
+        for step in range(6):
+            grads_w = [rng.normal(size=w.shape) * 10.0 ** rng.integers(-8, 3)
+                       for w in nets[0].weights]
+            grads_b = [rng.normal(size=b.shape) for b in nets[0].biases]
+            grads_w[0][rng.uniform(size=grads_w[0].shape) < 0.3] = 0.0
+            lr = 0.01 * 0.5**step
+            adam_step(nets[0], states[0], grads_w, grads_b, lr)
+            allocating_adam_step(nets[1], states[1], grads_w, grads_b, lr)
+            for got, want in zip(arrays(nets[0], states[0]), arrays(nets[1], states[1])):
+                assert same_bits(got, want)
+        assert states[0].t == states[1].t == 6
 
 
 class TestPlateauSchedule:

@@ -14,6 +14,7 @@ from optbench import (
     OptionType,
     SplitSpec,
     bs_price,
+    best_split,
     eta_decay,
     filter_quotes,
     histogram,
@@ -28,6 +29,7 @@ from optbench import (
     write_csv,
 )
 from optbench.core import QUOTE_COLUMNS
+from optbench.gbdt import NodeHistogram, _level_splits
 
 from conftest import make_quote, make_quotes, per_cell_csv
 
@@ -269,3 +271,40 @@ class TestQuantizeInvariants:
         for edges in binned.edges:
             assert len(edges) < n_bins
             assert np.all(np.diff(edges) > 0)
+
+
+class TestLevelSplitInvariants:
+    @given(
+        st.integers(min_value=1, max_value=6),  # slots
+        st.integers(min_value=1, max_value=5),  # features
+        st.integers(min_value=2, max_value=40),  # bins
+        st.sampled_from([0.0, 1.0, 3.0]),  # reg_lambda
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 5.0]),  # min_child_weight
+        st.sampled_from([1.0, 1e-3, 1e200]),  # gradient scale; 1e200 overflows
+        st.booleans(),  # integer gradients tie gains within a feature
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_picks_match_best_split(
+        self, n_slots, n_features, n_bins, lam, mcw, scale, integral, seed
+    ):
+        rng = np.random.default_rng(seed)
+        shape = (n_slots, n_features, n_bins)
+        counts = rng.integers(1, 4, size=shape) * (rng.uniform(size=shape) < rng.uniform())
+        counts[rng.uniform(size=n_slots) < 0.2] = 0  # slots without rows
+        if integral:
+            grad = rng.integers(-3, 4, size=shape) * scale
+        else:
+            grad = rng.normal(size=shape) * scale
+        # a duplicated feature ties every split of the last one exactly
+        counts[:, -1] = counts[:, 0]
+        grad[:, -1] = grad[:, 0]
+        clean = np.where(counts > 0, grad, 0.0)
+        # the kernel must never read the gradient of a zero-count bin
+        garbage = np.where(counts > 0, grad, rng.normal(size=shape) * scale)
+        with np.errstate(over="ignore"):
+            feature, bin_index = _level_splits(garbage, counts.astype(np.int32), lam, mcw)
+            for s in range(n_slots):
+                want = best_split(NodeHistogram(clean[s], counts[s].astype(float)), lam, mcw)
+                got = None if feature[s] < 0 else (feature[s], bin_index[s])
+                assert got == (None if want is None else want[:2])
