@@ -30,7 +30,6 @@ from .core import (
     FilterResult,
     SplitSpec,
     filter_quotes,
-    split_dataset,
     split_indices,
 )
 from .errors import (
@@ -336,7 +335,9 @@ def cmd_train(cfg: dict, kind: str, out: Path) -> int:
         raise UsageError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     data_path = Path(cfg["data"])
     identity = _identity(data_path, spec)
-    train, val, _ = split_dataset(Dataset.from_quotes(_load(cfg).kept), spec)
+    kept = _load(cfg).kept
+    train_idx, val_idx, _ = split_indices(len(kept), spec)
+    train, val = Dataset.from_quotes(kept[train_idx]), Dataset.from_quotes(kept[val_idx])
 
     started = time.perf_counter()
     if isinstance(mcfg, GbdtConfig):

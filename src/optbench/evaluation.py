@@ -172,6 +172,9 @@ class ModelResult:
     training_seconds: float | None = None
 
 
+REPORT_HEADER = ("model", "mae", "mape_pct", "training_seconds")
+
+
 class ReportRow(NamedTuple):
     name: str
     mae: float
@@ -187,8 +190,7 @@ class EvalReport:
 
     def to_text(self) -> str:
         """Fixed-width comparison table, best model first."""
-        header = ("model", "mae", "mape_pct", "training_seconds")
-        cells = [header]
+        cells = [REPORT_HEADER]
         for row in self.rows:
             cells.append(
                 (
@@ -198,7 +200,7 @@ class EvalReport:
                     "n/a" if row.training_seconds is None else f"{row.training_seconds:.1f}",
                 )
             )
-        widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
+        widths = [max(len(r[c]) for r in cells) for c in range(len(REPORT_HEADER))]
         lines = [
             "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
             for row in cells
@@ -250,8 +252,7 @@ def write_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = [write_file(out / "report.txt", [report.to_text().encode("utf-8")])]
-    table_header = ("model", "mae", "mape_pct", "training_seconds")
-    written.append(write_rows(out / "report_table.csv", table_header, report.rows))
+    written.append(write_rows(out / "report_table.csv", REPORT_HEADER, report.rows))
     curve_header = ("lower", "upper", "count", "mae", "mape_pct")
     for name, curve in report.curves.items():
         safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in name)

@@ -2,14 +2,16 @@
 
 Squared-error boosting: after each round the per-row gradient is
 (prediction - target) and the hessian is identically 1, so hessian sums
-are row counts. Trees grow depth-wise (level order). Split finding is
-done on quantized features: each feature is bucketed once into at most
-`n_bins` quantile bins, stored column-major so each feature's bin codes
-are contiguous. Per-node gradient/hessian histograms are accumulated
-with bincount for the root and for the smaller child of every split;
-the larger sibling's histogram is its parent's minus the smaller
-child's (sibling subtraction, as in LightGBM). Candidate splits are
-scored by
+are row counts. Trees grow depth-wise, one level of whole arrays at a
+time: a level's open nodes have contiguous ids, and their children
+follow them in the same order, left before right, so the flat tree is
+in level order. Split finding is done on quantized features: each
+feature is bucketed once into at most `n_bins` quantile bins, stored
+column-major so each feature's bin codes are contiguous. Per-node
+gradient/hessian histograms are accumulated with bincount for the root
+and for the smaller child of every split; the larger sibling's
+histogram is its parent's minus the smaller child's (sibling
+subtraction, as in LightGBM). Candidate splits are scored by
 
     gain = 1/2 [ GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda) ]
 
@@ -265,13 +267,19 @@ class Tree:
         return len(self.feature)
 
     def depth(self) -> int:
-        """Longest root-to-leaf edge count."""
-        def walk(i: int) -> int:
-            if self.feature[i] < 0:
-                return 0
-            return 1 + max(walk(int(self.left[i])), walk(int(self.right[i])))
+        """Longest root-to-leaf edge count.
 
-        return walk(0)
+        Walked level by level, as in `predict`; an internal node still
+        reached after n_nodes levels means a cycle: ValueError.
+        """
+        level = np.zeros(1, dtype=np.int64)
+        for depth in range(self.n_nodes):
+            level = level[self.feature[level] >= 0]
+            if len(level) == 0:
+                return depth
+            # a set of ids, so a cycle cannot grow a level past n_nodes
+            level = np.unique(np.concatenate((self.left[level], self.right[level])))
+        raise ValueError(f"tree walk passed {self.n_nodes} levels: the tree has a cycle")
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Leaf contribution per row of a raw (unbinned) feature matrix.
@@ -432,91 +440,78 @@ def _grow_tree(
 ) -> tuple[Tree, np.ndarray]:
     """One depth-wise tree on binned features; also returns each row's leaf.
 
-    Each level makes one `_level_splits` call over the histograms of all
-    its open nodes, which gives every node `best_split`'s pick. Below the
-    root only the smaller child of each split has its histogram
-    accumulated from its rows; the larger sibling's is the parent's minus
-    the smaller one's, filled in place into the next level's buffer.
-    `slot` maps node ids to buffer slots. Hessian histograms are int32
-    row counts, so they stay exact; a zero-count bin of a larger sibling
-    may keep subtraction residue in its gradient, which the level search
-    never reads. No bin needs masking: feature f's codes lie in
-    [0, len(edges[f])], and a split at a node's last occupied bin sends
-    every row left, so it is never eligible and every split bin has an
-    edge.
+    A level's open nodes have the contiguous ids [start, end); split p of
+    the level, counted in id order, gets the children end + 2p and
+    end + 2p + 1. `slot` maps the level's nodes to their histogram buffer
+    slots, and the rows still in open nodes carry `pos`, their node's
+    offset within the level.
+
+    One `_level_splits` call per level gives every node `best_split`'s
+    pick. Below the root the smaller child of pair p, the left one on
+    equal counts, has its histogram accumulated from its rows into slot
+    p; its sibling's is the parent's minus it, filled in place into slot
+    n_pairs + p. Pair order is free: each slot sums its rows in row order
+    and is scored on its own. The tie rule is not: the subtracted sibling
+    carries the subtraction's rounding, so swapping the two would move
+    near-tie picks. Hessian histograms are int32 row counts, so they stay
+    exact; a zero-count bin of a subtracted sibling may keep residue in
+    its gradient, which the level search never reads. No bin needs
+    masking: feature f's codes lie in [0, len(edges[f])], and a split at
+    a node's last occupied bin sends every row left, so it is never
+    eligible and every split bin has an edge.
     """
     n_rows, n_features = codes.shape
     n_bins = config.n_bins
     lam = config.reg_lambda
+    all_edges = np.concatenate(edges)
+    edge_start = np.cumsum([0] + [len(e) for e in edges[:-1]])
+    features: list[np.ndarray] = []
+    thresholds: list[np.ndarray] = []
+    lefts: list[np.ndarray] = []
 
-    feature = [-1]
-    threshold = [0.0]
-    left = [-1]
-    right = [-1]
-
-    node_of_row = np.zeros(n_rows, dtype=np.int64)
-    open_nodes = [0]
+    node_of_row = np.empty(n_rows, dtype=np.int64)
+    rows = np.arange(n_rows)
+    pos = np.zeros(n_rows, dtype=np.int64)
     slot = np.zeros(1, dtype=np.int64)
-    k_of_row = np.zeros(n_rows, dtype=np.int64)  # slot of the row's node, -1 once closed
+    start, end = 0, 1
     grad_hist = np.empty((1, n_features, n_bins), dtype=np.float64)
     hess_hist = np.empty((1, n_features, n_bins), dtype=np.int32)
-    _accumulate_histograms(codes, np.arange(n_rows), k_of_row, grad, grad_hist, hess_hist)
+    _accumulate_histograms(codes, rows, pos, grad, grad_hist, hess_hist)
     for depth in range(config.max_depth):
-        level_feature, split_bin = _level_splits(
-            grad_hist, hess_hist, lam, config.min_child_weight
-        )
-        # indexed by slot; the extra last entry serves closed rows (slot -1)
-        split_feature = np.append(level_feature, -1)
-        left_child = np.zeros(len(open_nodes), dtype=np.int64)
-        next_open: list[int] = []
-        for node_id in open_nodes:
-            k = slot[node_id]
-            f = int(split_feature[k])
-            if f < 0:
-                continue  # stays a leaf
-            lid, rid = len(feature), len(feature) + 1
-            feature += [-1, -1]
-            threshold += [0.0, 0.0]
-            left += [-1, -1]
-            right += [-1, -1]
-            feature[node_id] = f
-            threshold[node_id] = float(edges[f][split_bin[k]])
-            left[node_id] = lid
-            right[node_id] = rid
-            left_child[k] = lid
-            next_open.extend((lid, rid))
+        slot_feature, slot_bin = _level_splits(grad_hist, hess_hist, lam, config.min_child_weight)
+        feature, split_bin = slot_feature[slot], slot_bin[slot]
+        splits = feature >= 0
+        parents = slot[splits]
+        n_pairs = len(parents)
+        pair = np.cumsum(splits) - 1
+        threshold = np.zeros(len(feature))
+        threshold[splits] = all_edges[edge_start[feature[splits]] + split_bin[splits]]
+        features.append(feature)
+        thresholds.append(threshold)
+        lefts.append(np.where(splits, end + 2 * pair, -1))
 
-        feature_of_row = split_feature[k_of_row]
-        moving = np.nonzero(feature_of_row >= 0)[0]
-        k_moving = k_of_row[moving]
-        go_right = codes[moving, feature_of_row[moving]] > split_bin[k_moving]
-        node_of_row[moving] = left_child[k_moving] + go_right  # right child = left + 1
-        open_nodes = next_open
-        if not open_nodes or depth + 1 == config.max_depth:
+        feature_of_row = feature[pos]
+        moving = feature_of_row >= 0
+        node_of_row[rows[~moving]] = start + pos[~moving]
+        rows, pos = rows[moving], pos[moving]
+        go_right = codes[rows, feature_of_row[moving]] > split_bin[pos]
+        pos = 2 * pair[pos] + go_right
+        start, end = end, end + 2 * n_pairs
+        if n_pairs == 0 or depth + 1 == config.max_depth:
             break
 
-        # smaller children take slots [0, n_pairs), their siblings the
-        # slots n_pairs onward in the same pair order
-        parents = np.nonzero(split_feature[:-1] >= 0)[0]
-        n_pairs = len(parents)
-        lc = left_child[parents]
-        rc = lc + 1
-        counts = np.bincount(node_of_row[moving], minlength=len(feature))
-        left_smaller = counts[lc] <= counts[rc]
-        slot = np.full(len(feature), -1, dtype=np.int64)
-        slot[np.where(left_smaller, lc, rc)] = np.arange(n_pairs)
-        slot[np.where(left_smaller, rc, lc)] = np.arange(n_pairs, 2 * n_pairs)
-        k_of_row = slot[node_of_row]
-        small_rows = np.nonzero((k_of_row >= 0) & (k_of_row < n_pairs))[0]
+        counts = np.bincount(pos, minlength=2 * n_pairs)
+        smaller = np.arange(0, 2 * n_pairs, 2) + (counts[0::2] > counts[1::2])
+        slot = np.empty(2 * n_pairs, dtype=np.int64)
+        slot[smaller] = np.arange(n_pairs)
+        slot[smaller ^ 1] = np.arange(n_pairs, 2 * n_pairs)
+        slot_of_row = slot[pos]
+        # indices, not a mask: numpy filters slowly by a mask of interleaved runs
+        small = np.flatnonzero(slot_of_row < n_pairs)
         next_grad = np.empty((2 * n_pairs, n_features, n_bins), dtype=np.float64)
         next_hess = np.empty((2 * n_pairs, n_features, n_bins), dtype=np.int32)
         _accumulate_histograms(
-            codes,
-            small_rows,
-            k_of_row[small_rows],
-            grad,
-            next_grad[:n_pairs],
-            next_hess[:n_pairs],
+            codes, rows[small], slot_of_row[small], grad, next_grad[:n_pairs], next_hess[:n_pairs]
         )
         for hist, nxt in ((grad_hist, next_grad), (hess_hist, next_hess)):
             large = nxt[n_pairs:]
@@ -524,20 +519,17 @@ def _grow_tree(
             np.subtract(large, nxt[:n_pairs], out=large)
         grad_hist, hess_hist = next_grad, next_hess
 
-    feature_arr = np.asarray(feature, dtype=np.int32)
-    leaves = feature_arr < 0
-    n_nodes = len(feature)
-    grad_sum = np.bincount(node_of_row, weights=grad, minlength=n_nodes)[leaves]
-    count = np.bincount(node_of_row, minlength=n_nodes)[leaves]
-    value = np.zeros(n_nodes, dtype=np.float64)
+    # the last level's nodes are leaves
+    node_of_row[rows] = start + pos
+    feature = np.concatenate(features + [np.full(end - start, -1)]).astype(np.int32)
+    threshold = np.concatenate(thresholds + [np.zeros(end - start)])
+    left = np.concatenate(lefts + [np.full(end - start, -1)]).astype(np.int32)
+    leaves = feature < 0
+    grad_sum = np.bincount(node_of_row, weights=grad, minlength=end)[leaves]
+    count = np.bincount(node_of_row, minlength=end)[leaves]
+    value = np.zeros(end, dtype=np.float64)
     value[leaves] = -grad_sum / (count + lam) * eta
-    tree = Tree(
-        feature=feature_arr,
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=value,
-    )
+    tree = Tree(feature, threshold, left, np.where(leaves, left, left + 1), value)
     return tree, node_of_row
 
 

@@ -9,13 +9,16 @@ from optbench import (
     GbdtConfig,
     SimConfig,
     SplitSpec,
+    TreeEnsemble,
     ValidationError,
     best_split,
     eta_decay,
     filter_quotes,
     generate_dataset,
+    load_model,
     predict_gbdt,
     quantize_features,
+    save_model,
     split_dataset,
     train_gbdt,
 )
@@ -523,3 +526,49 @@ class TestTraining:
         )
         with pytest.raises(ValueError, match="cycle"):
             tree.predict(np.zeros((3, 1)))
+
+    def test_depth_stops_on_a_cycle(self):
+        # node 1 is its own child
+        tree = Tree(
+            feature=np.array([0, 0], dtype=np.int32),
+            threshold=np.zeros(2),
+            left=np.array([1, 1], dtype=np.int32),
+            right=np.array([1, 1], dtype=np.int32),
+            value=np.zeros(2),
+        )
+        with pytest.raises(ValueError, match="cycle"):
+            tree.depth()
+
+    def test_depth_of_a_saved_chain_tree(self, tmp_path):
+        # each internal node has a leaf on the left and the next internal
+        # node on the right: 1,200 levels, deeper than the recursion limit
+        n_internal = 1200
+        n = 2 * n_internal + 1
+        internal = np.arange(0, n - 1, 2)
+        feature = np.full(n, -1, dtype=np.int32)
+        left = np.full(n, -1, dtype=np.int32)
+        right = np.full(n, -1, dtype=np.int32)
+        feature[internal] = 0
+        left[internal] = internal + 1
+        right[internal] = internal + 2
+        value = np.where(feature < 0, np.arange(n, dtype=np.float64), 0.0)
+        chain = Tree(feature, np.zeros(n), left, right, value)
+        model = TreeEnsemble(base_score=0.0, trees=[chain], n_features=26, best_round=0)
+        back = load_model(save_model(model, tmp_path / "chain.model")).trees[0]
+        assert back.depth() == n_internal
+        X = np.zeros((2, 26))
+        X[:, 0] = [-1.0, 1.0]
+        assert back.predict(X).tolist() == [1.0, n - 1.0]
+
+    def test_depth_is_the_longest_path(self):
+        # root -> (leaf 1, node 2); node 2 -> (node 3, leaf 4); node 3 -> leaves 5, 6
+        tree = Tree(
+            feature=np.array([0, -1, 0, 0, -1, -1, -1], dtype=np.int32),
+            threshold=np.zeros(7),
+            left=np.array([1, -1, 3, 5, -1, -1, -1], dtype=np.int32),
+            right=np.array([2, -1, 4, 6, -1, -1, -1], dtype=np.int32),
+            value=np.zeros(7),
+        )
+        assert tree.depth() == 3
+        none = np.array([-1], dtype=np.int32)
+        assert Tree(none, np.zeros(1), none, none, np.zeros(1)).depth() == 0
