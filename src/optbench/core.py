@@ -14,13 +14,17 @@ never a model input: it exists so the closed-form baseline can reprice
 the quote.
 
 The input rules both learners share (check_fit_pair, check_features,
-predict_rows), the seed rule (check_seed) and the seeded random streams
-(seeded_rng) are defined here once.
+predict_rows), the seed rule (SEED) and the seeded random streams
+(seeded_rng) are defined here once. So is the one check of config fields
+and count arguments: each config declares its rule table, a dict of field
+name to (test, requirement) made from the predicates and rule helpers
+here, and check_fields raises for the first field whose test fails.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -85,6 +89,11 @@ def is_flag(x):
     return (x == 0.0) | (x == 1.0)
 
 
+def is_integer(x) -> bool:
+    """An integer that is not a bool; numpy integers count."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 class Check(NamedTuple):
     """One step of the validity rule: a term, its test and what it requires."""
 
@@ -93,18 +102,22 @@ class Check(NamedTuple):
     requirement: str
 
 
-_POSITIVE = "must be positive and finite"
-_RATE = f"must be finite with |value| < {MAX_ABS_RATE}"
+# A rule is a (test, requirement) pair; these are shared by pricing
+# terms and config fields.
+Rule = tuple[Callable, str]
+POSITIVE = (is_positive, "must be positive and finite")
+RATE = (is_rate, f"must be finite with |value| < {MAX_ABS_RATE}")
+SEED = (lambda s: is_integer(s) and 0 <= s < 2**64, "must be an integer in [0, 2**64)")
 
 # A quote is valid when every check passes; a bad quote is reported
 # under its first failing check. A check covers the column of its name
 # (see _SPANS).
 QUOTE_RULE: tuple[Check, ...] = (
-    Check("underlying_price", is_positive, _POSITIVE),
-    Check("strike", is_positive, _POSITIVE),
-    Check("maturity_years", is_positive, _POSITIVE),
-    Check("rate", is_rate, _RATE),
-    Check("dividend_yield", is_rate, _RATE),
+    Check("underlying_price", *POSITIVE),
+    Check("strike", *POSITIVE),
+    Check("maturity_years", *POSITIVE),
+    Check("rate", *RATE),
+    Check("dividend_yield", *RATE),
     Check("lags", is_positive, "every lag must be a positive finite price"),
     Check("midpoint", is_midpoint, f"must lie in (0, {MAX_MIDPOINT:g})"),
     Check("implied_vol", is_implied_vol, f"must be NaN or lie in (0, {IMPLIED_VOL_CAP:g}]"),
@@ -115,8 +128,8 @@ _SPANS["lags"] = LAG_COLUMNS
 # Pricing terms outside the table share the predicates.
 _TERMS = {
     **{c.name: (c.ok, c.requirement) for c in QUOTE_RULE},
-    "sigma": (is_positive, _POSITIVE),
-    "price": (is_positive, _POSITIVE),
+    "sigma": POSITIVE,
+    "price": POSITIVE,
 }
 
 
@@ -133,6 +146,49 @@ def check_terms(**terms) -> None:
         if not (good.all() if isinstance(good, np.ndarray) else good):
             bad = np.atleast_1d(values)[~np.atleast_1d(good)][0]
             raise ValidationError(f"{name}: {requirement}, got {float(bad)!r}")
+
+
+def integer_rule(low: int, high: int | None = None) -> Rule:
+    """The rule of an integer >= low, and <= high when high is given."""
+    if high is None:
+        return (lambda v: is_integer(v) and v >= low), f"must be an integer >= {low}"
+    return (lambda v: is_integer(v) and low <= v <= high), f"must be an integer in [{low}, {high}]"
+
+
+def _all_pass(ok: Callable, values) -> bool:
+    arr = np.asarray(values)
+    return arr.ndim == 1 and arr.size > 0 and bool(ok(arr).all())
+
+
+def each_rule(rule: Rule) -> Rule:
+    """The rule of a non-empty sequence whose every value passes `rule`."""
+    ok, requirement = rule
+    return (lambda v: _all_pass(ok, v)), f"need at least one value, and each {requirement}"
+
+
+def range_rule(rule: Rule) -> Rule:
+    """The rule of a (low, high) pair with low <= high whose bounds pass `rule`."""
+    ok, requirement = rule
+    return (
+        lambda r: len(r) == 2 and _all_pass(ok, r) and r[0] <= r[1]
+    ), f"need low <= high, and each bound {requirement}"
+
+
+def check_fields(rules: dict[str, Rule], **values) -> None:
+    """Raise ValidationError naming the first value that fails the rule of its name.
+
+    `rules` maps each name to its (test, requirement). A test that raises
+    TypeError or ValueError, as comparing a value of the wrong type or
+    shape does, fails.
+    """
+    for name, value in values.items():
+        ok, requirement = rules[name]
+        try:
+            good = bool(ok(value))
+        except (TypeError, ValueError):
+            good = False
+        if not good:
+            raise ValidationError(f"{name}: {requirement}, got {value!r}")
 
 
 def check_table(quotes) -> np.ndarray:
@@ -296,15 +352,18 @@ def predict_rows(predict: Callable, rows, width: int, name: str):
     return float(out[0]) if single else out
 
 
-def check_seed(seed) -> None:
-    """Every seed of the package is an integer in [0, 2**64)."""
-    if not (isinstance(seed, int) and 0 <= seed < 2**64):
-        raise ValidationError(f"seed: must be an integer in [0, 2**64), got {seed!r}")
-
-
 def seeded_rng(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     """The independent generator that `spawn_key` names under `seed`."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
+
+
+_FRACTION = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+_SPLIT_RULES = {
+    "train_fraction": _FRACTION,
+    "val_fraction": _FRACTION,
+    "test_fraction": _FRACTION,
+    "seed": SEED,
+}
 
 
 @dataclass(frozen=True)
@@ -317,16 +376,12 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("train_fraction", "val_fraction", "test_fraction"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0 <= v <= 1):
-                raise ValidationError(f"{name}: must lie in [0, 1], got {v!r}")
+        check_fields(_SPLIT_RULES, **vars(self))
         total = self.train_fraction + self.val_fraction + self.test_fraction
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(
                 f"fractions must sum to 1 within 1e-12, got {total!r}"
             )
-        check_seed(self.seed)
 
 
 def split_indices(
@@ -337,8 +392,7 @@ def split_indices(
     A seeded uniform permutation is cut so that val and test get
     round(n * fraction) rows each and train gets the remainder.
     """
-    if n <= 0:
-        raise ValidationError(f"n: need at least one row to split, got {n}")
+    check_fields({"n": integer_rule(1)}, n=n)
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n)
     n_val = round(n * spec.val_fraction)

@@ -16,8 +16,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .core import check_fields, integer_rule
 from .errors import InconsistentEvaluationError, ValidationError
 from .ingest import write_file, write_rows
+
+_BIN_RULES = {"n_bins": integer_rule(1)}
 
 
 def _aligned(predictions, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -68,8 +71,7 @@ def binned_errors(predictions, targets, n_bins: int = 20) -> list[BinStat]:
     With one bin this reduces to the global MAE/MAPE.
     """
     p, t = _aligned(predictions, targets)
-    if n_bins < 1:
-        raise ValidationError(f"n_bins: must be >= 1, got {n_bins}")
+    check_fields(_BIN_RULES, n_bins=n_bins)
     if not np.all(t > 0):
         raise ValidationError("targets: binned errors need strictly positive targets")
     lo, hi = float(t.min()), float(t.max())
@@ -147,8 +149,7 @@ class HistogramBin(NamedTuple):
 def histogram(values, n_bins: int = 30) -> list[HistogramBin]:
     """Equal-width histogram; bin counts always sum to len(values)."""
     v = _check_values(values)
-    if n_bins < 1:
-        raise ValidationError(f"n_bins: must be >= 1, got {n_bins}")
+    check_fields(_BIN_RULES, n_bins=n_bins)
     counts, edges = np.histogram(v, bins=n_bins)
     return [
         HistogramBin(float(edges[b]), float(edges[b + 1]), int(counts[b]))

@@ -41,6 +41,10 @@ edges[b] if and only if bin(value) <= b.
 Validation MAE is monitored every round; training stops once it has
 failed to improve for `early_stopping_rounds` rounds, and the returned
 ensemble is truncated at the best round.
+
+EtaSchedule and GbdtConfig each declare their field rules as one table
+checked by `core.check_fields`; `quantize_features` and `best_split`
+check their `n_bins` and regularization arguments against GbdtConfig's.
 """
 
 from __future__ import annotations
@@ -51,8 +55,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, check_features, check_fit_pair, predict_rows
+from .core import (
+    Dataset,
+    check_features,
+    check_fields,
+    check_fit_pair,
+    integer_rule,
+    is_integer,
+    predict_rows,
+)
 from .errors import ValidationError
+
+_SHRINKAGE = (lambda v: 0 < v <= 1, "must lie in (0, 1]")
+_ETA_RULES = {"eta_base": _SHRINKAGE, "eta_min": _SHRINKAGE, "max_iter_decay": integer_rule(1)}
 
 
 @dataclass(frozen=True)
@@ -64,18 +79,10 @@ class EtaSchedule:
     max_iter_decay: int = 100_000
 
     def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.eta_base)
-            and math.isfinite(self.eta_min)
-            and 0.0 < self.eta_min <= self.eta_base <= 1.0
-        ):
+        check_fields(_ETA_RULES, **vars(self))
+        if self.eta_min > self.eta_base:
             raise ValidationError(
-                f"eta: need 0 < eta_min <= eta_base <= 1, got "
-                f"({self.eta_base!r}, {self.eta_min!r})"
-            )
-        if self.max_iter_decay < 1:
-            raise ValidationError(
-                f"max_iter_decay: must be >= 1, got {self.max_iter_decay}"
+                f"eta: need eta_min <= eta_base, got ({self.eta_base!r}, {self.eta_min!r})"
             )
 
 
@@ -88,23 +95,25 @@ def eta_decay(iteration: int, schedule: EtaSchedule = EtaSchedule()) -> float:
     eta_min, which it approaches (and, in floating point, eventually
     reaches) as the exponent underflows.
     """
-    if iteration < 0:
-        raise ValidationError(f"iteration: must be >= 0, got {iteration}")
+    check_fields({"iteration": integer_rule(0)}, iteration=iteration)
     x = (iteration + 1) / 8.0
     return schedule.eta_min + (schedule.eta_base - schedule.eta_min) * math.exp(
         -(x * x) / schedule.max_iter_decay
     )
 
 
-def _check_n_bins(n_bins: int) -> None:
-    if not (2 <= n_bins <= 1024):
-        raise ValidationError(f"n_bins: must lie in [2, 1024], got {n_bins}")
-
-
-def _check_regularization(reg_lambda: float, min_child_weight: float) -> None:
-    for name, v in (("reg_lambda", reg_lambda), ("min_child_weight", min_child_weight)):
-        if not (math.isfinite(v) and v >= 0):
-            raise ValidationError(f"{name}: must be >= 0 and finite, got {v!r}")
+_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be >= 0 and finite")
+_GBDT_RULES = {
+    "max_depth": integer_rule(1, 32),
+    "num_rounds": integer_rule(1),
+    "early_stopping_rounds": (
+        lambda v: v is None or is_integer(v) and v >= 1, "must be an integer >= 1 or None"
+    ),
+    "n_bins": integer_rule(2, 1024),
+    "reg_lambda": _NON_NEGATIVE,
+    "min_child_weight": _NON_NEGATIVE,
+    "eta": (lambda v: isinstance(v, EtaSchedule), "must be an EtaSchedule"),
+}
 
 
 @dataclass(frozen=True)
@@ -118,17 +127,7 @@ class GbdtConfig:
     eta: EtaSchedule = EtaSchedule()
 
     def __post_init__(self) -> None:
-        if not (1 <= self.max_depth <= 32):
-            raise ValidationError(f"max_depth: must lie in [1, 32], got {self.max_depth}")
-        if self.num_rounds < 1:
-            raise ValidationError(f"num_rounds: must be >= 1, got {self.num_rounds}")
-        if self.early_stopping_rounds is not None and self.early_stopping_rounds < 1:
-            raise ValidationError(
-                f"early_stopping_rounds: must be >= 1 or None, "
-                f"got {self.early_stopping_rounds}"
-            )
-        _check_n_bins(self.n_bins)
-        _check_regularization(self.reg_lambda, self.min_child_weight)
+        check_fields(_GBDT_RULES, **vars(self))
 
 
 class BinnedMatrix(NamedTuple):
@@ -154,7 +153,7 @@ def quantize_features(features: np.ndarray, n_bins: int) -> BinnedMatrix:
     bin, so binned split finding is exact for it.
     """
     X = np.asfortranarray(check_features(features))
-    _check_n_bins(n_bins)
+    check_fields(_GBDT_RULES, n_bins=n_bins)
     quantile_points = np.arange(1, n_bins) / n_bins
     dtype = np.uint8 if n_bins <= 256 else np.uint16
     codes = np.empty(X.shape, dtype=dtype, order="F")
@@ -217,7 +216,7 @@ def best_split(
         raise ValidationError(
             f"histogram: grad/hess shapes must match and be 2-D, got {g.shape} vs {h.shape}"
         )
-    _check_regularization(reg_lambda, min_child_weight)
+    check_fields(_GBDT_RULES, reg_lambda=reg_lambda, min_child_weight=min_child_weight)
     n_features, n_bins = g.shape
     if n_bins < 2:
         return None

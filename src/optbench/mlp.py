@@ -27,6 +27,9 @@ formulation, so the trained weights are the same bit for bit. The one
 substitution, a broadcast multiply for the one-column delta's product
 with the output weights, can differ from that matmul only in the sign
 of an exact zero.
+
+LayerSpec, Architecture and MlpTrainConfig each declare their field
+rules as one table checked by `core.check_fields`.
 """
 
 from __future__ import annotations
@@ -38,11 +41,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    POSITIVE,
+    SEED,
     Dataset,
     check_features,
+    check_fields,
     check_fit_pair,
-    check_seed,
     check_width,
+    integer_rule,
     predict_rows,
     seeded_rng,
 )
@@ -55,18 +61,29 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
+_LAYER_RULES = {
+    "units": integer_rule(1),
+    "activation": (lambda a: a in ACTIVATIONS, f"must be one of {ACTIVATIONS}"),
+}
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     units: int
     activation: str
 
     def __post_init__(self) -> None:
-        if self.units < 1:
-            raise ValidationError(f"units: must be >= 1, got {self.units}")
-        if self.activation not in ACTIVATIONS:
-            raise ValidationError(
-                f"activation: expected one of {ACTIVATIONS}, got {self.activation!r}"
-            )
+        check_fields(_LAYER_RULES, **vars(self))
+
+
+_ARCHITECTURE_RULES = {
+    "layers": (
+        lambda layers: len(layers) > 0
+        and all(isinstance(spec, LayerSpec) for spec in layers)
+        and layers[-1] == LayerSpec(1, "linear"),
+        "need at least one LayerSpec, the output layer a single linear unit",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -76,13 +93,7 @@ class Architecture:
     layers: tuple[LayerSpec, ...]
 
     def __post_init__(self) -> None:
-        if not self.layers:
-            raise ValidationError("layers: need at least one layer")
-        last = self.layers[-1]
-        if last.units != 1 or last.activation != "linear":
-            raise ValidationError(
-                f"layers: the output layer must be a single linear unit, got {last!r}"
-            )
+        check_fields(_ARCHITECTURE_RULES, **vars(self))
 
 
 THREE_LAYER = Architecture(
@@ -159,8 +170,7 @@ def init_network(
     stats: FeatureStats | None = None,
 ) -> NetworkParams:
     """He-initialized network: N(0, sqrt(2/fan_in)) weights, zero biases."""
-    if n_inputs < 1:
-        raise ValidationError(f"n_inputs: must be >= 1, got {n_inputs}")
+    check_fields({"n_inputs": integer_rule(1), "seed": SEED}, n_inputs=n_inputs, seed=seed)
     rng = seeded_rng(seed, (0,))
     weights: list[np.ndarray] = []
     biases: list[np.ndarray] = []
@@ -307,8 +317,7 @@ def adam_step(
     p -= lr*(m/c1) / (sqrt(v/c2) + eps). The temporaries go through two
     scratch buffers sized to the largest parameter.
     """
-    if not (math.isfinite(lr) and lr > 0):
-        raise ValidationError(f"lr: must be positive and finite, got {lr!r}")
+    check_fields({"lr": POSITIVE}, lr=lr)
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
@@ -336,6 +345,18 @@ def adam_step(
     return net, state
 
 
+_TRAIN_RULES = {
+    "initial_lr": POSITIVE,
+    "plateau_factor": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "plateau_patience": integer_rule(1),
+    "min_lr": POSITIVE,
+    "early_stop_patience": integer_rule(1),
+    "max_epochs": integer_rule(0),
+    "batch_size": integer_rule(1),
+    "seed": SEED,
+}
+
+
 @dataclass(frozen=True)
 class MlpTrainConfig:
     initial_lr: float = 0.01
@@ -348,29 +369,11 @@ class MlpTrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.initial_lr) and self.initial_lr > 0):
-            raise ValidationError(f"initial_lr: must be > 0, got {self.initial_lr!r}")
-        if not (0 < self.plateau_factor < 1):
-            raise ValidationError(
-                f"plateau_factor: must lie in (0, 1), got {self.plateau_factor!r}"
-            )
-        if self.plateau_patience < 1:
-            raise ValidationError(
-                f"plateau_patience: must be >= 1, got {self.plateau_patience}"
-            )
-        if not (0 < self.min_lr <= self.initial_lr):
+        check_fields(_TRAIN_RULES, **vars(self))
+        if self.min_lr > self.initial_lr:
             raise ValidationError(
                 f"min_lr: must lie in (0, initial_lr], got {self.min_lr!r}"
             )
-        if self.early_stop_patience < 1:
-            raise ValidationError(
-                f"early_stop_patience: must be >= 1, got {self.early_stop_patience}"
-            )
-        if self.max_epochs < 0:
-            raise ValidationError(f"max_epochs: must be >= 0, got {self.max_epochs}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size: must be >= 1, got {self.batch_size}")
-        check_seed(self.seed)
 
 
 class EpochRecord(NamedTuple):

@@ -16,6 +16,11 @@ priced by one `bs_prices` call, in day, maturity, moneyness, type order.
 Determinism: every random draw derives from (seed, underlying index,
 stream), so any underlying can be regenerated in isolation and two runs
 with equal configs produce identical datasets.
+
+SimConfig's field rules are one table checked by `core.check_fields`.
+Its spot, maturity and moneyness terms take the pricing terms' positive
+rule and its rate and yield ranges their rate rule, so every quote the
+config can draw is one the pricer accepts.
 """
 
 from __future__ import annotations
@@ -29,12 +34,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .blackscholes import bs_prices
 from .core import (
     LAG_COLUMNS,
-    MAX_ABS_RATE,
     N_LAGS,
+    POSITIVE,
     QUOTE_COLUMNS,
     QUOTE_WIDTH,
-    check_seed,
+    RATE,
+    SEED,
+    check_fields,
     check_terms,
+    each_rule,
+    integer_rule,
+    is_positive,
+    range_rule,
     seeded_rng,
 )
 from .errors import ValidationError
@@ -55,6 +66,25 @@ _PATH_STREAM = 1
 _NOISE_STREAM = 2
 
 
+_SIM_RULES = {
+    "n_underlyings": integer_rule(0),
+    "days_per_underlying": integer_rule(N_LAGS + 1),  # a lag window, then a quote day
+    "s0_range": range_rule(POSITIVE),
+    "vol_regimes": (
+        lambda regimes: len(regimes) > 0
+        and all(0 <= sigma < math.inf and is_positive(weight) for sigma, weight in regimes),
+        "need at least one (sigma, weight) pair, each finite with sigma >= 0 and weight > 0",
+    ),
+    "drift": (math.isfinite, "must be finite"),
+    "rate_range": range_rule(RATE),
+    "yield_range": range_rule(RATE),
+    "maturities": each_rule(POSITIVE),
+    "moneyness_grid": each_rule(POSITIVE),
+    "half_spread": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "seed": SEED,
+}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Knobs for one synthetic dataset."""
@@ -72,49 +102,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_underlyings < 0:
-            raise ValidationError(
-                f"n_underlyings: must be >= 0, got {self.n_underlyings}"
-            )
-        if self.days_per_underlying <= N_LAGS:
-            raise ValidationError(
-                f"days_per_underlying: need more than {N_LAGS} days to form "
-                f"a lag window, got {self.days_per_underlying}"
-            )
-        for name in ("s0_range", "rate_range", "yield_range"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ValidationError(f"{name}: bad range ({lo!r}, {hi!r})")
-        for name in ("rate_range", "yield_range"):
-            lo, hi = getattr(self, name)
-            if not (-MAX_ABS_RATE < lo and hi < MAX_ABS_RATE):
-                raise ValidationError(
-                    f"{name}: pricing needs |value| < {MAX_ABS_RATE}, got ({lo!r}, {hi!r})"
-                )
-        if self.s0_range[0] <= 0:
-            raise ValidationError(
-                f"s0_range: spot must stay positive, got {self.s0_range!r}"
-            )
-        if not self.vol_regimes:
-            raise ValidationError("vol_regimes: need at least one regime")
-        for sigma, weight in self.vol_regimes:
-            if not (math.isfinite(sigma) and sigma >= 0):
-                raise ValidationError(f"vol_regimes: bad sigma {sigma!r}")
-            if not (math.isfinite(weight) and weight > 0):
-                raise ValidationError(f"vol_regimes: bad weight {weight!r}")
-        if not self.maturities or any(t <= 0 for t in self.maturities):
-            raise ValidationError(
-                f"maturities: need positive year fractions, got {self.maturities!r}"
-            )
-        if not self.moneyness_grid or any(m <= 0 for m in self.moneyness_grid):
-            raise ValidationError(
-                f"moneyness_grid: need positive ratios, got {self.moneyness_grid!r}"
-            )
-        if not (math.isfinite(self.half_spread) and 0 <= self.half_spread < 1):
-            raise ValidationError(
-                f"half_spread: must lie in [0, 1), got {self.half_spread!r}"
-            )
-        check_seed(self.seed)
+        check_fields(_SIM_RULES, **vars(self))
 
 
 @dataclass(frozen=True)
@@ -135,8 +123,7 @@ class UnderlyingPath:
 
 def simulate_underlying(config: SimConfig, index: int) -> UnderlyingPath:
     """Draw parameters and the daily GBM path for underlying `index`."""
-    if index < 0:
-        raise ValidationError(f"index: must be >= 0, got {index}")
+    check_fields({"index": integer_rule(0)}, index=index)
     params = seeded_rng(config.seed, (index, _PARAM_STREAM))
     s0 = params.uniform(*config.s0_range)
     weights = np.array([w for _, w in config.vol_regimes], dtype=np.float64)

@@ -58,6 +58,7 @@ def _record(n: int, ok: bool, detail: str):
     print(line)
 
 
+@pytest.mark.slow
 def test_criterion_1_pricing_oracles():
     t0 = time.perf_counter()
     try:
@@ -335,6 +336,7 @@ def test_criterion_5_schedule_and_stopping():
             f"epoch {len(history)} = best {best_epoch} + 150, best weights restored")
 
 
+@pytest.mark.slow
 def test_criterion_6_benchmark_ordering():
     t0 = time.perf_counter()
     try:
@@ -361,6 +363,7 @@ def test_criterion_6_benchmark_ordering():
             f"gbdt10 < bs_realized {mae_rv:.4f}; {len(ds)} rows, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_noiseless_round_trip(tmp_path):
     try:
         out = tmp_path / "run"

@@ -595,6 +595,9 @@ class TestConfigPlumbing:
             (["evaluate", "--include-bs"], ["eval.curve_bins=0"]),
             (["report"], ["report.hist_bins=0"]),
             (["gen"], ["sim.rate_min=2", "sim.rate_max=3"]),
+            (["gen"], ["sim.maturities=inf"]),
+            (["gen"], ["sim.moneyness=nan"]),
+            (["gen"], ["sim.drift=nan"]),
         ],
     )
     def test_config_mistake_is_usage_error(self, tmp_path, command, settings):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,8 +7,11 @@ import pytest
 
 from optbench import (
     THREE_LAYER,
+    Architecture,
     Dataset,
+    EtaSchedule,
     GbdtConfig,
+    LayerSpec,
     MlpTrainConfig,
     SimConfig,
     SplitSpec,
@@ -295,6 +299,9 @@ class TestSplit:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             split_indices(0, SplitSpec())
+        for n in (5.5, True):
+            with pytest.raises(ValidationError, match="^n: "):
+                split_indices(n, SplitSpec())
 
     def test_split_dataset_carries_row_ids(self):
         rng = np.random.default_rng(0)
@@ -371,9 +378,96 @@ class TestSharedRules:
                  lambda s: MlpTrainConfig(seed=s)],
         ids=["SimConfig", "SplitSpec", "MlpTrainConfig"],
     )
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     def test_seed(self, make, seed):
         message = f"seed: must be an integer in [0, 2**64), got {seed!r}"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             make(seed)
         assert make(2**64 - 1).seed == 2**64 - 1
+
+
+NAN, INF = math.nan, math.inf
+# One bad value per rule of each config field: out of range, NaN, inf, a
+# float or a bool for an integer, or a value of the wrong type.
+FIELD_CASES = {
+    SplitSpec: {
+        "train_fraction": [1.5, -0.1, NAN, INF, "0.5", None],
+        "val_fraction": [-0.1, NAN],
+        "test_fraction": [INF, None],
+        "seed": [-1, 2**64, 1.5, True, "1"],
+    },
+    EtaSchedule: {
+        "eta_base": [0.0, 1.5, NAN, INF, "0.5"],
+        "eta_min": [0.0, -0.1, NAN, None],
+        "max_iter_decay": [0, 2.5, True, "10", INF],
+    },
+    GbdtConfig: {
+        "max_depth": [0, 33, 2.5, True, None],
+        "num_rounds": [0, 2.5, True, "5", INF],
+        "early_stopping_rounds": [0, 1.5, True, "none"],
+        "n_bins": [1, 1025, 100.5, True, NAN],
+        "reg_lambda": [-1.0, NAN, INF, "1"],
+        "min_child_weight": [-0.5, NAN, INF, None],
+        "eta": [0.5, None, {"eta_base": 0.5}],
+    },
+    MlpTrainConfig: {
+        "initial_lr": [0.0, -0.01, NAN, INF, "0.01"],
+        "plateau_factor": [0.0, 1.0, NAN, None],
+        "plateau_patience": [0, 1.5, True],
+        "min_lr": [0.0, -1e-6, NAN, "x"],
+        "early_stop_patience": [0, 1.5, True, INF],
+        "max_epochs": [-1, 8.0, True],
+        "batch_size": [0, 64.0, True, "64"],
+        "seed": [-1, 2**64, 1.5, True],
+    },
+    SimConfig: {
+        "n_underlyings": [-1, 2.5, True, "3"],
+        "days_per_underlying": [20, 30.0, True],
+        "s0_range": [(0.0, 10.0), (10.0, 5.0), (NAN, 10.0), (10.0, INF), (1.0,), "ab", 5.0],
+        "vol_regimes": [(), ((NAN, 1.0),), ((-0.1, 1.0),), ((0.2, 0.0),), ((0.2, INF),),
+                        ((0.2,),), (("a", 1.0),)],
+        "drift": [NAN, INF, -INF, "0.05", None],
+        "rate_range": [(2.0, 3.0), (0.0, 1.0), (0.05, 0.01), (NAN, 0.05), ("a", "b")],
+        "yield_range": [(-1.0, 0.0), (0.0, INF), ((0.0, 0.01), (0.02, 0.03))],
+        "maturities": [(), (0.0,), (INF,), (NAN,), (-0.5, 1.0), ("a",), 0.5, ((0.5,),)],
+        "moneyness_grid": [(), (0.0, 1.0), (NAN,), (1.0, INF), (None,)],
+        "half_spread": [-0.01, 1.0, NAN, "0.01"],
+        "seed": [-1, 1.5, True],
+    },
+    LayerSpec: {
+        "units": [0, 2.5, True, "4"],
+        "activation": ["tanh", None, ["relu"]],
+    },
+    Architecture: {
+        "layers": [(), (LayerSpec(4, "relu"),), (LayerSpec(1, "relu"),),
+                   (LayerSpec(4, "relu"), LayerSpec(2, "linear")), (4, LayerSpec(1, "linear")),
+                   None],
+    },
+}
+GOOD = {LayerSpec: {"units": 4, "activation": "relu"},
+        Architecture: {"layers": THREE_LAYER.layers}}
+
+
+class TestFieldRules:
+    """Every field of every config is checked by its rule, through check_fields."""
+
+    def test_every_field_has_cases(self):
+        for cls, cases in FIELD_CASES.items():
+            assert set(cases) == {f.name for f in dataclasses.fields(cls)}, cls
+
+    @pytest.mark.parametrize(
+        "cls, field, bad",
+        [(cls, field, bad) for cls, cases in FIELD_CASES.items()
+         for field, values in cases.items() for bad in values],
+        ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
+    )
+    def test_bad_value_names_its_field(self, cls, field, bad):
+        kwargs = {**GOOD.get(cls, {}), field: bad}
+        with pytest.raises(ValidationError) as info:
+            cls(**kwargs)
+        message = str(info.value)
+        assert message.startswith(f"{field}: ") and message.endswith(f", got {bad!r}")
+
+    def test_numpy_integers_count(self):
+        cfg = GbdtConfig(num_rounds=np.int64(3), n_bins=np.uint16(64))
+        assert (cfg.num_rounds, cfg.n_bins) == (3, 64)

@@ -88,6 +88,12 @@ class TestBinnedErrors:
         assert len(stats) == 1
         assert stats[0].count == 5
 
+    @pytest.mark.parametrize("n_bins", [0, 2.5, True, "3"])
+    def test_bin_count_must_be_a_positive_integer(self, n_bins):
+        targets = np.linspace(1.0, 10.0, 5)
+        with pytest.raises(ValidationError, match="^n_bins: "):
+            binned_errors(targets, targets, n_bins)
+
 
 class TestSummaryStats:
     def test_one_to_thousand(self):
@@ -129,6 +135,11 @@ class TestHistogram:
         bins = histogram(values, n_bins=3)
         assert bins[0].lower == 2.0
         assert bins[-1].upper == 11.0
+
+    @pytest.mark.parametrize("n_bins", [0, 2.5, True, "3"])
+    def test_bin_count_must_be_a_positive_integer(self, n_bins):
+        with pytest.raises(ValidationError, match="^n_bins: "):
+            histogram([1.0, 2.0], n_bins)
 
 
 class TestDigest:

@@ -85,6 +85,11 @@ class TestArchitecture:
         with pytest.raises(ValidationError):
             LayerSpec(4, "tanh")
 
+    @pytest.mark.parametrize("n_inputs", [0, 2.5, True])
+    def test_input_count_must_be_a_positive_integer(self, n_inputs):
+        with pytest.raises(ValidationError, match="^n_inputs: "):
+            init_network(THREE_LAYER, n_inputs)
+
     def test_he_init_scale(self):
         net = init_network(
             Architecture((LayerSpec(512, "relu"), LayerSpec(1, "linear"))), 256, seed=9
