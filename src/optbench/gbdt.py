@@ -6,10 +6,13 @@ are row counts. Trees grow depth-wise, one level of whole arrays at a
 time: a level's open nodes have contiguous ids, and their children
 follow them in the same order, left before right, so the flat tree is
 in level order. Split finding is done on quantized features: each
-feature is bucketed once into at most `n_bins` quantile bins, stored
-column-major so each feature's bin codes are contiguous. Per-node
-gradient/hessian histograms are accumulated with bincount for the root
-and for the smaller child of every split; the larger sibling's
+feature is bucketed once per fit into at most `n_bins` quantile bins,
+whose edges are read off the sorted column, and the codes are stored
+column-major so each feature's bin codes are contiguous. The sorted
+column also counts each bin's rows: that is every tree's root count
+histogram, and a root's gradient histogram is one bincount per code
+column. Below the root, gradient/count histograms are accumulated with
+bincount for the smaller child of every split; the larger sibling's
 histogram is its parent's minus the smaller child's (sibling
 subtraction, as in LightGBM). Candidate splits are scored by
 
@@ -131,48 +134,83 @@ class GbdtConfig:
 
 
 class BinnedMatrix(NamedTuple):
-    """Quantized feature matrix: per-feature ascending edges plus codes.
+    """Quantized feature matrix: per-feature ascending edges, codes and counts.
 
     codes[i, f] counts the edges of feature f strictly below row i's
     value, so code b covers the half-open slab (edges[b-1], edges[b]].
     `codes` has shape (n_rows, n_features) in Fortran (column-major)
     order, so each feature's codes are one contiguous column.
+    `counts[f, b]` is the number of rows with code b in feature f, as
+    int32 of shape (n_features, n_bins): every tree's root count
+    histogram. `edge_table[f, b]` is edges[f][b], padded with 0.0 to
+    shape (n_features, n_bins - 1), so split thresholds are one lookup.
     """
 
     edges: list[np.ndarray]
     codes: np.ndarray
+    counts: np.ndarray
+    edge_table: np.ndarray
+
+
+def _sorted_quantiles(ordered: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """`np.quantile(ordered, points)` of an ascending column, read by index.
+
+    Type-7 ("linear") quantiles with numpy's virtual index (n-1)*q and
+    its lerp, so the result has np.quantile's bits wherever the values
+    at the two indices do. They always do but for zeros: np.quantile
+    partitions a copy, and where -0.0 and 0.0 both occur the sign of a
+    zero at an index follows that partition's order, here the given
+    order. The values, and so every bin code, are the same.
+    """
+    n = len(ordered)
+    virtual = (n - 1) * points
+    top = virtual >= n - 1  # numpy reads the last value for both ends
+    lo = np.where(top, -1, np.floor(virtual)).astype(np.intp)
+    hi = np.where(top, -1, lo + 1)
+    gamma = virtual - lo
+    below, above = ordered[lo], ordered[hi]
+    diff = above - below
+    out = below + diff * gamma
+    np.subtract(above, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
 
 
 def quantize_features(features: np.ndarray, n_bins: int) -> BinnedMatrix:
     """Bucket each feature into at most n_bins quantile bins.
 
     Edges are deduplicated quantiles with any edge at or above the
-    column maximum dropped (it could never separate rows). A constant
+    column maximum dropped (it could never separate rows). The quantiles
+    are read off the sorted column by `_sorted_quantiles`, which gives
+    np.quantile's edges (a zero edge may differ in sign only). A constant
     column gets no edges and is never split on. When a column has at
     most n_bins distinct values every distinct value lands in its own
-    bin, so binned split finding is exact for it.
+    bin, so binned split finding is exact for it. The sorted column also
+    gives each bin's row count, kept as `counts`.
     """
     X = np.asfortranarray(check_features(features))
     check_fields(_GBDT_RULES, n_bins=n_bins)
     quantile_points = np.arange(1, n_bins) / n_bins
     dtype = np.uint8 if n_bins <= 256 else np.uint16
+    n_rows, n_features = X.shape
     codes = np.empty(X.shape, dtype=dtype, order="F")
+    counts = np.zeros((n_features, n_bins), dtype=np.int32)
+    edge_table = np.zeros((n_features, n_bins - 1))
     edges: list[np.ndarray] = []
-    for f in range(X.shape[1]):
+    for f in range(n_features):
         col = X[:, f]
-        # quantiles are order statistics, so the sorted column gives the
-        # same edges; its last entry is the column maximum
         order = np.argsort(col)
         ordered = col[order]
-        e = np.unique(np.quantile(ordered, quantile_points))
-        e = e[e < ordered[-1]]
+        e = np.unique(_sorted_quantiles(ordered, quantile_points))
+        e = e[e < ordered[-1]]  # the last entry is the column maximum
         # the sorted column's codes rise by one past each edge: bin k
         # holds the rows between the (k-1)-th and k-th run boundaries
         bounds = np.searchsorted(ordered, e, side="right")
-        counts = np.diff(bounds, prepend=0, append=len(ordered))
-        codes[order, f] = np.repeat(np.arange(len(e) + 1, dtype=dtype), counts)
+        in_bin = np.diff(bounds, prepend=0, append=n_rows)
+        codes[order, f] = np.repeat(np.arange(len(e) + 1, dtype=dtype), in_bin)
+        counts[f, : len(in_bin)] = in_bin
+        edge_table[f, : len(e)] = e
         edges.append(e)
-    return BinnedMatrix(edges, codes)
+    return BinnedMatrix(edges, codes, counts, edge_table)
 
 
 class NodeHistogram(NamedTuple):
@@ -430,9 +468,23 @@ def _level_splits(
     return split_feature, split_bin
 
 
+def _root_histograms(binned: BinnedMatrix, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root's (1, n_features, n_bins) gradient and count histograms.
+
+    The count histogram is a view of the binning's counts, which no
+    caller writes; the gradient sums are one bincount per code column,
+    adding the rows in row order as `_accumulate_histograms` does over
+    all rows.
+    """
+    n_features, n_bins = binned.counts.shape
+    grad_hist = np.empty((1, n_features, n_bins), dtype=np.float64)
+    for f in range(n_features):
+        grad_hist[0, f] = np.bincount(binned.codes[:, f], weights=grad, minlength=n_bins)
+    return grad_hist, binned.counts[None]
+
+
 def _grow_tree(
-    codes: np.ndarray,
-    edges: list[np.ndarray],
+    binned: BinnedMatrix,
     grad: np.ndarray,
     config: GbdtConfig,
     eta: float,
@@ -458,12 +510,15 @@ def _grow_tree(
     masking: feature f's codes lie in [0, len(edges[f])], and a split at
     a node's last occupied bin sends every row left, so it is never
     eligible and every split bin has an edge.
+
+    The root's histograms are `_root_histograms`, not an accumulation.
     """
-    n_rows, n_features = codes.shape
-    n_bins = config.n_bins
+    codes = binned.codes
+    n_rows = len(codes)
+    n_features, n_bins = binned.counts.shape
     lam = config.reg_lambda
-    all_edges = np.concatenate(edges)
-    edge_start = np.cumsum([0] + [len(e) for e in edges[:-1]])
+    # column-major, so row i's code in feature f is flat_codes[f * n_rows + i]
+    flat_codes = codes.ravel(order="F")
     features: list[np.ndarray] = []
     thresholds: list[np.ndarray] = []
     lefts: list[np.ndarray] = []
@@ -473,9 +528,7 @@ def _grow_tree(
     pos = np.zeros(n_rows, dtype=np.int64)
     slot = np.zeros(1, dtype=np.int64)
     start, end = 0, 1
-    grad_hist = np.empty((1, n_features, n_bins), dtype=np.float64)
-    hess_hist = np.empty((1, n_features, n_bins), dtype=np.int32)
-    _accumulate_histograms(codes, rows, pos, grad, grad_hist, hess_hist)
+    grad_hist, hess_hist = _root_histograms(binned, grad)
     for depth in range(config.max_depth):
         slot_feature, slot_bin = _level_splits(grad_hist, hess_hist, lam, config.min_child_weight)
         feature, split_bin = slot_feature[slot], slot_bin[slot]
@@ -484,16 +537,17 @@ def _grow_tree(
         n_pairs = len(parents)
         pair = np.cumsum(splits) - 1
         threshold = np.zeros(len(feature))
-        threshold[splits] = all_edges[edge_start[feature[splits]] + split_bin[splits]]
+        threshold[splits] = binned.edge_table[feature[splits], split_bin[splits]]
         features.append(feature)
         thresholds.append(threshold)
         lefts.append(np.where(splits, end + 2 * pair, -1))
 
         feature_of_row = feature[pos]
         moving = feature_of_row >= 0
-        node_of_row[rows[~moving]] = start + pos[~moving]
-        rows, pos = rows[moving], pos[moving]
-        go_right = codes[rows, feature_of_row[moving]] > split_bin[pos]
+        if not moving.all():
+            node_of_row[rows[~moving]] = start + pos[~moving]
+            rows, pos, feature_of_row = rows[moving], pos[moving], feature_of_row[moving]
+        go_right = flat_codes.take(feature_of_row * n_rows + rows) > split_bin[pos]
         pos = 2 * pair[pos] + go_right
         start, end = end, end + 2 * n_pairs
         if n_pairs == 0 or depth + 1 == config.max_depth:
@@ -558,7 +612,7 @@ def train_gbdt(train: Dataset, val: Dataset, config: GbdtConfig) -> TreeEnsemble
     for r in range(config.num_rounds):
         eta = eta_decay(r, config.eta)
         grad = pred - y
-        tree, leaf_of_row = _grow_tree(binned.codes, binned.edges, grad, config, eta)
+        tree, leaf_of_row = _grow_tree(binned, grad, config, eta)
         pred = pred + tree.value[leaf_of_row]
         val_pred = val_pred + tree.predict(val.features)
         train_mae = float(np.mean(np.abs(pred - y)))

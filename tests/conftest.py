@@ -76,12 +76,14 @@ def per_row_quantize(features: np.ndarray, n_bins: int) -> BinnedMatrix:
 
     The oracle of `quantize_features`: per column, the deduplicated
     quantiles below the column maximum, and each row's code the number
-    of edges below its value.
+    of edges below its value; counts by bincount of each code column.
     """
     X = np.asarray(features, dtype=np.float64)
     quantile_points = np.arange(1, n_bins) / n_bins
     dtype = np.uint8 if n_bins <= 256 else np.uint16
     codes = np.empty(X.shape, dtype=dtype, order="F")
+    counts = np.empty((X.shape[1], n_bins), dtype=np.int32)
+    edge_table = np.zeros((X.shape[1], n_bins - 1))
     edges = []
     for f in range(X.shape[1]):
         col = X[:, f]
@@ -90,8 +92,10 @@ def per_row_quantize(features: np.ndarray, n_bins: int) -> BinnedMatrix:
         e = np.unique(np.quantile(ordered, quantile_points))
         e = e[e < ordered[-1]]
         codes[order, f] = np.searchsorted(e, ordered, side="left")
+        counts[f] = np.bincount(codes[:, f], minlength=n_bins)
+        edge_table[f, : len(e)] = e
         edges.append(e)
-    return BinnedMatrix(edges, codes)
+    return BinnedMatrix(edges, codes, counts, edge_table)
 
 
 def per_node_grow_tree(

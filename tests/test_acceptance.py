@@ -193,7 +193,7 @@ def test_criterion_3_split_oracle_equivalence():
 
             # same choice materializes in a grown tree's root
             cfg = GbdtConfig(max_depth=1, num_rounds=1, n_bins=n_bins)
-            tree, _ = _grow_tree(binned.codes, binned.edges, grad, cfg, 1.0)
+            tree, _ = _grow_tree(binned, grad, cfg, 1.0)
             assert tree.feature[0] == decision.feature
             threshold = binned.edges[decision.feature][decision.bin_index]
             assert tree.threshold[0] == threshold

@@ -22,7 +22,13 @@ from optbench import (
     split_dataset,
     train_gbdt,
 )
-from optbench.gbdt import NodeHistogram, Tree, _grow_tree
+from optbench.gbdt import (
+    NodeHistogram,
+    Tree,
+    _accumulate_histograms,
+    _grow_tree,
+    _root_histograms,
+)
 
 from conftest import make_dataset, per_node_grow_tree, per_row_quantize, same_bits
 
@@ -52,12 +58,28 @@ def brute_force_best_split(X, grad, hess, edges, reg_lambda, min_child_weight):
 
 def assert_same_growth(binned, grad, cfg, eta=0.3):
     """`_grow_tree` and the per-node oracle give the same tree, bit for bit."""
-    tree, leaf_of_row = _grow_tree(binned.codes, binned.edges, grad, cfg, eta)
+    tree, leaf_of_row = _grow_tree(binned, grad, cfg, eta)
     want, want_leaf = per_node_grow_tree(binned.codes, binned.edges, grad, cfg, eta)
     for name in ("feature", "threshold", "left", "right", "value"):
         assert same_bits(getattr(tree, name), getattr(want, name)), name
     assert same_bits(leaf_of_row, want_leaf)
     return tree
+
+
+BINNING_CASES = ["default_split", "integer_ties", "normal", "five_zeros_one_one"]
+
+
+def binning_case(case):
+    """The feature matrix of one `test_matches_per_row_oracle` case."""
+    rng = np.random.default_rng(19)
+    if case == "default_split":
+        quotes = generate_dataset(SimConfig(seed=42))
+        return split_dataset(Dataset.from_quotes(quotes), SplitSpec(seed=1301))[0].features
+    if case == "integer_ties":
+        return rng.integers(0, 7, size=(500, 3)).astype(np.float64)
+    if case == "normal":
+        return rng.normal(size=(400, 4))
+    return np.array([[0.0]] * 5 + [[1.0]])
 
 
 def exhaustive_partition_best_gain(X, grad, hess, reg_lambda, min_child_weight):
@@ -210,6 +232,20 @@ class TestQuantize:
             for ours, theirs in zip(binned.edges, oracle.edges):
                 assert np.array_equal(ours, theirs)
 
+    @pytest.mark.parametrize("case", BINNING_CASES)
+    def test_counts_and_edge_table(self, case):
+        X = binning_case(case)
+        for n_bins in (2, 16, 256, 1024):
+            binned = quantize_features(X, n_bins)
+            assert binned.counts.dtype == np.int32
+            assert binned.counts.shape == (X.shape[1], n_bins)
+            assert binned.edge_table.shape == (X.shape[1], n_bins - 1)
+            for f, edges in enumerate(binned.edges):
+                want = np.bincount(binned.codes[:, f], minlength=n_bins)
+                assert np.array_equal(binned.counts[f], want)
+                assert same_bits(binned.edge_table[f, : len(edges)], edges)
+                assert not binned.edge_table[f, len(edges) :].any()
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             quantize_features(np.empty((0, 3)), 16)
@@ -345,7 +381,7 @@ class TestTraining:
         binned = quantize_features(train.features, 64)
         grad = train.targets - train.targets.mean()
         cfg = GbdtConfig(max_depth=6, num_rounds=1, n_bins=64)
-        tree, leaf_of_row = _grow_tree(binned.codes, binned.edges, grad, cfg, 0.3)
+        tree, leaf_of_row = _grow_tree(binned, grad, cfg, 0.3)
         assert np.array_equal(tree.value[leaf_of_row], tree.predict(train.features))
 
     def test_subtraction_matches_direct_histograms(self):
@@ -369,7 +405,7 @@ class TestTraining:
                 reg_lambda=lam, min_child_weight=mcw,
             )
             binned = quantize_features(X, n_bins)
-            tree, leaf_of_row = _grow_tree(binned.codes, binned.edges, grad, cfg, eta)
+            tree, leaf_of_row = _grow_tree(binned, grad, cfg, eta)
             mask = np.zeros((d, n_bins - 1), dtype=bool)
             for f in range(d):
                 mask[f, : len(binned.edges[f])] = True
@@ -403,6 +439,24 @@ class TestTraining:
                 rows_of[int(tree.left[node])] = rows[go_left]
                 rows_of[int(tree.right[node])] = rows[~go_left]
             assert not rows_of
+
+    @pytest.mark.parametrize("case", BINNING_CASES)
+    def test_root_histograms_match_accumulation(self, case):
+        # the root histograms are those of all rows in one slot, bit for bit
+        X = binning_case(case)
+        n_rows, n_features = X.shape
+        grad = np.random.default_rng(23).normal(size=n_rows) * 10.0
+        for n_bins in (2, 16, 256, 1024):
+            binned = quantize_features(X, n_bins)
+            grad_hist, hess_hist = _root_histograms(binned, grad)
+            want_grad = np.empty((1, n_features, n_bins))
+            want_hess = np.empty((1, n_features, n_bins), dtype=np.int32)
+            _accumulate_histograms(
+                binned.codes, np.arange(n_rows), np.zeros(n_rows, dtype=np.int64), grad,
+                want_grad, want_hess,
+            )
+            assert same_bits(grad_hist, want_grad)
+            assert same_bits(hess_hist, want_hess)
 
     @pytest.mark.parametrize("case", range(20))
     def test_matches_per_node_growth(self, case):
@@ -449,7 +503,7 @@ class TestTraining:
             n_bins = int(rng.choice([16, 64, 256]))
             binned = quantize_features(X, n_bins)
             cfg = GbdtConfig(max_depth=8, num_rounds=1, n_bins=n_bins)
-            tree, _ = _grow_tree(binned.codes, binned.edges, grad, cfg, 0.3)
+            tree, _ = _grow_tree(binned, grad, cfg, 0.3)
             rows_of = {0: np.arange(n)}
             for node in range(tree.n_nodes):
                 rows = rows_of.pop(node)

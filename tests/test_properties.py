@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from optbench import (
     BsInputs,
@@ -29,9 +29,9 @@ from optbench import (
     write_csv,
 )
 from optbench.core import QUOTE_COLUMNS
-from optbench.gbdt import NodeHistogram, _level_splits
+from optbench.gbdt import NodeHistogram, _level_splits, _sorted_quantiles
 
-from conftest import make_quote, make_quotes, per_cell_csv
+from conftest import make_quote, make_quotes, per_cell_csv, per_row_quantize, same_bits
 
 price_floats = st.floats(min_value=1.0, max_value=5000.0)
 vol_floats = st.floats(min_value=0.01, max_value=2.9)
@@ -271,6 +271,41 @@ class TestQuantizeInvariants:
         for edges in binned.edges:
             assert len(edges) < n_bins
             assert np.all(np.diff(edges) > 0)
+
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(-3, 3).map(float),  # ties
+                st.sampled_from([-0.0, 0.0]),
+            ),
+            min_size=1,
+            max_size=300,
+        ),
+        st.integers(min_value=2, max_value=1024),
+    )
+    @example([5.0], 2)
+    @example([5.0], 1024)
+    @example([2.0, -1.0], 3)
+    @example([0.0, -0.0], 2)
+    @example([1.0, 1.0, 2.0], 1024)
+    @settings(max_examples=400, deadline=None)
+    def test_sorted_quantiles_match_numpy(self, values, n_bins):
+        # bit for bit without -0.0; with it, np.quantile's partition order
+        # decides the sign of a zero, so values and codes must match
+        col = np.array(values)
+        points = np.arange(1, n_bins) / n_bins
+        with np.errstate(over="ignore", invalid="ignore"):  # spans past the float range
+            got = _sorted_quantiles(np.sort(col), points)
+            want = np.quantile(col, points)
+        if np.signbit(col[col == 0.0]).any():
+            assert np.array_equal(got, want, equal_nan=True)
+            if np.isfinite(want).all():
+                binned = quantize_features(col[:, None], n_bins)
+                assert np.array_equal(binned.codes, per_row_quantize(col[:, None], n_bins).codes)
+        else:
+            assert same_bits(got, want)
 
 
 class TestLevelSplitInvariants:
