@@ -52,7 +52,6 @@ from .evaluation import (
     mae,
     mape,
     summary_stats,
-    target_digest,
     write_report,
 )
 from .gbdt import (

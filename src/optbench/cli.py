@@ -22,14 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blackscholes import VOL_FLOOR, bs_prices
+from .blackscholes import MIN_VOL_TIME, VOL_FLOOR, bs_prices
 from .core import (
     FEATURE_NAMES,
     QUOTE_COLUMNS,
     Dataset,
     FilterResult,
     SplitSpec,
+    check_fields,
     filter_quotes,
+    integer_rule,
     split_indices,
 )
 from .errors import (
@@ -92,13 +94,6 @@ def _parse_optional_int(text: str):
     return int(text)
 
 
-def _parse_positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
-    return value
-
-
 # Each field of these dataclasses is the key "<section>.<field>", nested
 # dataclasses flattened into their parent's section; a (min, max) field
 # "<stem>_range" takes the two keys "<stem>_min" and "<stem>_max".
@@ -138,11 +133,14 @@ def _leaf_fields(cls):
             yield field
 
 
+# The rules of the keys that no config dataclass holds
+_KEY_RULES = {"eval.curve_bins": integer_rule(1), "report.hist_bins": integer_rule(1)}
+
 KNOWN_KEYS = {
     "data": str,
     "seed": int,
-    "eval.curve_bins": _parse_positive_int,
-    "report.hist_bins": _parse_positive_int,
+    "eval.curve_bins": int,
+    "report.hist_bins": int,
     **{
         key: _PARSERS[field.type]
         for section, cls in SECTIONS.items()
@@ -195,6 +193,10 @@ def load_config(args: argparse.Namespace) -> dict:
         cfg["seed"] = args.seed
     if getattr(args, "data", None) is not None:
         cfg["data"] = args.data
+    try:
+        check_fields(_KEY_RULES, **{key: cfg[key] for key in _KEY_RULES if key in cfg})
+    except ValidationError as exc:
+        raise UsageError(f"configuration: {exc}") from exc
     return cfg
 
 
@@ -267,10 +269,13 @@ def _now() -> str:
 
 def cmd_gen(cfg: dict, out: Path) -> int:
     sim = build_config("sim", cfg)
-    # SimConfig allows a zero-vol regime, but Black-Scholes cannot quote one
-    if any(sigma == 0 for sigma, _ in sim.vol_regimes):
+    # SimConfig allows sigma = 0 and any positive maturity, but the pricer
+    # quotes only where sigma * sqrt(T) reaches its bound
+    vol_time = min(s for s, _ in sim.vol_regimes) * math.sqrt(min(sim.maturities))
+    if vol_time < MIN_VOL_TIME:
         raise UsageError(
-            f"sim.vol_regimes: quoting needs every sigma > 0, got {sim.vol_regimes!r}"
+            f"sim.vol_regimes, sim.maturities: quoting needs the smallest sigma * "
+            f"sqrt(maturity) >= {MIN_VOL_TIME}, got {vol_time!r}"
         )
     quotes = generate_dataset(sim)
     if len(quotes) == 0:
@@ -447,22 +452,12 @@ def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path)
             preds = predict_gbdt(model, test.features)
         else:
             preds = forward(model, test.features)
-        results.append(
-            ModelResult(
-                name=name,
-                predictions=preds,
-                targets=test.targets,
-                training_seconds=_training_seconds(path.with_suffix(".manifest.json")),
-            )
-        )
+        seconds = _training_seconds(path.with_suffix(".manifest.json"))
+        results.append(ModelResult(name, preds, seconds))
     if include_bs:
-        results.append(
-            ModelResult("bs_implied", _bs_implied_predictions(test), test.targets)
-        )
-        results.append(
-            ModelResult("bs_realized", _bs_realized_predictions(test), test.targets)
-        )
-    report = compare_models(results, cfg.get("eval.curve_bins", 20))
+        results.append(ModelResult("bs_implied", _bs_implied_predictions(test)))
+        results.append(ModelResult("bs_realized", _bs_realized_predictions(test)))
+    report = compare_models(test.targets, results, cfg.get("eval.curve_bins", 20))
     out.mkdir(parents=True, exist_ok=True)
     written = write_report(report, out)
     _write_json(

@@ -9,7 +9,7 @@ linear-interpolation quantile convention and sample (n-1) deviations.
 
 from __future__ import annotations
 
-import hashlib
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import check_fields, integer_rule
-from .errors import InconsistentEvaluationError, ValidationError
+from .errors import ValidationError
 from .ingest import write_file, write_rows
 
 _BIN_RULES = {"n_bins": integer_rule(1)}
@@ -157,20 +157,18 @@ def histogram(values, n_bins: int = 30) -> list[HistogramBin]:
     ]
 
 
-def target_digest(targets) -> str:
-    """Order-sensitive sha256 of the raw target bytes; guards comparisons."""
-    t = np.ascontiguousarray(np.asarray(targets, dtype=np.float64))
-    return hashlib.sha256(t.tobytes()).hexdigest()
-
-
 @dataclass(frozen=True)
 class ModelResult:
     """One model's predictions on the shared evaluation rows."""
 
     name: str
     predictions: np.ndarray
-    targets: np.ndarray
     training_seconds: float | None = None
+
+
+# A model name is one CSV cell of the report table and part of a curve
+# file name, so it holds no separator, quote, newline or path character.
+NAME_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 REPORT_HEADER = ("model", "mae", "mape_pct", "training_seconds")
@@ -211,41 +209,38 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def compare_models(results: Sequence[ModelResult], curve_bins: int = 20) -> EvalReport:
-    """Score every result on the identical rows and rank by MAE.
+def compare_models(
+    targets, results: Sequence[ModelResult], curve_bins: int = 20
+) -> EvalReport:
+    """Score every result against the one target vector and rank by MAE.
 
-    All results must share byte-identical targets (checked by digest);
-    rows are sorted ascending by MAE with name as the tie-break.
+    Each name must fully match NAME_PATTERN and be unique; rows are
+    sorted ascending by MAE with name as the tie-break.
     """
     if not results:
         raise ValidationError("results: need at least one model result")
     names = [r.name for r in results]
+    for name in names:
+        if not (isinstance(name, str) and NAME_PATTERN.fullmatch(name)):
+            raise ValidationError(
+                f"results: a model name must fully match {NAME_PATTERN.pattern}, got {name!r}"
+            )
     if len(set(names)) != len(names):
         raise ValidationError(f"results: duplicate model names in {names!r}")
-    digests = {target_digest(r.targets) for r in results}
-    if len(digests) != 1:
-        raise InconsistentEvaluationError(
-            "results disagree on the evaluation targets; all models must be "
-            "scored on the identical rows"
-        )
     rows = []
     curves: dict[str, list[BinStat]] = {}
     for r in results:
         rows.append(
             ReportRow(
                 name=r.name,
-                mae=mae(r.predictions, r.targets),
-                mape=mape(r.predictions, r.targets),
+                mae=mae(r.predictions, targets),
+                mape=mape(r.predictions, targets),
                 training_seconds=r.training_seconds,
             )
         )
-        curves[r.name] = binned_errors(r.predictions, r.targets, curve_bins)
+        curves[r.name] = binned_errors(r.predictions, targets, curve_bins)
     rows.sort(key=lambda row: (row.mae, row.name))
-    return EvalReport(
-        rows=tuple(rows),
-        curves=curves,
-        n_rows=len(results[0].targets),
-    )
+    return EvalReport(rows=tuple(rows), curves=curves, n_rows=len(targets))
 
 
 def write_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
@@ -256,8 +251,7 @@ def write_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
     written.append(write_rows(out / "report_table.csv", REPORT_HEADER, report.rows))
     curve_header = ("lower", "upper", "count", "mae", "mape_pct")
     for name, curve in report.curves.items():
-        safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in name)
-        written.append(write_rows(out / f"curve_{safe}.csv", curve_header, curve))
+        written.append(write_rows(out / f"curve_{name}.csv", curve_header, curve))
     return written
 
 

@@ -156,11 +156,7 @@ def _sorted_quantiles(ordered: np.ndarray, points: np.ndarray) -> np.ndarray:
     """`np.quantile(ordered, points)` of an ascending column, read by index.
 
     Type-7 ("linear") quantiles with numpy's virtual index (n-1)*q and
-    its lerp, so the result has np.quantile's bits wherever the values
-    at the two indices do. They always do but for zeros: np.quantile
-    partitions a copy, and where -0.0 and 0.0 both occur the sign of a
-    zero at an index follows that partition's order, here the given
-    order. The values, and so every bin code, are the same.
+    its lerp.
     """
     n = len(ordered)
     virtual = (n - 1) * points
@@ -181,7 +177,7 @@ def quantize_features(features: np.ndarray, n_bins: int) -> BinnedMatrix:
     Edges are deduplicated quantiles with any edge at or above the
     column maximum dropped (it could never separate rows). The quantiles
     are read off the sorted column by `_sorted_quantiles`, which gives
-    np.quantile's edges (a zero edge may differ in sign only). A constant
+    np.quantile's edges, and a zero edge is always +0.0. A constant
     column gets no edges and is never split on. When a column has at
     most n_bins distinct values every distinct value lands in its own
     bin, so binned split finding is exact for it. The sorted column also
@@ -202,6 +198,8 @@ def quantize_features(features: np.ndarray, n_bins: int) -> BinnedMatrix:
         ordered = col[order]
         e = np.unique(_sorted_quantiles(ordered, quantile_points))
         e = e[e < ordered[-1]]  # the last entry is the column maximum
+        # a sort may put -0.0 before or after 0.0; the edge must not depend on it
+        e += 0.0
         # the sorted column's codes rise by one past each edge: bin k
         # holds the rows between the (k-1)-th and k-th run boundaries
         bounds = np.searchsorted(ordered, e, side="right")

@@ -23,10 +23,7 @@ into one input buffer. A short last batch uses row-prefix views of the
 same buffers. Backward overwrites each activation once its gradient and
 mask are taken, so the deltas need no buffers of their own. The
 operations and their order are those of the plain `a @ w.T + b`
-formulation, so the trained weights are the same bit for bit. The one
-substitution, a broadcast multiply for the one-column delta's product
-with the output weights, can differ from that matmul only in the sign
-of an exact zero.
+formulation, so the trained weights are the same bit for bit.
 
 LayerSpec, Architecture and MlpTrainConfig each declare their field
 rules as one table checked by `core.check_fields`.
@@ -257,13 +254,7 @@ def _backward_scaled(
                 # relu(z) > 0 exactly where z > 0
                 mask = ws.mask[: acts[l].size].reshape(acts[l].shape)
                 np.greater(acts[l], 0.0, out=mask)
-            if delta.shape[1] == 1:
-                # a one-term dot product is one rounded multiply; only an
-                # exact zero product may differ, as -0.0 against +0.0
-                np.multiply(delta, net.weights[l][0], out=acts[l])
-            else:
-                np.matmul(delta, net.weights[l], out=acts[l])
-            delta = acts[l]
+            delta = np.matmul(delta, net.weights[l], out=acts[l])
             if relu:
                 delta *= mask
     return grads_w, grads_b, residual

@@ -1,9 +1,10 @@
 """The library calls the benchmark in perfbench/ makes, at tiny scale.
 
-perfbench/workloads.py drives the package in-process and
-perfbench/tracer.py wraps package functions by name, so a change to any
-of these names or call shapes would break the benchmark; here it fails
-the unit tests first.
+perfbench/workloads.py drives the package in-process and through the
+CLI, parses the CLI's output files, and perfbench/tracer.py wraps
+package functions by name, so a change to any of these names, call
+shapes or output files would break the benchmark; here it fails the
+unit tests first.
 """
 
 import importlib
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import optbench as ob
+from optbench.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,3 +64,30 @@ def test_tracer_targets_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
             assert owner is not None, f"{span}: {module_name}.{attr} is gone"
+
+
+def test_cli_outputs_the_benchmark_parses(tmp_path, monkeypatch):
+    # the benchmark's own steps and checks, with each command run in-process
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+
+    def cli(args, tracer):
+        assert main(args) == 0, args
+        return 0.0
+
+    ctx = workloads.Context(ROOT, tmp_path, seed=3, sabotage=False)
+    monkeypatch.setattr(ctx, "cli", cli)
+    monkeypatch.chdir(tmp_path)
+    cli_data = workloads.CliData({"n_underlyings": 1, "split": (0.6, 0.1, 0.3)})
+    cli_data._gen(ctx, tmp_path, "3", "1", None)
+    cli_data._split(ctx, tmp_path, "3", None)
+    cli_data._report(ctx, tmp_path, None)
+
+    common = ["--data", "dataset.csv", "--seed", "3", *cli_data.split_args]
+    cli(["train", "gbdt5", *common, "--set", "gbdt.num_rounds=2"], None)
+    cli(["evaluate", "gbdt5.model", "--include-bs", "--out", "eval", *common], None)
+    # every output file, and report_table.csv read by read_report_table
+    workloads.check_evaluate_outputs(ctx, tmp_path / "eval", ["gbdt5", "bs_implied", "bs_realized"])

@@ -344,6 +344,17 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "data error" in err and str(path) in err
 
+    @pytest.mark.parametrize("kind", ["gbdt5,extra", "gbdt5\nbs_implied,0.0,0.0,", "a/b"])
+    def test_kind_outside_the_name_rule_is_data_error(self, tmp_path, capsys, kind):
+        data = self.setup_trained(tmp_path)
+        path = tmp_path / "gbdt5.model"
+        self.patch_manifest(path, kind=kind)
+        out = tmp_path / "eval"
+        code = run("evaluate", str(path), "--data", str(data), "--out", str(out), "--seed", "9")
+        assert code == 2
+        assert "[A-Za-z0-9_.-]+" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unchecked_model_warns(self, tmp_path, caplog):
         # without a digest and a split in its manifest a model cannot be checked
         data = self.setup_trained(tmp_path)
@@ -598,6 +609,8 @@ class TestConfigPlumbing:
             (["gen"], ["sim.maturities=inf"]),
             (["gen"], ["sim.moneyness=nan"]),
             (["gen"], ["sim.drift=nan"]),
+            (["gen"], ["sim.vol_regimes=1e-13:1"]),
+            (["gen"], ["sim.maturities=1e-30"]),
         ],
     )
     def test_config_mistake_is_usage_error(self, tmp_path, command, settings):

@@ -1,10 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from optbench import (
-    InconsistentEvaluationError,
     ModelResult,
     ValidationError,
     binned_errors,
@@ -13,7 +13,6 @@ from optbench import (
     mae,
     mape,
     summary_stats,
-    target_digest,
     write_report,
 )
 from optbench.evaluation import write_histogram_csv, write_summary_csv
@@ -142,77 +141,53 @@ class TestHistogram:
             histogram([1.0, 2.0], n_bins)
 
 
-class TestDigest:
-    def test_equal_arrays_equal_digest(self):
-        a = np.array([1.0, 2.0, 3.0])
-        assert target_digest(a) == target_digest(a.copy())
-
-    def test_different_arrays_differ(self):
-        assert target_digest([1.0, 2.0]) != target_digest([1.0, 2.000001])
-
-    def test_dtype_normalized(self):
-        assert target_digest(np.array([1, 2, 3])) == target_digest(
-            np.array([1.0, 2.0, 3.0])
-        )
-
-    def test_is_hex_sha256(self):
-        d = target_digest([5.0])
-        assert len(d) == 64
-        assert set(d) <= set("0123456789abcdef")
-
-
 class TestCompareModels:
     def make_results(self):
         targets = np.linspace(1.0, 50.0, 40)
-        good = ModelResult("good", targets + 0.1, targets, training_seconds=1.5)
-        bad = ModelResult("bad", targets + 2.0, targets, training_seconds=None)
+        good = ModelResult("good", targets + 0.1, training_seconds=1.5)
+        bad = ModelResult("bad", targets + 2.0, training_seconds=None)
         return targets, good, bad
 
     def test_sorted_by_mae(self):
-        _, good, bad = self.make_results()
-        report = compare_models([bad, good])
+        targets, good, bad = self.make_results()
+        report = compare_models(targets, [bad, good])
         assert [r.name for r in report.rows] == ["good", "bad"]
         assert report.rows[0].mae == pytest.approx(0.1, abs=1e-12)
         assert report.n_rows == 40
 
     def test_name_breaks_ties(self):
         targets = np.linspace(1.0, 50.0, 40)
-        a = ModelResult("zeta", targets + 1.0, targets)
-        b = ModelResult("alpha", targets - 1.0, targets)
-        report = compare_models([a, b])
+        a = ModelResult("zeta", targets + 1.0)
+        b = ModelResult("alpha", targets - 1.0)
+        report = compare_models(targets, [a, b])
         assert [r.name for r in report.rows] == ["alpha", "zeta"]
-
-    def test_digest_mismatch_rejected(self):
-        targets = np.linspace(1.0, 50.0, 40)
-        other = targets.copy()
-        other[0] += 1e-9
-        with pytest.raises(InconsistentEvaluationError):
-            compare_models(
-                [ModelResult("a", targets, targets), ModelResult("b", other, other)]
-            )
 
     def test_duplicate_names_rejected(self):
         targets = np.linspace(1.0, 10.0, 5)
         with pytest.raises(ValidationError, match="duplicate"):
-            compare_models(
-                [ModelResult("m", targets, targets), ModelResult("m", targets, targets)]
-            )
+            compare_models(targets, [ModelResult("m", targets), ModelResult("m", targets)])
+
+    @pytest.mark.parametrize("name", ["gbdt5,extra", "m\nbs_implied,0.0,0.0,", "a/b", "", 5])
+    def test_name_must_match_the_rule(self, name):
+        targets = np.linspace(1.0, 10.0, 5)
+        with pytest.raises(ValidationError, match=re.escape("[A-Za-z0-9_.-]+")):
+            compare_models(targets, [ModelResult("ok", targets), ModelResult(name, targets)])
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            compare_models([])
+            compare_models([1.0], [])
 
     def test_text_table(self):
-        _, good, bad = self.make_results()
-        text = compare_models([bad, good]).to_text()
+        targets, good, bad = self.make_results()
+        text = compare_models(targets, [bad, good]).to_text()
         assert "good" in text and "bad" in text
         assert "rows evaluated: 40" in text
         assert text.index("good") < text.index("bad")
         assert "n/a" in text  # bad has no training time
 
     def test_curves_present_for_all_models(self):
-        _, good, bad = self.make_results()
-        report = compare_models([bad, good], curve_bins=5)
+        targets, good, bad = self.make_results()
+        report = compare_models(targets, [bad, good], curve_bins=5)
         assert set(report.curves) == {"good", "bad"}
         assert all(len(c) >= 1 for c in report.curves.values())
 
@@ -220,7 +195,7 @@ class TestCompareModels:
 class TestWriters:
     def test_write_report_files(self, tmp_path):
         targets = np.linspace(1.0, 50.0, 40)
-        report = compare_models([ModelResult("m", targets + 0.5, targets)])
+        report = compare_models(targets, [ModelResult("m", targets + 0.5)])
         paths = write_report(report, tmp_path)
         names = {p.name for p in paths}
         assert "report.txt" in names
@@ -229,6 +204,11 @@ class TestWriters:
         table = (tmp_path / "report_table.csv").read_text()
         assert table.splitlines()[0] == "model,mae,mape_pct,training_seconds"
         assert "0.5" in table
+
+    def test_curve_file_takes_the_model_name(self, tmp_path):
+        targets = np.linspace(1.0, 50.0, 40)
+        write_report(compare_models(targets, [ModelResult("gbdt-5.v2", targets)]), tmp_path)
+        assert (tmp_path / "curve_gbdt-5.v2.csv").is_file()
 
     def test_write_summary_csv(self, tmp_path):
         stats = {"midpoint": summary_stats([1.0, 2.0, 3.0])}

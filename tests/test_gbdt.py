@@ -246,6 +246,25 @@ class TestQuantize:
                 assert same_bits(binned.edge_table[f, : len(edges)], edges)
                 assert not binned.edge_table[f, len(edges) :].any()
 
+    def test_zero_edges_do_not_depend_on_row_order(self):
+        # a sort may put -0.0 before or after 0.0, and reversing the rows
+        # changes which; every zero edge, and so every threshold, is +0.0
+        rng = np.random.default_rng(29)
+        X = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(200, 8))
+        grad = rng.integers(-4, 5, size=200).astype(np.float64)  # exact sums in any order
+        cfg = GbdtConfig(max_depth=4, n_bins=4)
+        q = np.arange(1, 4) / 4
+        binned, flipped = quantize_features(X, 4), quantize_features(X[::-1], 4)
+        assert same_bits(binned.edge_table, flipped.edge_table)
+        for f, edges in enumerate(binned.edges):
+            want = np.unique(np.quantile(X[:, f], q))
+            assert same_bits(edges, want[want < X[:, f].max()] + 0.0)
+        tree, _ = _grow_tree(binned, grad, cfg, 0.3)
+        tree_flipped, _ = _grow_tree(flipped, grad[::-1].copy(), cfg, 0.3)
+        assert tree.n_nodes > 1
+        assert same_bits(tree.feature, tree_flipped.feature)
+        assert same_bits(tree.threshold, tree_flipped.threshold)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             quantize_features(np.empty((0, 3)), 16)
