@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import logging
 import math
@@ -237,10 +236,11 @@ def _write_json(doc: dict, path: Path) -> None:
     write_file(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
-def _load(cfg: dict) -> FilterResult:
-    """The usable quotes of the dataset CSV `data` names; a file with none is a data error."""
+def _load(cfg: dict) -> tuple[FilterResult, str]:
+    """The usable quotes of the dataset CSV `data` names, and the sha256 of
+    its bytes, from one read; a file with no usable quotes is a data error."""
     data_path = Path(cfg["data"])
-    quotes = read_csv(data_path)
+    quotes, digest = read_csv(data_path, with_digest=True)
     result = filter_quotes(quotes)
     if result.dropped_count:
         logger.warning(
@@ -248,19 +248,12 @@ def _load(cfg: dict) -> FilterResult:
         )
     if len(result.kept) == 0:
         raise ValidationError(f"{data_path}: no usable quotes after filtering")
-    return result
+    return result, digest
 
 
-def _identity(data_path: Path, spec: SplitSpec) -> dict:
-    """What ties a model to its data: the dataset file's sha256 and the split.
-
-    Taken before the dataset is loaded, so that the file's bytes are freed
-    before the parse reaches its peak memory.
-    """
-    return {
-        "dataset_digest": hashlib.sha256(data_path.read_bytes()).hexdigest(),
-        "split": config_record(spec),
-    }
+def _identity(digest: str, spec: SplitSpec) -> dict:
+    """What ties a model to its data: the dataset file's sha256 and the split."""
+    return {"dataset_digest": digest, "split": config_record(spec)}
 
 
 def _now() -> str:
@@ -297,7 +290,7 @@ def cmd_gen(cfg: dict, out: Path) -> int:
 
 def cmd_split(cfg: dict, out: Path) -> int:
     spec = build_config("split", cfg)
-    kept, dropped, by_reason = _load(cfg)
+    (kept, dropped, by_reason), _ = _load(cfg)
     train_idx, val_idx, test_idx = split_indices(len(kept), spec)
     out.mkdir(parents=True, exist_ok=True)
     parts = {}
@@ -339,8 +332,8 @@ def cmd_train(cfg: dict, kind: str, out: Path) -> int:
     else:
         raise UsageError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     data_path = Path(cfg["data"])
-    identity = _identity(data_path, spec)
-    kept = _load(cfg).kept
+    (kept, _, _), digest = _load(cfg)
+    identity = _identity(digest, spec)
     train_idx, val_idx, _ = split_indices(len(kept), spec)
     train, val = Dataset.from_quotes(kept[train_idx]), Dataset.from_quotes(kept[val_idx])
 
@@ -419,8 +412,8 @@ def _training_seconds(side: Path) -> float | None:
 def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path) -> int:
     spec = build_config("split", cfg)
     data_path = Path(cfg["data"])
-    identity = _identity(data_path, spec)
-    kept = _load(cfg).kept
+    (kept, _, _), digest = _load(cfg)
+    identity = _identity(digest, spec)
     test_idx = split_indices(len(kept), spec)[2]
     if len(test_idx) == 0:
         raise ValidationError(
@@ -487,7 +480,7 @@ REPORT_COLUMNS = (
 
 
 def cmd_report(cfg: dict, out: Path) -> int:
-    kept = _load(cfg).kept
+    kept = _load(cfg)[0].kept
     n_bins = cfg.get("report.hist_bins", 30)
     out.mkdir(parents=True, exist_ok=True)
     stats = {}

@@ -10,15 +10,24 @@ cell, a float its repr, anything else str().
 The quote CSV holds one quote table (see `core`): a header of the 28
 QUOTE_COLUMNS, then one line per row. option_type is written as C or P,
 every float with repr() so it round-trips bit-exactly, and an unknown
-(NaN) implied_vol as an empty cell. Reading decodes each line on its
-own and tolerates up to 1% malformed data rows (skipped with a warning,
-each naming its 1-based line number), a line that is not UTF-8
-included; beyond that it aborts.
+(NaN) implied_vol as an empty cell. Most cells repeat: every quote of a
+chain carries the same 25 terms (its segment), so the writer formats
+each distinct segment and strike once, keeping up to _MAX_CACHED texts
+of each across its chunks, and writes a row as
+`code,strike,segment,midpoint`.
 
-Most cells repeat: every quote of a chain carries the same 25 terms.
-The writer formats each distinct float of a chunk once, and the reader
-parses a line's terms only when their text differs from the last good
-line's. Neither changes the bytes or the table.
+Next to the CSV the writer leaves its binary twin: the table the text
+parses to, as a float64 `.npy` array named `.<csv name>.<sha256>.npy`
+after the sha256 of the CSV's bytes. Reading hashes the CSV and loads
+the twin of that digest if there is one; otherwise, and with one
+warning if that twin is not the `.npy` file of a 28-column float64
+table, it parses the text. So an edited, appended-to or copied-alone
+CSV reads its text, and a twin is safe to delete.
+
+Parsing decodes each line on its own and tolerates up to 1% malformed
+data rows (skipped with a warning, each naming its 1-based line number),
+a line that is not UTF-8 included; beyond that it aborts. It parses a
+line's terms only when their text differs from the last good line's.
 
 Model files are an 8-byte magic prefix plus one JSON document:
 
@@ -32,8 +41,12 @@ same inputs reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import glob
+import hashlib
+import io
 import json
 import logging
+import math
 import os
 from pathlib import Path
 from typing import Iterable
@@ -62,7 +75,9 @@ _MIDPOINT = QUOTE_COLUMNS.index("midpoint")
 # The cells between strike and midpoint are the terms every quote of a
 # chain repeats: spot, rate, yield, maturity, implied vol and the lags.
 _TERMS = slice(_STRIKE + 1, _MIDPOINT)
-_WRITE_CHUNK = 4096  # rows formatted at a time, to bound memory
+_WRITE_CHUNK = 2048  # rows formatted at a time, to bound memory
+_MAX_CACHED = 8192  # texts kept across chunks, to bound memory
+_ROW_BYTES = QUOTE_WIDTH * 8  # one row of the binary twin
 
 
 def write_file(path: str | Path, chunks: Iterable[bytes]) -> Path:
@@ -101,23 +116,118 @@ def write_rows(path: str | Path, header: Iterable[str], rows: Iterable) -> Path:
 
 
 def write_csv(quotes, path: str | Path) -> Path:
-    """Write a quote table in the canonical 28-column layout."""
+    """Write a quote table in the canonical 28-column layout, and its twin.
+
+    The twin is keyed by the sha256 of the CSV bytes as they are
+    written; twins of earlier contents of the same path are removed. A
+    twin that cannot be written is only logged: the CSV still reads.
+    """
     table = check_table(quotes)
     check_terms(option_type=table[:, 0])
-    return write_file(path, _csv_chunks(table))
+    digest = hashlib.sha256()
+    path = write_file(path, _hashed(_csv_chunks(table), digest))
+    twin = _twin_path(path, digest.hexdigest())
+    any_twin = glob.escape(f".{path.name}.") + "[0-9a-f]" * 64 + ".npy"
+    try:
+        for old in path.parent.glob(any_twin):
+            if old != twin:
+                old.unlink(missing_ok=True)
+        write_file(twin, _twin_chunks(table))
+    except OSError as exc:
+        logger.warning("%s: binary twin not written (%s); reads will parse the text", path, exc)
+    return path
+
+
+def _hashed(chunks: Iterable[bytes], digest) -> Iterable[bytes]:
+    for chunk in chunks:
+        digest.update(chunk)
+        yield chunk
+
+
+def _segment_texts(values: np.ndarray) -> list[str]:
+    """Each row of terms as CSV cells: repr() of each distinct float (by
+    bit pattern, so -0.0 and 0.0 keep their own text) formatted once, and
+    an empty cell for a NaN implied vol."""
+    keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    cells = texts[inverse.reshape(values.shape)]
+    cells[np.isnan(values[:, _VOL - _TERMS.start]), _VOL - _TERMS.start] = ""
+    return list(map(",".join, cells.tolist()))
+
+
+def _strike_texts(values: np.ndarray) -> list[str]:
+    return list(map(repr, values[:, 0].tolist()))
+
+
+def _cached_texts(cells: np.ndarray, cache: dict[bytes, str], make) -> list[str]:
+    """The text of each row of `cells`. `make` formats the rows whose bit
+    patterns `cache` lacks, and they are added; a cache grown past
+    _MAX_CACHED texts is emptied first."""
+    if len(cache) > _MAX_CACHED:
+        cache.clear()
+    row = np.dtype((np.void, cells.shape[1] * cells.itemsize))
+    keys = np.ascontiguousarray(cells).view(row).ravel().tolist()
+    new = list(dict.fromkeys(key for key in keys if key not in cache))
+    if new:
+        values = np.frombuffer(b"".join(new), dtype=np.float64).reshape(len(new), -1)
+        cache.update(zip(new, make(values)))
+    return [cache[key] for key in keys]
 
 
 def _csv_chunks(table: np.ndarray) -> Iterable[bytes]:
     yield (",".join(QUOTE_COLUMNS) + "\n").encode("utf-8")
+    segments: dict[bytes, str] = {}  # the bits of a row's terms -> their text
+    strikes: dict[bytes, str] = {}
     for start in range(0, len(table), _WRITE_CHUNK):
         chunk = table[start : start + _WRITE_CHUNK]
-        # Distinct by bit pattern, so -0.0 and 0.0 keep their own text.
-        keys, inverse = np.unique(chunk.view(np.uint64).ravel(), return_inverse=True)
-        texts = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
-        cells = texts[inverse].reshape(chunk.shape)
-        cells[:, 0] = [_TYPE_CODES[flag] for flag in chunk[:, 0].tolist()]
-        cells[np.isnan(chunk[:, _VOL]), _VOL] = ""
-        yield "".join(",".join(row) + "\n" for row in cells.tolist()).encode("utf-8")
+        lines = zip(
+            [_TYPE_CODES[flag] for flag in chunk[:, 0].tolist()],
+            _cached_texts(chunk[:, _STRIKE : _STRIKE + 1], strikes, _strike_texts),
+            _cached_texts(chunk[:, _TERMS], segments, _segment_texts),
+            map(repr, chunk[:, _MIDPOINT].tolist()),  # nearly all distinct
+        )
+        yield "".join([f"{c},{k},{s},{m}\n" for c, k, s, m in lines]).encode("utf-8")
+
+
+def _twin_path(path: Path, digest: str) -> Path:
+    return path.with_name(f".{path.name}.{digest}.npy")
+
+
+def _twin_header(rows: int) -> bytes:
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": (rows, QUOTE_WIDTH)}
+    )
+    return header.getvalue()
+
+
+def _twin_chunks(table: np.ndarray) -> Iterable[bytes]:
+    """The `.npy` bytes of what parsing the table's CSV gives: flags
+    exactly 1.0 or 0.0 and every NaN float('nan'); -0.0 and inf stay."""
+    yield _twin_header(len(table))
+    for start in range(0, len(table), _WRITE_CHUNK):
+        chunk = table[start : start + _WRITE_CHUNK].astype("<f8")
+        chunk[:, 0] = chunk[:, 0] == 1.0
+        chunk[np.isnan(chunk)] = math.nan
+        yield chunk.tobytes()
+
+
+def _load_twin(path: Path, twin: Path) -> np.ndarray | None:
+    """The twin's table: the file must be the header write_csv writes for
+    some row count n, then n rows of values. Else None, with a warning."""
+    try:
+        size = twin.stat().st_size
+        rows = max(size - len(_twin_header(0)), 0) // _ROW_BYTES
+        header = _twin_header(rows)
+        if size != len(header) + rows * _ROW_BYTES or (
+            np.fromfile(twin, dtype=np.uint8, count=len(header)).tobytes() != header
+        ):
+            raise ValueError(f"not the .npy file of a {QUOTE_WIDTH}-column float64 table")
+        table = np.fromfile(twin, dtype="<f8", offset=len(header)).reshape(rows, QUOTE_WIDTH)
+    except (OSError, ValueError) as exc:
+        logger.warning("%s: ignoring binary twin %s: %s; parsing the text", path, twin.name, exc)
+        return None
+    return table
 
 
 def _parse_line(
@@ -141,8 +251,14 @@ def _parse_line(
     return flag, strike, terms, values, float(cells[_MIDPOINT])
 
 
-def read_csv(path: str | Path) -> np.ndarray:
+def read_csv(
+    path: str | Path, *, with_digest: bool = False
+) -> np.ndarray | tuple[np.ndarray, str]:
     """Read the quote table of a CSV written by write_csv.
+
+    With `with_digest`, returns (table, sha256 hex digest of the file's
+    bytes), both from one read. The table comes from the CSV's binary
+    twin when one matches its bytes, else from parsing the text.
 
     Raises SchemaError on a missing, undecodable or wrong header.
     Malformed data rows are collected with their line numbers; if more
@@ -151,7 +267,23 @@ def read_csv(path: str | Path) -> np.ndarray:
     not checked here; `filter_quotes` applies the validity rule.
     """
     path = Path(path)
-    lines = path.read_bytes().splitlines()
+    blob = path.read_bytes()
+    digest = hashlib.sha256(blob).hexdigest()
+    twin = _twin_path(path, digest)
+    table = None
+    if twin.is_file():
+        blob = None  # freed before the table is loaded
+        table = _load_twin(path, twin)
+    if table is None:
+        if blob is None:  # the twin was refused: read the text again
+            blob = path.read_bytes()
+            digest = hashlib.sha256(blob).hexdigest()
+        lines, blob = blob.splitlines(), None
+        table = _parse_lines(path, lines)
+    return (table, digest) if with_digest else table
+
+
+def _parse_lines(path: Path, lines: list[bytes]) -> np.ndarray:
     if not lines:
         raise SchemaError(f"{path}: empty file, expected a header row")
     try:

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import optbench as ob
+from optbench import cli as ob_cli, ingest
 from optbench.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,6 +60,10 @@ def test_tracer_targets_resolve():
         from tracer import TARGETS
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
+    # the CSV spans, traced where the CLI looks them up
+    for span in ("ingest.read_csv", "ingest.write_csv"):
+        assert TARGETS[span][:2] == ("optbench.ingest", span.split(".")[1])
+    assert ob_cli.read_csv is ingest.read_csv and ob_cli.write_csv is ingest.write_csv
     for span, (module_name, attr, _) in TARGETS.items():
         owner = importlib.import_module(module_name)
         for part in attr.split("."):
@@ -91,3 +96,19 @@ def test_cli_outputs_the_benchmark_parses(tmp_path, monkeypatch):
     cli(["evaluate", "gbdt5.model", "--include-bs", "--out", "eval", *common], None)
     # every output file, and report_table.csv read by read_report_table
     workloads.check_evaluate_outputs(ctx, tmp_path / "eval", ["gbdt5", "bs_implied", "bs_realized"])
+
+
+def test_cli_data_chain_parses_no_text(tmp_path, monkeypatch):
+    # gen -> split -> report -> evaluate, as in the cli_data workload: every
+    # dataset read comes from the binary twin that gen wrote
+    def no_parse(*args):
+        raise AssertionError("a CLI command parsed the CSV text")
+
+    monkeypatch.setattr(ingest, "_parse_line", no_parse)
+    data = str(tmp_path / "dataset.csv")
+    tiny = ["--set", "sim.n_underlyings=1", "--set", "sim.days_per_underlying=25"]
+    assert main(["gen", "--out", str(tmp_path), "--seed", "3", *tiny]) == 0
+    assert main(["split", "--data", data, "--out", str(tmp_path), "--seed", "3"]) == 0
+    assert main(["report", "--data", data, "--out", str(tmp_path / "report")]) == 0
+    evaluate = ["evaluate", "--include-bs", "--data", data, "--out", str(tmp_path / "eval")]
+    assert main([*evaluate, "--seed", "3"]) == 0

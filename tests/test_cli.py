@@ -62,6 +62,9 @@ class TestGen:
         a = gen_tiny(tmp_path / "a").read_bytes()
         b = gen_tiny(tmp_path / "b").read_bytes()
         assert a == b
+        # and so do the binary twins, named by the same digest
+        [twin_a], [twin_b] = ((tmp_path / d).glob(".dataset.csv.*.npy") for d in "ab")
+        assert twin_a.name == twin_b.name and twin_a.read_bytes() == twin_b.read_bytes()
 
     def test_different_seed_different_data(self, tmp_path):
         a = gen_tiny(tmp_path / "a", seed="1").read_bytes()
@@ -496,6 +499,23 @@ class TestLoad:
     def test_missing_data_is_usage_error(self, tmp_path, capsys, command):
         assert run(*command, "--out", str(tmp_path)) == 1
         assert "no dataset given" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["train", "gbdt5", "--set", "gbdt.num_rounds=1"], ["evaluate", "--include-bs"]]
+    )
+    def test_dataset_read_once(self, tmp_path, monkeypatch, command):
+        # the dataset digest a model records comes from the same read as its rows
+        data = gen_tiny(tmp_path)
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counted(self):
+            reads.append(self)
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        assert run(*command, "--data", str(data), "--out", str(tmp_path / "o"), "--seed", "9") == 0
+        assert reads.count(data) == 1
 
     @pytest.mark.parametrize(
         "command, setting",

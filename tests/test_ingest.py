@@ -1,8 +1,11 @@
 import ast
+import hashlib
+import io
 import json
 import logging
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,7 @@ from optbench import (
     write_csv,
 )
 from optbench.core import QUOTE_COLUMNS, QUOTE_WIDTH
+from optbench import ingest
 from optbench.ingest import (
     MAGIC_NET,
     MAGIC_TREES,
@@ -227,6 +231,194 @@ class TestCsvRoundTrip:
             write_csv(np.ones((2, QUOTE_WIDTH - 1)), tmp_path / "q.csv")
         with pytest.raises(ValidationError, match="option_type: .* got 0.5"):
             write_csv(make_quote(option_type=0.5), tmp_path / "q.csv")
+
+
+def twins(directory: Path) -> list[Path]:
+    return sorted(directory.glob(".*.npy"))
+
+
+def npy(table: np.ndarray) -> bytes:
+    out = io.BytesIO()
+    np.save(out, table)
+    return out.getvalue()
+
+
+def chain_table(n_chains: int, per_chain: int, seed: int = 0) -> np.ndarray:
+    """Quotes of `n_chains` chains in shuffled order, with -0.0, a NaN
+    vol and a put or two among them."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        make_quote(
+            strike=float(50 + k), rate=(-0.0, 0.01, 0.02)[c % 3], maturity_years=0.1 + c,
+            option_type=float(k % 2), implied_vol=np.nan if c % 4 == 0 else 0.25,
+        )
+        for c in range(n_chains)
+        for k in range(per_chain)
+    ]
+    return make_quotes(*rows)[rng.permutation(n_chains * per_chain)]
+
+
+class TestBinaryTwin:
+    def parsed(self, path: Path) -> np.ndarray:
+        """read_csv of `path` with its twins moved out of the way."""
+        moved = [twin.rename(twin.with_name(twin.name + ".away")) for twin in twins(path.parent)]
+        try:
+            return read_csv(path)
+        finally:
+            for away in moved:
+                away.rename(away.with_name(away.name.removesuffix(".away")))
+
+    def test_twin_is_keyed_by_the_csv_digest(self, tmp_path):
+        quotes = chain_table(5, 4)
+        path = write_csv(quotes, tmp_path / "q.csv")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert twins(tmp_path) == [tmp_path / f".q.csv.{digest}.npy"]
+        twin = tmp_path / f".q.csv.{digest}.npy"
+        assert twin.stat().st_size == 128 + 224 * len(quotes)
+        assert np.array_equal(bits(np.load(twin)), bits(quotes))
+        table, read_digest = read_csv(path, with_digest=True)
+        assert read_digest == digest
+        assert np.array_equal(bits(table), bits(quotes))
+
+    def test_reads_the_twin_not_the_text(self, tmp_path, monkeypatch):
+        quotes = chain_table(5, 4)
+        path = write_csv(quotes, tmp_path / "q.csv")
+
+        def no_parse(*args):
+            raise AssertionError("the text was parsed")
+
+        monkeypatch.setattr(ingest, "_parse_line", no_parse)
+        assert np.array_equal(bits(read_csv(path)), bits(quotes))
+
+    def test_edited_or_appended_csv_reads_its_new_content(self, tmp_path):
+        quotes = chain_table(5, 4)
+        path = write_csv(quotes, tmp_path / "q.csv")
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[-1] = "7.25"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        edited = quotes.copy()
+        edited[2, QUOTE_COLUMNS.index("midpoint")] = 7.25
+        assert np.array_equal(bits(read_csv(path)), bits(edited))
+
+        with path.open("a") as fh:
+            fh.write(lines[1] + "\n")
+        back, digest = read_csv(path, with_digest=True)
+        assert np.array_equal(bits(back), bits(np.concatenate([edited, quotes[:1]])))
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw, table: b"garbage" * 40,
+            lambda raw, table: b"",
+            lambda raw, table: raw[:-8],
+            lambda raw, table: raw + b"\0" * 100,
+            lambda raw, table: raw + b"\0" * 224,
+            lambda raw, table: npy(table[:, :-1]),
+            lambda raw, table: npy(table.view(np.int64)),
+            lambda raw, table: npy(table.astype(">f8")),
+            lambda raw, table: npy(np.asfortranarray(table)),
+        ],
+        ids=["garbage", "empty", "truncated", "trailing-bytes", "extra-row", "27-columns",
+             "int64", "big-endian", "fortran-order"],
+    )
+    def test_bad_twin_warns_once_and_parses(self, tmp_path, caplog, corrupt):
+        quotes = chain_table(5, 4)
+        path = write_csv(quotes, tmp_path / "q.csv")
+        [twin] = twins(tmp_path)
+        twin.write_bytes(corrupt(twin.read_bytes(), quotes))
+        with caplog.at_level(logging.WARNING):
+            back, digest = read_csv(path, with_digest=True)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: ignoring binary twin {twin.name}: "
+            f"not the .npy file of a {QUOTE_WIDTH}-column float64 table; parsing the text"
+        ]
+        assert np.array_equal(bits(back), bits(quotes))
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_csv_copied_without_its_twin_is_parsed(self, tmp_path, monkeypatch):
+        quotes = chain_table(5, 4)
+        path = write_csv(quotes, tmp_path / "q.csv")
+        (tmp_path / "copy").mkdir()
+        copy = tmp_path / "copy" / "q.csv"
+        copy.write_bytes(path.read_bytes())
+        parsed = []
+        parse_line = ingest._parse_line
+        monkeypatch.setattr(ingest, "_parse_line", lambda *a: parsed.append(1) or parse_line(*a))
+        assert np.array_equal(bits(read_csv(copy)), bits(quotes))
+        assert len(parsed) == len(quotes)
+
+    def test_failed_twin_write_leaves_no_temporary_file(self, tmp_path, monkeypatch, caplog):
+        quotes = chain_table(5, 4)
+
+        def failing(table):
+            yield b"\x93NUMPY"
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ingest, "_twin_chunks", failing)
+        with caplog.at_level(logging.WARNING):
+            path = write_csv(quotes, tmp_path / "q.csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["q.csv"]
+        assert "binary twin not written" in caplog.text
+        assert path.read_bytes() == per_cell_csv(quotes)
+        assert np.array_equal(bits(read_csv(path)), bits(quotes))
+
+    def test_rewrite_leaves_exactly_one_twin(self, tmp_path):
+        path = tmp_path / "q.csv"
+        write_csv(chain_table(5, 4, seed=1), path)
+        others = [write_csv(make_quote(), tmp_path / name) for name in ("q.csv.csv", "[q].csv")]
+        own = re.compile(r"\.q\.csv\.[0-9a-f]{64}\.npy")
+        other_twins = [t for t in twins(tmp_path) if not own.fullmatch(t.name)]
+        assert len(other_twins) == 2
+        write_csv(chain_table(3, 2, seed=2), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert twins(tmp_path) == sorted([tmp_path / f".q.csv.{digest}.npy", *other_twins])
+        for other in others:
+            assert np.array_equal(bits(read_csv(other)), bits(make_quote()))
+
+    def test_returned_array_is_writeable_not_a_memmap(self, tmp_path):
+        path = write_csv(chain_table(5, 4), tmp_path / "q.csv")
+        table = read_csv(path)
+        assert not isinstance(table, np.memmap) and not isinstance(table.base, np.memmap)
+        assert table.flags.writeable and table.flags.c_contiguous
+        table[0, 0] = 1.0
+
+    def test_twin_holds_what_parsing_gives(self, tmp_path):
+        quotes = chain_table(5, 4)
+        quotes[0, 0] = -0.0  # a put flag of -0.0 parses as 0.0
+        quotes[1, QUOTE_COLUMNS.index("lag_3")] = -np.inf
+        quotes[2, QUOTE_COLUMNS.index("implied_vol")] = -np.nan
+        quotes[3, QUOTE_COLUMNS.index("midpoint")] = np.uint64(0x7FF0000000000001).view(np.float64)
+        path = write_csv(quotes, tmp_path / "q.csv")
+        assert np.array_equal(bits(read_csv(path)), bits(self.parsed(path)))
+        assert bits(read_csv(path))[0, 0] == bits(np.float64(0.0))
+
+    def test_text_is_freed_before_the_twin_loads(self, tmp_path):
+        rng = np.random.default_rng(0)
+        quotes = rng.uniform(1.0, 100.0, size=(2000, QUOTE_WIDTH))
+        quotes[:, 0] = rng.integers(0, 2, size=2000)
+        path = write_csv(quotes, tmp_path / "q.csv")
+        text, table = path.stat().st_size, quotes.nbytes
+        tracemalloc.start()
+        try:
+            read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text > table and peak < text + table / 2
+
+    @pytest.mark.parametrize("chunk, cached", [(16, 8), (7, 3), (_WRITE_CHUNK, 10**6)])
+    def test_texts_kept_across_chunks(self, tmp_path, monkeypatch, chunk, cached):
+        # shuffled chains, so segments and strikes recur across chunks, and
+        # caches small enough to be cleared between them
+        monkeypatch.setattr(ingest, "_WRITE_CHUNK", chunk)
+        monkeypatch.setattr(ingest, "_MAX_CACHED", cached)
+        quotes = chain_table(40, 8)
+        path = write_csv(quotes, tmp_path / "q.csv")
+        assert path.read_bytes() == per_cell_csv(quotes)
+        assert np.array_equal(bits(read_csv(path)), bits(self.parsed(path)))
 
 
 class TestModelFiles:

@@ -149,6 +149,45 @@ class TestCsvInvariants:
         assert np.array_equal(back.view(np.uint64), table.view(np.uint64))
 
 
+# any float64 bit pattern a cell can hold: NaNs of either sign and any
+# payload, infinities, signed zeros and the finite floats above
+nan_floats = st.builds(
+    lambda sign, payload: float(np.uint64((sign << 63) | (0x7FF << 52) | payload).view(np.float64)),
+    st.integers(0, 1),
+    st.integers(1, 2**52 - 1),
+)
+any_cell = st.one_of(cell_floats, nan_floats, st.sampled_from([math.inf, -math.inf]))
+
+
+@st.composite
+def shuffled_tables(draw):
+    """A table of chains with any cells, flags of 1.0, 0.0 and -0.0, rows shuffled."""
+    n = draw(st.integers(0, 12))
+    table = np.array(
+        draw(st.lists(st.tuples(*[any_cell] * len(QUOTE_COLUMNS)), min_size=n, max_size=n)),
+        dtype=np.float64,
+    ).reshape(n, len(QUOTE_COLUMNS))
+    table[:, 0] = draw(st.lists(st.sampled_from([1.0, 0.0, -0.0]), min_size=n, max_size=n))
+    for i in range(1, n):
+        if draw(st.booleans()):  # same chain as the row before
+            table[i, TERMS] = table[i - 1, TERMS]
+    return table[draw(st.permutations(range(n)))]
+
+
+class TestCsvTwin:
+    @given(shuffled_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_twin_reads_as_the_parse_does(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_csv(table, Path(tmp) / "q.csv")
+            assert path.read_bytes() == per_cell_csv(table)
+            [twin] = Path(tmp).glob(".q.csv.*.npy")
+            through_twin = read_csv(path)
+            twin.unlink()
+            parsed = read_csv(path)
+        assert same_bits(through_twin, parsed)
+
+
 class TestSplitInvariants:
     @given(
         st.integers(min_value=3, max_value=400),
