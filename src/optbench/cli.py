@@ -295,7 +295,9 @@ def cmd_split(cfg: dict, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     parts = {}
     for name, idx in (("train", train_idx), ("val", val_idx), ("test", test_idx)):
-        part_path = write_csv(kept[idx], out / f"{name}.csv")
+        # no command reads a part back (train and evaluate re-split the
+        # dataset), so a part gets no binary twin
+        part_path = write_csv(kept[idx], out / f"{name}.csv", twin=False)
         parts[name] = {"rows": int(len(idx)), "path": part_path.name}
     _write_json(
         {

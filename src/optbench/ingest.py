@@ -18,7 +18,8 @@ of each across its chunks, and writes a row as
 
 Next to the CSV the writer leaves its binary twin: the table the text
 parses to, as a float64 `.npy` array named `.<csv name>.<sha256>.npy`
-after the sha256 of the CSV's bytes. Reading hashes the CSV and loads
+after the sha256 of the CSV's bytes (`twin=False` leaves none, for a
+CSV that no command reads back). Reading hashes the CSV and loads
 the twin of that digest if there is one; otherwise, and with one
 warning if that twin is not the `.npy` file of a 28-column float64
 table, it parses the text. So an edited, appended-to or copied-alone
@@ -115,24 +116,27 @@ def write_rows(path: str | Path, header: Iterable[str], rows: Iterable) -> Path:
     return write_file(path, (line.encode("utf-8") for line in lines))
 
 
-def write_csv(quotes, path: str | Path) -> Path:
+def write_csv(quotes, path: str | Path, *, twin: bool = True) -> Path:
     """Write a quote table in the canonical 28-column layout, and its twin.
 
     The twin is keyed by the sha256 of the CSV bytes as they are
-    written; twins of earlier contents of the same path are removed. A
-    twin that cannot be written is only logged: the CSV still reads.
+    written; twins of earlier contents of the same path are removed, and
+    with `twin=False` no new one is written. A twin that cannot be
+    written is only logged: the CSV still reads.
     """
     table = check_table(quotes)
     check_terms(option_type=table[:, 0])
     digest = hashlib.sha256()
-    path = write_file(path, _hashed(_csv_chunks(table), digest))
-    twin = _twin_path(path, digest.hexdigest())
+    chunks = _csv_chunks(table)
+    path = write_file(path, _hashed(chunks, digest) if twin else chunks)
+    own = _twin_path(path, digest.hexdigest()) if twin else None
     any_twin = glob.escape(f".{path.name}.") + "[0-9a-f]" * 64 + ".npy"
     try:
         for old in path.parent.glob(any_twin):
-            if old != twin:
+            if old != own:
                 old.unlink(missing_ok=True)
-        write_file(twin, _twin_chunks(table))
+        if own is not None:
+            write_file(own, _twin_chunks(table))
     except OSError as exc:
         logger.warning("%s: binary twin not written (%s); reads will parse the text", path, exc)
     return path

@@ -25,6 +25,16 @@ mask are taken, so the deltas need no buffers of their own. The
 operations and their order are those of the plain `a @ w.T + b`
 formulation, so the trained weights are the same bit for bit.
 
+Every forward pass (scoring and the end-of-epoch validation pass)
+works through the rows in blocks of _SCORE_BLOCK, as Keras
+`Model.predict` does in batches, with one activation buffer per layer
+sized for one block. Scoring memory is then set by the block, not by
+the row count. A matrix of at most one block runs the same single
+product per layer as a whole-matrix pass, so its predictions are the
+same bit for bit. A longer one may differ in the last bits: BLAS rounds
+a row according to where it sits in the product, so a row's
+prediction already depended on the matrix around it.
+
 LayerSpec, Architecture and MlpTrainConfig each declare their field
 rules as one table checked by `core.check_fields`.
 """
@@ -56,6 +66,7 @@ ACTIVATIONS = ("relu", "linear")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+_SCORE_BLOCK = 1024  # rows per forward-pass block, to bound scoring memory
 
 
 _LAYER_RULES = {
@@ -128,7 +139,9 @@ def fit_feature_stats(features: np.ndarray) -> FeatureStats:
 
 
 def standardize(rows: np.ndarray, stats: FeatureStats) -> np.ndarray:
-    return (np.asarray(rows, dtype=np.float64) - stats.mean) / stats.std
+    scaled = np.asarray(rows, dtype=np.float64) - stats.mean
+    scaled /= stats.std
+    return scaled
 
 
 def _identity_stats(n_inputs: int) -> FeatureStats:
@@ -199,10 +212,18 @@ def _layer(
 
 
 def _forward_scaled(net: NetworkParams, scaled: np.ndarray) -> np.ndarray:
-    a = scaled
-    for spec, w, b in zip(net.architecture.layers, net.weights, net.biases):
-        a = _layer(a, w, b, spec.activation == "relu")
-    return a[:, 0]
+    """Predictions for scaled rows, _SCORE_BLOCK rows at a time."""
+    n = len(scaled)
+    layers = net.architecture.layers
+    acts = [np.empty((min(n, _SCORE_BLOCK), spec.units)) for spec in layers]
+    out = np.empty(n)
+    for start in range(0, n, _SCORE_BLOCK):
+        a = scaled[start : start + _SCORE_BLOCK]
+        m = len(a)
+        for spec, w, b, buf in zip(layers, net.weights, net.biases, acts):
+            a = _layer(a, w, b, spec.activation == "relu", out=buf[:m])
+        out[start : start + m] = a[:, 0]
+    return out
 
 
 def forward(net: NetworkParams, batch: np.ndarray) -> np.ndarray | float:

@@ -12,8 +12,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import optbench as ob
-from optbench import cli as ob_cli, ingest
+from optbench import cli as ob_cli, ingest, mlp
 from optbench.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,6 +71,22 @@ def test_tracer_targets_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
             assert owner is not None, f"{span}: {module_name}.{attr} is gone"
+
+
+def test_one_forward_call_is_one_traced_pass(monkeypatch):
+    # perfbench times mlp.forward by wrapping _forward_scaled, so a pass
+    # over several scoring blocks must still be one call
+    calls = []
+    forward_scaled = mlp._forward_scaled
+
+    def counted(net, scaled):
+        calls.append(len(scaled))
+        return forward_scaled(net, scaled)
+
+    monkeypatch.setattr(mlp, "_forward_scaled", counted)
+    rows = np.zeros((3 * mlp._SCORE_BLOCK + 7, 26))
+    ob.forward(ob.init_network(ob.THREE_LAYER, 26), rows)
+    assert calls == [len(rows)]
 
 
 def test_cli_outputs_the_benchmark_parses(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from optbench import (
     predict_gbdt,
     read_csv,
     split_dataset,
+    write_csv,
 )
 from optbench.cli import KNOWN_KEYS, build_config, build_parser, load_config, main
 from optbench.core import QUOTE_COLUMNS
@@ -107,6 +108,16 @@ class TestSplit:
         for part in ("train", "val", "test"):
             lines = (tmp_path / f"{part}.csv").read_text().splitlines()
             assert len(lines) - 1 == sizes[part]
+
+    def test_parts_get_no_binary_twin(self, tmp_path):
+        data = gen_tiny(tmp_path)
+        [dataset_twin] = tmp_path.glob(".*.npy")
+        write_csv(read_csv(data)[:3], tmp_path / "train.csv")  # an earlier part, with a twin
+        assert run("split", "--data", str(data), "--out", str(tmp_path), "--seed", "9") == 0
+        assert list(tmp_path.glob(".*.npy")) == [dataset_twin]
+        manifest = json.loads((tmp_path / "split.manifest.json").read_text())
+        for info in manifest["parts"].values():
+            assert len(read_csv(tmp_path / info["path"])) == info["rows"]
 
     def test_custom_fractions(self, tmp_path):
         data = gen_tiny(tmp_path)

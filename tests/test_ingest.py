@@ -378,6 +378,17 @@ class TestBinaryTwin:
         for other in others:
             assert np.array_equal(bits(read_csv(other)), bits(make_quote()))
 
+    def test_write_without_twin_removes_only_its_own_stale_twins(self, tmp_path):
+        path = write_csv(chain_table(5, 4, seed=1), tmp_path / "q.csv")
+        write_csv(make_quote(), tmp_path / "q.csv.csv")
+        other_twins = [t for t in twins(tmp_path) if t.name.startswith(".q.csv.csv.")]
+        assert len(other_twins) == 1 and len(twins(tmp_path)) == 2
+        quotes = chain_table(3, 2, seed=2)
+        assert write_csv(quotes, path, twin=False) == path
+        assert twins(tmp_path) == other_twins
+        assert path.read_bytes() == per_cell_csv(quotes)
+        assert np.array_equal(bits(read_csv(path)), bits(quotes))
+
     def test_returned_array_is_writeable_not_a_memmap(self, tmp_path):
         path = write_csv(chain_table(5, 4), tmp_path / "q.csv")
         table = read_csv(path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from optbench import (
 from conftest import (
     allocating_adam_step,
     allocating_backward_scaled,
-    allocating_forward_scaled,
+    full_matrix_forward,
     make_dataset,
     same_bits,
 )
@@ -213,7 +215,7 @@ class TestInPlaceLayers:
     def test_forward_matches_allocating_oracle(self, arch):
         net, scaled, _ = self.scaled_batch(arch, 50, seed=43)
         assert same_bits(
-            optbench.mlp._forward_scaled(net, scaled), allocating_forward_scaled(net, scaled)
+            optbench.mlp._forward_scaled(net, scaled), full_matrix_forward(net, scaled)
         )
 
     @ARCHITECTURES
@@ -228,7 +230,7 @@ class TestInPlaceLayers:
             "_backward_scaled",
             lambda net, scaled, targets, ws: allocating_backward_scaled(net, scaled, targets),
         )
-        monkeypatch.setattr(optbench.mlp, "_forward_scaled", allocating_forward_scaled)
+        monkeypatch.setattr(optbench.mlp, "_forward_scaled", full_matrix_forward)
         want_net, want_history = train_mlp(train, val, arch, cfg)
         assert history == want_history
         for ours, theirs in zip(net.weights + net.biases, want_net.weights + want_net.biases):
@@ -248,6 +250,64 @@ class TestInPlaceLayers:
         assert same_bits(X, X_before) and same_bits(y, y_before)
         forward(net, X)
         assert same_bits(X, X_before)
+
+
+BLOCK = optbench.mlp._SCORE_BLOCK
+
+
+class TestScoringBlocks:
+    """The blocked forward pass against the whole-matrix oracle."""
+
+    def net_and_rows(self, arch, n, seed):
+        rng = np.random.default_rng(seed)
+        net = init_network(arch, 26, seed=seed)
+        for b in net.biases:
+            b[:] = rng.normal(0.0, 0.1, size=b.shape)
+        return net, rng.normal(size=(n, 26))
+
+    @ARCHITECTURES
+    @pytest.mark.parametrize("n", [0, 1, 2, BLOCK - 1, BLOCK])
+    def test_one_block_is_the_full_matrix_pass(self, arch, n):
+        net, scaled = self.net_and_rows(arch, n, seed=51)
+        assert same_bits(optbench.mlp._forward_scaled(net, scaled), full_matrix_forward(net, scaled))
+
+    @ARCHITECTURES
+    @pytest.mark.parametrize("n", [BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 7])
+    def test_each_block_is_the_full_matrix_pass_of_its_rows(self, arch, n):
+        net, scaled = self.net_and_rows(arch, n, seed=52)
+        out = optbench.mlp._forward_scaled(net, scaled)
+        assert out.shape == (n,)
+        for start in range(0, n, BLOCK):
+            rows = slice(start, start + BLOCK)
+            assert same_bits(out[rows], full_matrix_forward(net, scaled[rows]))
+
+    @ARCHITECTURES
+    def test_training_with_one_validation_block_matches_oracle(self, arch, monkeypatch):
+        train = make_dataset(150, seed=54)
+        val = make_dataset(BLOCK, seed=55)
+        cfg = MlpTrainConfig(max_epochs=3, batch_size=64, seed=9)
+        net, history = train_mlp(train, val, arch, cfg)
+        monkeypatch.setattr(optbench.mlp, "_forward_scaled", full_matrix_forward)
+        want_net, want_history = train_mlp(train, val, arch, cfg)
+        assert history == want_history
+        for ours, theirs in zip(net.weights + net.biases, want_net.weights + want_net.biases):
+            assert same_bits(ours, theirs)
+
+    def test_scoring_memory_is_set_by_the_block_not_the_rows(self):
+        n = 16 * BLOCK
+        ds = make_dataset(n, seed=56)
+        net = init_network(THREE_LAYER, 26, seed=56, stats=fit_feature_stats(ds.features))
+        units = sum(spec.units for spec in THREE_LAYER.layers)
+        tracemalloc.start()
+        try:
+            forward(net, ds.features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the scaled rows and the result, plus one buffer per layer for one
+        # block; the whole-matrix pass needs n * units * 8 bytes on top
+        bound = ds.features.nbytes + n * 8 + BLOCK * units * 8 + 2**20
+        assert peak < bound, (peak, bound)
 
 
 class TestAdam:
