@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .blackscholes import MIN_VOL_TIME, VOL_FLOOR, bs_prices
 from .core import (
-    FEATURE_NAMES,
+    LAG_COLUMNS,
     QUOTE_COLUMNS,
     Dataset,
     FilterResult,
@@ -369,29 +369,29 @@ def cmd_train(cfg: dict, kind: str, out: Path) -> int:
     return EXIT_OK
 
 
-def _reprice(test: Dataset, sigma: np.ndarray) -> np.ndarray:
-    """Closed-form prices of the test rows under the given volatilities."""
-    col = test.column
-    return bs_prices(
-        col("underlying_price"), col("strike"), col("maturity_years"), col("rate"),
-        col("dividend_yield"), sigma, col("is_call"),
+def _reprice(quotes: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Closed-form prices of the quote rows under the given volatilities."""
+    S, K, T, r, q, flags = (
+        quotes[:, QUOTE_COLUMNS.index(name)]
+        for name in ("underlying_price", "strike", "maturity_years", "rate",
+                     "dividend_yield", "option_type")
     )
+    return bs_prices(S, K, T, r, q, sigma, flags)
 
 
-def _bs_implied_predictions(test: Dataset) -> np.ndarray:
-    vols = test.implied_vols
+def _bs_implied_predictions(quotes: np.ndarray) -> np.ndarray:
+    vols = quotes[:, QUOTE_COLUMNS.index("implied_vol")]
     if not np.all(np.isfinite(vols)):
         missing = int(np.sum(~np.isfinite(vols)))
         raise ValidationError(
             f"implied_vol: {missing} evaluation rows have no implied volatility; "
             "the repricing baseline needs it on every row"
         )
-    return _reprice(test, vols)
+    return _reprice(quotes, vols)
 
 
-def _bs_realized_predictions(test: Dataset) -> np.ndarray:
-    lags = test.features[:, FEATURE_NAMES.index("lag_1"):]
-    return _reprice(test, np.maximum(realized_vol(lags), VOL_FLOOR))
+def _bs_realized_predictions(quotes: np.ndarray) -> np.ndarray:
+    return _reprice(quotes, np.maximum(realized_vol(quotes[:, LAG_COLUMNS]), VOL_FLOOR))
 
 
 def _training_seconds(side: Path) -> float | None:
@@ -421,7 +421,8 @@ def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path)
         raise ValidationError(
             f"{data_path}: the test fraction selects zero rows; nothing to evaluate"
         )
-    test = Dataset.from_quotes(kept[test_idx])
+    quotes = kept[test_idx]
+    test = Dataset.from_quotes(quotes)
 
     results = []
     for raw_path in model_paths:
@@ -450,8 +451,8 @@ def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path)
         seconds = _training_seconds(path.with_suffix(".manifest.json"))
         results.append(ModelResult(name, preds, seconds))
     if include_bs:
-        results.append(ModelResult("bs_implied", _bs_implied_predictions(test)))
-        results.append(ModelResult("bs_realized", _bs_realized_predictions(test)))
+        results.append(ModelResult("bs_implied", _bs_implied_predictions(quotes)))
+        results.append(ModelResult("bs_realized", _bs_realized_predictions(quotes)))
     report = compare_models(test.targets, results, cfg.get("eval.curve_bins", 20))
     out.mkdir(parents=True, exist_ok=True)
     written = write_report(report, out)

@@ -9,9 +9,9 @@ for quotes and pricing inputs, checked column by column in order.
 
 Models never see the table itself; they see the fixed 26-column feature
 row taken from it, in FEATURE_NAMES order (is_call is the option_type
-flag). The implied volatility rides alongside the feature matrix but is
-never a model input: it exists so the closed-form baseline can reprice
-the quote.
+flag). A Dataset is the learners' fit pair, that feature matrix and the
+midpoint targets; the closed-form baselines read the quote rows
+themselves.
 
 The input rules both learners share (check_fit_pair, check_features,
 predict_rows), the seed rule (SEED) and the seeded random streams
@@ -231,44 +231,32 @@ def filter_quotes(quotes) -> FilterResult:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature matrix with aligned targets and implied vols.
+    """The learners' fit pair: an immutable feature matrix and its aligned
+    midpoint targets.
 
-    `implied_vols` is NaN where the quote carried no implied volatility.
-    `row_ids` track each row's origin through subsetting so splits can be
-    audited for disjointness. Arrays are frozen on construction; the
-    Dataset takes ownership of what it is given.
+    Arrays are frozen on construction; the Dataset takes ownership of
+    what it is given.
     """
 
     features: np.ndarray
     targets: np.ndarray
-    implied_vols: np.ndarray
-    row_ids: np.ndarray
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
         targs = np.asarray(self.targets, dtype=np.float64)
-        vols = np.asarray(self.implied_vols, dtype=np.float64)
-        ids = np.asarray(self.row_ids, dtype=np.int64)
         if feats.ndim != 2 or feats.shape[1] != FEATURE_COUNT:
             raise ValidationError(
                 f"features: expected shape (n, {FEATURE_COUNT}), got {feats.shape}"
             )
-        n = feats.shape[0]
-        for name, arr in (("targets", targs), ("implied_vols", vols), ("row_ids", ids)):
-            if arr.shape != (n,):
-                raise ValidationError(
-                    f"{name}: expected shape ({n},), got {arr.shape}"
-                )
+        if targs.shape != (len(feats),):
+            raise ValidationError(
+                f"targets: expected shape ({len(feats)},), got {targs.shape}"
+            )
         if not is_midpoint(targs).all():
             raise ValidationError(
                 f"targets: every midpoint must lie in (0, {MAX_MIDPOINT:g})"
             )
-        for name, arr in (
-            ("features", feats),
-            ("targets", targs),
-            ("implied_vols", vols),
-            ("row_ids", ids),
-        ):
+        for name, arr in (("features", feats), ("targets", targs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -294,28 +282,28 @@ class Dataset:
         return cls(
             np.take(table, FEATURE_COLUMNS, axis=1),
             np.take(table, QUOTE_COLUMNS.index("midpoint"), axis=1),
-            np.take(table, QUOTE_COLUMNS.index("implied_vol"), axis=1),
-            np.arange(len(table), dtype=np.int64),
         )
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.features[idx],
-            self.targets[idx],
-            self.implied_vols[idx],
-            self.row_ids[idx],
-        )
+        """The rows at `indices`, a sequence of integer positions in [0, len(self)).
 
-    def column(self, name: str) -> np.ndarray:
-        """Column by name: any feature, "midpoint", or "implied_vol"."""
-        if name == "midpoint":
-            return self.targets
-        if name == "implied_vol":
-            return self.implied_vols
-        if name in FEATURE_NAMES:
-            return self.features[:, FEATURE_NAMES.index(name)]
-        raise ValidationError(f"name: unknown column {name!r}")
+        A boolean mask or float positions would select the wrong rows
+        without an error, so every non-integer dtype is refused.
+        """
+        idx = np.asarray(indices)
+        if idx.size == 0:  # an empty list arrives as float64
+            idx = idx.astype(np.int64)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise ValidationError(
+                f"indices: expected a 1-D sequence of integers, "
+                f"got dtype {idx.dtype} and shape {idx.shape}"
+            )
+        outside = idx[(idx < 0) | (idx >= len(self))]
+        if outside.size:
+            raise ValidationError(
+                f"indices: every position must lie in [0, {len(self)}), got {int(outside[0])}"
+            )
+        return Dataset(self.features[idx], self.targets[idx])
 
 
 def check_fit_pair(train: Dataset, val: Dataset) -> None:

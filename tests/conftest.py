@@ -274,7 +274,7 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def make_dataset(n: int, seed: int = 0, with_vols: bool = True) -> Dataset:
+def make_dataset(n: int, seed: int = 0) -> Dataset:
     """Random but plausible feature rows for model-level tests."""
     rng = np.random.default_rng(seed)
     spot = rng.uniform(50.0, 500.0, size=n)
@@ -287,8 +287,7 @@ def make_dataset(n: int, seed: int = 0, with_vols: bool = True) -> Dataset:
     feats[:, 5] = (rng.uniform(size=n) < 0.5).astype(float)  # is_call
     feats[:, 6:] = spot[:, None] * np.exp(rng.normal(0, 0.01, size=(n, 20)))
     targets = rng.uniform(0.5, 80.0, size=n)
-    vols = rng.uniform(0.1, 0.8, size=n) if with_vols else np.full(n, np.nan)
-    return Dataset(feats, targets, vols, np.arange(n))
+    return Dataset(feats, targets)
 
 
 @pytest.fixture

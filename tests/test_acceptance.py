@@ -41,6 +41,7 @@ from optbench import (
     reduce_lr_on_plateau,
     save_model,
     split_dataset,
+    split_indices,
     summary_stats,
     train_gbdt,
     train_mlp,
@@ -312,11 +313,11 @@ def test_criterion_5_schedule_and_stopping():
         feats[:, 5] = rng.integers(0, 2, n).astype(np.float64)
         feats[:, 6:] = rng.uniform(50, 150, (n, 20))
         targets = rng.uniform(1, 50, n)
-        train = Dataset(feats, targets, np.full(n, np.nan), np.arange(n))
+        train = Dataset(feats, targets)
         vrng = np.random.default_rng(2)
         vfeats = feats[:24].copy()
         vtargets = vrng.uniform(1, 50, 24)
-        val = Dataset(vfeats, vtargets, np.full(24, np.nan), np.arange(24))
+        val = Dataset(vfeats, vtargets)
 
         arch = Architecture((LayerSpec(8, "relu"), LayerSpec(1, "linear")))
         tcfg = MlpTrainConfig(max_epochs=2000, batch_size=32, seed=0,
@@ -341,15 +342,17 @@ def test_criterion_6_benchmark_ordering():
     t0 = time.perf_counter()
     try:
         quotes = generate_dataset(SimConfig(seed=42))
-        ds = Dataset.from_quotes(filter_quotes(quotes).kept)
+        kept = filter_quotes(quotes).kept
+        ds = Dataset.from_quotes(kept)
         assert 90_000 <= len(ds) <= 110_000  # ~100k rows at default scale
         train, val, test = split_dataset(ds, SplitSpec(seed=42))
+        test_idx = split_indices(len(kept), SplitSpec(seed=42))[2]
 
         g10 = train_gbdt(train, val, GbdtConfig(max_depth=10, num_rounds=500))
         mae10 = mae(predict_gbdt(g10, test.features), test.targets)
         g5 = train_gbdt(train, val, GbdtConfig(max_depth=5, num_rounds=500))
         mae5 = mae(predict_gbdt(g5, test.features), test.targets)
-        mae_rv = mae(_bs_realized_predictions(test), test.targets)
+        mae_rv = mae(_bs_realized_predictions(kept[test_idx]), test.targets)
 
         assert mae10 <= mae5
         assert mae10 < mae_rv

@@ -17,8 +17,21 @@ from optbench import (
     split_dataset,
     write_csv,
 )
-from optbench.cli import KNOWN_KEYS, build_config, build_parser, load_config, main
+from optbench.blackscholes import VOL_FLOOR, bs_prices
+from optbench.cli import (
+    KNOWN_KEYS,
+    _bs_implied_predictions,
+    _bs_realized_predictions,
+    build_config,
+    build_parser,
+    load_config,
+    main,
+)
 from optbench.core import QUOTE_COLUMNS
+from optbench.errors import ValidationError
+from optbench.simgen import realized_vol
+
+from conftest import make_quote, make_quotes, same_bits
 
 
 TINY = [
@@ -468,6 +481,49 @@ class TestEvaluate:
     def test_no_models_no_baseline_usage_error(self, tmp_path):
         data = gen_tiny(tmp_path)
         assert run("evaluate", "--data", str(data), "--out", str(tmp_path)) == 1
+
+
+class TestBaselines:
+    """The repricing baselines read each quote row's own terms."""
+
+    # (option_type, strike, maturity_years, rate, dividend_yield, implied_vol, lags)
+    ROWS = (
+        (1.0, 90.0, 0.5, 0.02, 0.01, 0.25, tuple(100.0 + 0.5 * (-1) ** i for i in range(20))),
+        (0.0, 110.0, 1.25, 0.04, 0.0, 0.4, tuple(100.0 * 1.01 ** i for i in range(20))),
+        (1.0, 100.0, 0.1, -0.01, 0.03, 0.15, (100.0,) * 20),
+    )
+
+    def table(self):
+        return make_quotes(*(
+            make_quote(option_type=flag, strike=k, maturity_years=t, rate=r,
+                       dividend_yield=q, implied_vol=vol, lags=lags)
+            for flag, k, t, r, q, vol, lags in self.ROWS
+        ))
+
+    def priced_each(self, sigma_of_row):
+        return np.array([
+            bs_prices(100.0, k, t, r, q, sigma_of_row(vol, lags), flag)
+            for flag, k, t, r, q, vol, lags in self.ROWS
+        ])
+
+    def test_realized_prices_at_each_rows_floored_realized_vol(self):
+        expected = self.priced_each(lambda vol, lags: max(realized_vol(lags), VOL_FLOOR))
+        preds = _bs_realized_predictions(self.table())
+        assert same_bits(preds, expected)
+        # constant lags have realized vol 0, so that row prices at the floor
+        flag, k, t, r, q, _, lags = self.ROWS[2]
+        assert realized_vol(lags) == 0.0
+        assert same_bits(preds[2], bs_prices(100.0, k, t, r, q, VOL_FLOOR, flag))
+
+    def test_implied_prices_at_each_rows_implied_vol(self):
+        expected = self.priced_each(lambda vol, lags: vol)
+        assert same_bits(_bs_implied_predictions(self.table()), expected)
+
+    def test_implied_refuses_a_missing_implied_vol(self):
+        table = self.table()
+        table[1, QUOTE_COLUMNS.index("implied_vol")] = np.nan
+        with pytest.raises(ValidationError, match="^implied_vol: 1 evaluation rows have no"):
+            _bs_implied_predictions(table)
 
 
 class TestOneValidityRule:

@@ -229,10 +229,7 @@ class TestDataset:
         ds = Dataset.from_quotes(quotes)
         assert len(ds) == 2
         assert ds.targets.tolist() == [5.0, 7.0]
-        assert ds.implied_vols[0] == 0.25
-        assert math.isnan(ds.implied_vols[1])
-        assert ds.row_ids.tolist() == [0, 1]
-        for arr in (ds.features, ds.targets, ds.implied_vols):
+        for arr in (ds.features, ds.targets):
             assert arr.flags["C_CONTIGUOUS"]
             assert not np.shares_memory(arr, quotes)
 
@@ -246,24 +243,40 @@ class TestDataset:
     def test_bad_shapes_rejected(self):
         for width in (7, 25, 27):
             with pytest.raises(ValidationError, match="features"):
-                Dataset(np.zeros((2, width)), np.ones(2), np.ones(2), np.arange(2))
+                Dataset(np.zeros((2, width)), np.ones(2))
         with pytest.raises(ValidationError, match="targets"):
-            Dataset(np.zeros((2, 26)), np.ones(3), np.ones(2), np.arange(2))
+            Dataset(np.zeros((2, 26)), np.ones(3))
 
     def test_target_range_enforced(self):
         feats = np.zeros((1, 26))
         with pytest.raises(ValidationError, match="targets"):
-            Dataset(feats, np.array([0.0]), np.array([np.nan]), np.arange(1))
+            Dataset(feats, np.array([0.0]))
         with pytest.raises(ValidationError, match="targets"):
-            Dataset(feats, np.array([100_000.0]), np.array([np.nan]), np.arange(1))
+            Dataset(feats, np.array([100_000.0]))
 
-    def test_column_lookup(self):
-        ds = Dataset.from_quotes(make_quote())
-        assert ds.column("strike")[0] == 90.0
-        assert ds.column("midpoint")[0] == 12.5
-        assert ds.column("implied_vol")[0] == 0.25
-        with pytest.raises(ValidationError):
-            ds.column("nope")
+    def test_subset_refuses_a_boolean_mask(self):
+        # as int64 the mask would select rows [1, 0, 0, 1]
+        with pytest.raises(ValidationError, match="^indices: .*dtype bool"):
+            make_dataset(4).subset([True, False, False, True])
+
+    def test_subset_refuses_float_positions(self):
+        # as int64 these would truncate to rows 0 and 2
+        with pytest.raises(ValidationError, match="^indices: .*dtype float64"):
+            make_dataset(4).subset([0.7, 2.2])
+
+    def test_subset_refuses_positions_out_of_range(self):
+        ds = make_dataset(4)
+        for idx, bad in (([0, 4], 4), ([-1, 2], -1), (np.array([3, 99], dtype=np.uint8), 99)):
+            with pytest.raises(ValidationError, match=rf"^indices: .*\[0, 4\), got {bad}$"):
+                ds.subset(idx)
+
+    def test_subset_takes_an_empty_list_and_a_range(self):
+        ds = make_dataset(4)
+        empty = ds.subset([])
+        assert empty.features.shape == (0, 26) and empty.targets.shape == (0,)
+        part = ds.subset(range(1, 3))
+        assert np.array_equal(part.features, ds.features[1:3])
+        assert np.array_equal(part.targets, ds.targets[1:3])
 
 
 class TestSplit:
@@ -303,18 +316,19 @@ class TestSplit:
             with pytest.raises(ValidationError, match="^n: "):
                 split_indices(n, SplitSpec())
 
-    def test_split_dataset_carries_row_ids(self):
+    def test_split_dataset_keeps_rows_aligned(self):
+        # row k of each part is source row idx[k], features and target together
         rng = np.random.default_rng(0)
         n = 50
         feats = np.abs(rng.normal(100, 10, size=(n, 26))) + 1.0
-        ds = Dataset(feats, rng.uniform(1, 10, n), np.full(n, np.nan), np.arange(n))
-        train, val, test = split_dataset(ds, SplitSpec(0.8, 0.1, 0.1, seed=5))
-        ids = np.concatenate([train.row_ids, val.row_ids, test.row_ids])
-        assert sorted(ids.tolist()) == list(range(n))
-        # subsetting preserves row alignment
-        j = int(train.row_ids[0])
-        assert np.array_equal(train.features[0], ds.features[j])
-        assert train.targets[0] == ds.targets[j]
+        ds = Dataset(feats, rng.uniform(1, 10, n))
+        spec = SplitSpec(0.8, 0.1, 0.1, seed=5)
+        parts = split_dataset(ds, spec)
+        for part, idx in zip(parts, split_indices(n, spec)):
+            assert len(part) == len(idx)
+            for k, j in enumerate(idx):
+                assert np.array_equal(part.features[k], ds.features[j])
+                assert part.targets[k] == ds.targets[j]
 
 
 def _fit_mlp(train, val):

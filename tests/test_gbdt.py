@@ -330,7 +330,7 @@ class TestTraining:
         n = 16
         rng = np.random.default_rng(2)
         feats = np.abs(rng.normal(100, 20, size=(n, 26))) + 1
-        ds = Dataset(feats, np.full(n, 5.0), np.full(n, np.nan), np.arange(n))
+        ds = Dataset(feats, np.full(n, 5.0))
         model = train_gbdt(ds, ds, GbdtConfig(max_depth=3, num_rounds=1))
         assert model.base_score == 5.0
         assert model.history[0].train_mae == pytest.approx(0.0, abs=1e-12)
@@ -345,7 +345,7 @@ class TestTraining:
         feats[:, 4] = 1.0
         feats[:, 6:] = 1.0
         y = np.array([2.0, 2.0, 4.0, 4.0])
-        ds = Dataset(feats, y, np.full(4, np.nan), np.arange(4))
+        ds = Dataset(feats, y)
         cfg = GbdtConfig(
             max_depth=1, num_rounds=1, eta=EtaSchedule(1.0, 1.0, 100_000)
         )
@@ -550,9 +550,7 @@ class TestTraining:
         assert a.history == b.history
 
     def test_empty_dataset_rejected(self):
-        ds = Dataset(
-            np.empty((0, 26)), np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
-        )
+        ds = Dataset(np.empty((0, 26)), np.empty(0))
         good = make_dataset(10)
         with pytest.raises(ValidationError, match="train"):
             train_gbdt(ds, good, GbdtConfig())

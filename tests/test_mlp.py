@@ -436,9 +436,7 @@ class TestTraining:
 
     def test_constant_target_convergence(self):
         train = make_dataset(64, seed=5)
-        train = type(train)(
-            train.features, np.full(len(train), 7.0), train.implied_vols, train.row_ids
-        )
+        train = type(train)(train.features, np.full(len(train), 7.0))
         net, history = train_mlp(
             train, train, self.tiny_arch(),
             MlpTrainConfig(max_epochs=200, batch_size=16, seed=0,
