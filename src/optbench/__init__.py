@@ -55,7 +55,6 @@ from .evaluation import (
     write_report,
 )
 from .gbdt import (
-    EtaSchedule,
     GbdtConfig,
     TreeEnsemble,
     best_split,

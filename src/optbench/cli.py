@@ -93,44 +93,19 @@ def _parse_optional_int(text: str):
     return int(text)
 
 
-# Each field of these dataclasses is the key "<section>.<field>", nested
-# dataclasses flattened into their parent's section; a (min, max) field
-# "<stem>_range" takes the two keys "<stem>_min" and "<stem>_max".
+# Each field of these dataclasses is the key "<section>.<field>".
 SECTIONS = {"sim": SimConfig, "split": SplitSpec, "gbdt": GbdtConfig, "mlp": MlpTrainConfig}
 # No key sets this: max_depth comes from the model kind.
 FIXED_FIELDS = {"gbdt.max_depth"}
-KEY_ALIASES = {"sim.moneyness_grid": "sim.moneyness"}
 
-# Parsers by annotation (a string in the config modules); a range's parses each bound.
-_RANGE = "tuple[float, float]"
+# Parsers by annotation (a string in the config modules)
 _PARSERS = {
     "int": int,
     "float": float,
     "int | None": _parse_optional_int,
     "tuple[float, ...]": _parse_float_list,
     "tuple[tuple[float, float], ...]": _parse_regimes,
-    _RANGE: float,
 }
-
-
-def _field_keys(section: str, field: dataclasses.Field) -> tuple[str, ...]:
-    key = f"{section}.{field.name}"
-    if key in FIXED_FIELDS:
-        return ()
-    if field.type == _RANGE:
-        stem = key.removesuffix("_range")
-        return (f"{stem}_min", f"{stem}_max")
-    return (KEY_ALIASES.get(key, key),)
-
-
-def _leaf_fields(cls):
-    """Fields of a config dataclass, with nested config dataclasses flattened."""
-    for field in dataclasses.fields(cls):
-        if dataclasses.is_dataclass(field.default):
-            yield from _leaf_fields(type(field.default))
-        else:
-            yield field
-
 
 # The rules of the keys that no config dataclass holds
 _KEY_RULES = {"eval.curve_bins": integer_rule(1), "report.hist_bins": integer_rule(1)}
@@ -141,10 +116,10 @@ KNOWN_KEYS = {
     "eval.curve_bins": int,
     "report.hist_bins": int,
     **{
-        key: _PARSERS[field.type]
+        f"{section}.{field.name}": _PARSERS[field.type]
         for section, cls in SECTIONS.items()
-        for field in _leaf_fields(cls)
-        for key in _field_keys(section, field)
+        for field in dataclasses.fields(cls)
+        if f"{section}.{field.name}" not in FIXED_FIELDS
     },
 }
 
@@ -199,37 +174,21 @@ def load_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _build(cls, section: str, cfg: dict, fixed: dict):
-    kwargs = dict(fixed)
-    for field in dataclasses.fields(cls):
-        keys = _field_keys(section, field)
-        if field.name in kwargs or not keys:
-            continue
-        if dataclasses.is_dataclass(field.default):
-            kwargs[field.name] = _build(type(field.default), section, cfg, {})
-        elif field.name == "seed":  # a master seed fills every unset section seed
-            kwargs[field.name] = cfg.get(keys[0], cfg.get("seed", 0))
-        elif field.type == _RANGE:
-            kwargs[field.name] = tuple(cfg.get(k, d) for k, d in zip(keys, field.default))
-        else:
-            kwargs[field.name] = cfg.get(keys[0], field.default)
-    return cls(**kwargs)
-
-
 def build_config(section: str, cfg: dict, **fixed):
     """The config dataclass of `section` from flat keys; `fixed` fields win."""
+    cls = SECTIONS[section]
+    kwargs = dict(fixed)
+    for field in dataclasses.fields(cls):
+        key = f"{section}.{field.name}"
+        if field.name in kwargs or key in FIXED_FIELDS:
+            continue
+        # a master seed fills every unset section seed
+        default = cfg.get("seed", 0) if field.name == "seed" else field.default
+        kwargs[field.name] = cfg.get(key, default)
     try:
-        return _build(SECTIONS[section], section, cfg, fixed)
+        return cls(**kwargs)
     except ValidationError as exc:
         raise UsageError(f"{section} configuration: {exc}") from exc
-
-
-def config_record(config) -> dict:
-    """Flat manifest record of a config dataclass, nested configs inlined."""
-    record = {}
-    for name, value in dataclasses.asdict(config).items():
-        record.update(value if isinstance(value, dict) else {name: value})
-    return record
 
 
 def _write_json(doc: dict, path: Path) -> None:
@@ -253,7 +212,7 @@ def _load(cfg: dict) -> tuple[FilterResult, str]:
 
 def _identity(digest: str, spec: SplitSpec) -> dict:
     """What ties a model to its data: the dataset file's sha256 and the split."""
-    return {"dataset_digest": digest, "split": config_record(spec)}
+    return {"dataset_digest": digest, "split": dataclasses.asdict(spec)}
 
 
 def _now() -> str:
@@ -279,7 +238,7 @@ def cmd_gen(cfg: dict, out: Path) -> int:
         {
             "command": "gen",
             "rows": len(quotes),
-            "config": config_record(sim),
+            "config": dataclasses.asdict(sim),
             "created_at": _now(),
         },
         out / "dataset.manifest.json",
@@ -306,7 +265,7 @@ def cmd_split(cfg: dict, out: Path) -> int:
             "kept_rows": len(kept),
             "dropped_rows": dropped,
             "dropped_by_reason": by_reason,
-            "split": config_record(spec),
+            "split": dataclasses.asdict(spec),
             "parts": parts,
             "created_at": _now(),
         },
@@ -323,13 +282,13 @@ def cmd_train(cfg: dict, kind: str, out: Path) -> int:
     spec = build_config("split", cfg)
     if kind in ("gbdt5", "gbdt10"):
         mcfg = build_config("gbdt", cfg, max_depth=5 if kind == "gbdt5" else 10)
-        hyper = config_record(mcfg)
+        hyper = dataclasses.asdict(mcfg)
     elif kind in ("mlp3", "mlp5"):
         arch = THREE_LAYER if kind == "mlp3" else FIVE_LAYER
         mcfg = build_config("mlp", cfg)
         hyper = {
             "layers": [[layer.units, layer.activation] for layer in arch.layers],
-            **config_record(mcfg),
+            **dataclasses.asdict(mcfg),
         }
     else:
         raise UsageError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")

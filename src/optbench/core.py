@@ -166,14 +166,6 @@ def each_rule(rule: Rule) -> Rule:
     return (lambda v: _all_pass(ok, v)), f"need at least one value, and each {requirement}"
 
 
-def range_rule(rule: Rule) -> Rule:
-    """The rule of a (low, high) pair with low <= high whose bounds pass `rule`."""
-    ok, requirement = rule
-    return (
-        lambda r: len(r) == 2 and _all_pass(ok, r) and r[0] <= r[1]
-    ), f"need low <= high, and each bound {requirement}"
-
-
 def check_fields(rules: dict[str, Rule], **values) -> None:
     """Raise ValidationError naming the first value that fails the rule of its name.
 

@@ -45,9 +45,9 @@ Validation MAE is monitored every round; training stops once it has
 failed to improve for `early_stopping_rounds` rounds, and the returned
 ensemble is truncated at the best round.
 
-EtaSchedule and GbdtConfig each declare their field rules as one table
-checked by `core.check_fields`; `quantize_features` and `best_split`
-check their `n_bins` and regularization arguments against GbdtConfig's.
+GbdtConfig declares its field rules, the shrinkage schedule's included,
+as one table checked by `core.check_fields`; `quantize_features` and
+`best_split` check their `n_bins` and regularization arguments against it.
 """
 
 from __future__ import annotations
@@ -70,41 +70,6 @@ from .core import (
 from .errors import ValidationError
 
 _SHRINKAGE = (lambda v: 0 < v <= 1, "must lie in (0, 1]")
-_ETA_RULES = {"eta_base": _SHRINKAGE, "eta_min": _SHRINKAGE, "max_iter_decay": integer_rule(1)}
-
-
-@dataclass(frozen=True)
-class EtaSchedule:
-    """Shrinkage decay knobs; defaults decay 0.5 -> 0.2 over ~10^5 rounds."""
-
-    eta_base: float = 0.5
-    eta_min: float = 0.2
-    max_iter_decay: int = 100_000
-
-    def __post_init__(self) -> None:
-        check_fields(_ETA_RULES, **vars(self))
-        if self.eta_min > self.eta_base:
-            raise ValidationError(
-                f"eta: need eta_min <= eta_base, got ({self.eta_base!r}, {self.eta_min!r})"
-            )
-
-
-def eta_decay(iteration: int, schedule: EtaSchedule = EtaSchedule()) -> float:
-    """Learning rate for a zero-based boosting round.
-
-    eta_min + (eta_base - eta_min) * exp(-((iteration+1)/8)^2 / max_iter_decay)
-
-    Starts a hair under eta_base and decays monotonically toward
-    eta_min, which it approaches (and, in floating point, eventually
-    reaches) as the exponent underflows.
-    """
-    check_fields({"iteration": integer_rule(0)}, iteration=iteration)
-    x = (iteration + 1) / 8.0
-    return schedule.eta_min + (schedule.eta_base - schedule.eta_min) * math.exp(
-        -(x * x) / schedule.max_iter_decay
-    )
-
-
 _NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be >= 0 and finite")
 _GBDT_RULES = {
     "max_depth": integer_rule(1, 32),
@@ -115,22 +80,48 @@ _GBDT_RULES = {
     "n_bins": integer_rule(2, 1024),
     "reg_lambda": _NON_NEGATIVE,
     "min_child_weight": _NON_NEGATIVE,
-    "eta": (lambda v: isinstance(v, EtaSchedule), "must be an EtaSchedule"),
+    "eta_base": _SHRINKAGE,
+    "eta_min": _SHRINKAGE,
+    "max_iter_decay": integer_rule(1),
 }
 
 
 @dataclass(frozen=True)
 class GbdtConfig:
+    """Boosting knobs; the shrinkage defaults decay 0.5 -> 0.2 over ~10^5 rounds."""
+
     max_depth: int = 5
     num_rounds: int = 500
     early_stopping_rounds: int | None = None  # None: monitor but never stop early
     n_bins: int = 256
     reg_lambda: float = 1.0
     min_child_weight: float = 1.0
-    eta: EtaSchedule = EtaSchedule()
+    eta_base: float = 0.5
+    eta_min: float = 0.2
+    max_iter_decay: int = 100_000
 
     def __post_init__(self) -> None:
         check_fields(_GBDT_RULES, **vars(self))
+        if self.eta_min > self.eta_base:
+            raise ValidationError(
+                f"eta_min: must be <= eta_base ({self.eta_base!r}), got {self.eta_min!r}"
+            )
+
+
+def eta_decay(iteration: int, config: GbdtConfig = GbdtConfig()) -> float:
+    """Learning rate for a zero-based boosting round.
+
+    eta_min + (eta_base - eta_min) * exp(-((iteration+1)/8)^2 / max_iter_decay)
+
+    Starts a hair under eta_base and decays monotonically toward
+    eta_min, which it approaches (and, in floating point, eventually
+    reaches) as the exponent underflows.
+    """
+    check_fields({"iteration": integer_rule(0)}, iteration=iteration)
+    x = (iteration + 1) / 8.0
+    return config.eta_min + (config.eta_base - config.eta_min) * math.exp(
+        -(x * x) / config.max_iter_decay
+    )
 
 
 class BinnedMatrix(NamedTuple):
@@ -608,7 +599,7 @@ def train_gbdt(train: Dataset, val: Dataset, config: GbdtConfig) -> TreeEnsemble
     best_val = math.inf
     best_round = 0
     for r in range(config.num_rounds):
-        eta = eta_decay(r, config.eta)
+        eta = eta_decay(r, config)
         grad = pred - y
         tree, leaf_of_row = _grow_tree(binned, grad, config, eta)
         pred = pred + tree.value[leaf_of_row]

@@ -19,8 +19,10 @@ with equal configs produce identical datasets.
 
 SimConfig's field rules are one table checked by `core.check_fields`.
 Its spot, maturity and moneyness terms take the pricing terms' positive
-rule and its rate and yield ranges their rate rule, so every quote the
-config can draw is one the pricer accepts.
+rule and its rate and yield bounds their rate rule, so every quote the
+config can draw is one the pricer accepts. Each drawn term has a
+`<term>_min` and a `<term>_max` field, and a `_min` above its `_max` is
+refused under the `_min` field's name.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .core import (
     each_rule,
     integer_rule,
     is_positive,
-    range_rule,
     seeded_rng,
 )
 from .errors import ValidationError
@@ -69,17 +70,20 @@ _NOISE_STREAM = 2
 _SIM_RULES = {
     "n_underlyings": integer_rule(0),
     "days_per_underlying": integer_rule(N_LAGS + 1),  # a lag window, then a quote day
-    "s0_range": range_rule(POSITIVE),
+    "s0_min": POSITIVE,
+    "s0_max": POSITIVE,
     "vol_regimes": (
         lambda regimes: len(regimes) > 0
         and all(0 <= sigma < math.inf and is_positive(weight) for sigma, weight in regimes),
         "need at least one (sigma, weight) pair, each finite with sigma >= 0 and weight > 0",
     ),
     "drift": (math.isfinite, "must be finite"),
-    "rate_range": range_rule(RATE),
-    "yield_range": range_rule(RATE),
+    "rate_min": RATE,
+    "rate_max": RATE,
+    "yield_min": RATE,
+    "yield_max": RATE,
     "maturities": each_rule(POSITIVE),
-    "moneyness_grid": each_rule(POSITIVE),
+    "moneyness": each_rule(POSITIVE),
     "half_spread": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
     "seed": SEED,
 }
@@ -91,18 +95,27 @@ class SimConfig:
 
     n_underlyings: int = 25
     days_per_underlying: int = 120
-    s0_range: tuple[float, float] = (20.0, 2000.0)
+    s0_min: float = 20.0
+    s0_max: float = 2000.0
     vol_regimes: tuple[tuple[float, float], ...] = DEFAULT_VOL_REGIMES
     drift: float = 0.05
-    rate_range: tuple[float, float] = (0.003, 0.07)
-    yield_range: tuple[float, float] = (0.0, 0.04)
+    rate_min: float = 0.003
+    rate_max: float = 0.07
+    yield_min: float = 0.0
+    yield_max: float = 0.04
     maturities: tuple[float, ...] = (1.0 / 12.0, 0.25, 0.5, 1.0)
-    moneyness_grid: tuple[float, ...] = (0.8, 0.9, 1.0, 1.1, 1.2)
+    moneyness: tuple[float, ...] = (0.8, 0.9, 1.0, 1.1, 1.2)
     half_spread: float = 0.01
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_fields(_SIM_RULES, **vars(self))
+        for term in ("s0", "rate", "yield"):
+            low, high = getattr(self, f"{term}_min"), getattr(self, f"{term}_max")
+            if low > high:
+                raise ValidationError(
+                    f"{term}_min: must be <= {term}_max ({high!r}), got {low!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -125,12 +138,12 @@ def simulate_underlying(config: SimConfig, index: int) -> UnderlyingPath:
     """Draw parameters and the daily GBM path for underlying `index`."""
     check_fields({"index": integer_rule(0)}, index=index)
     params = seeded_rng(config.seed, (index, _PARAM_STREAM))
-    s0 = params.uniform(*config.s0_range)
+    s0 = params.uniform(config.s0_min, config.s0_max)
     weights = np.array([w for _, w in config.vol_regimes], dtype=np.float64)
     regime = int(params.choice(len(config.vol_regimes), p=weights / weights.sum()))
     sigma = float(config.vol_regimes[regime][0])
-    rate = params.uniform(*config.rate_range)
-    dividend_yield = params.uniform(*config.yield_range)
+    rate = params.uniform(config.rate_min, config.rate_max)
+    dividend_yield = params.uniform(config.yield_min, config.yield_max)
 
     path_rng = seeded_rng(config.seed, (index, _PATH_STREAM))
     dt = 1.0 / TRADING_DAYS_PER_YEAR
@@ -159,7 +172,7 @@ def generate_chain(path: UnderlyingPath, config: SimConfig) -> np.ndarray:
     # the 20 closes before each quote day, most recent first
     lags = sliding_window_view(closes[:-1], N_LAGS)[:, ::-1]
     maturities = np.asarray(config.maturities, dtype=np.float64)
-    moneyness = np.asarray(config.moneyness_grid, dtype=np.float64)
+    moneyness = np.asarray(config.moneyness, dtype=np.float64)
     day, mat, mon, kind = np.indices(
         (len(lags), len(maturities), len(moneyness), 2)
     ).reshape(4, -1)

@@ -15,7 +15,6 @@ from optbench import (
     Architecture,
     BsInputs,
     Dataset,
-    EtaSchedule,
     GbdtConfig,
     LayerSpec,
     MlpTrainConfig,
@@ -135,7 +134,7 @@ def test_criterion_1_pricing_oracles():
 
 def test_criterion_2_learning_rate_decay():
     try:
-        sched = EtaSchedule()
+        sched = GbdtConfig()
         for it in (0, 100, 2529, 39999):
             x = (it + 1) / 8.0
             expected = 0.2 + (0.5 - 0.2) * math.exp(-(x * x) / 100_000)

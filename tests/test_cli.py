@@ -1,6 +1,5 @@
 import json
 import logging
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +19,17 @@ from optbench import (
 from optbench.blackscholes import VOL_FLOOR, bs_prices
 from optbench.cli import (
     KNOWN_KEYS,
+    SECTIONS,
     _bs_implied_predictions,
     _bs_realized_predictions,
     build_config,
     build_parser,
     load_config,
     main,
+    parse_config_file,
 )
 from optbench.core import QUOTE_COLUMNS
-from optbench.errors import ValidationError
+from optbench.errors import UsageError, ValidationError
 from optbench.simgen import realized_vol
 
 from conftest import make_quote, make_quotes, same_bits
@@ -677,15 +678,83 @@ class TestConfigPlumbing:
             ("gbdt.early_stopping_rounds=none", "gbdt", "early_stopping_rounds", None),
             ("sim.maturities=0.5,1", "sim", "maturities", (0.5, 1.0)),
             ("sim.vol_regimes=0.2:0.7,0.4:0.3", "sim", "vol_regimes", ((0.2, 0.7), (0.4, 0.3))),
-            ("sim.rate_max=0.09", "sim", "rate_range", (0.003, 0.09)),
-            ("sim.moneyness=0.9,1.1", "sim", "moneyness_grid", (0.9, 1.1)),
-            ("gbdt.eta_min=0.1", "gbdt", "eta.eta_min", 0.1),
+            ("sim.rate_max=0.09", "sim", "rate_max", 0.09),
+            ("sim.moneyness=0.9,1.1", "sim", "moneyness", (0.9, 1.1)),
+            ("gbdt.eta_min=0.1", "gbdt", "eta_min", 0.1),
             ("seed=4", "split", "seed", 4),
         ],
     )
     def test_set_reaches_built_config(self, setting, section, field, expected):
         cfg = load_config(build_parser().parse_args(["gen", "--set", setting]))
-        assert attrgetter(field)(build_config(section, cfg)) == expected
+        assert getattr(build_config(section, cfg), field) == expected
+
+    # One value per key that a rule refuses. sim.s0_min, sim.yield_min,
+    # gbdt.eta_min and mlp.min_lr fail a cross-field check: each lies above
+    # the default of the field that bounds it.
+    BAD_VALUES = {
+        "seed": "-1", "eval.curve_bins": "0", "report.hist_bins": "0",
+        "sim.n_underlyings": "-1", "sim.days_per_underlying": "20", "sim.s0_min": "3000",
+        "sim.s0_max": "inf", "sim.vol_regimes": "0.2:0", "sim.drift": "inf",
+        "sim.rate_min": "nan", "sim.rate_max": "1", "sim.yield_min": "0.05",
+        "sim.yield_max": "-inf", "sim.maturities": "0", "sim.moneyness": "0,1",
+        "sim.half_spread": "1", "sim.seed": "-1",
+        "split.train_fraction": "-0.1", "split.val_fraction": "nan",
+        "split.test_fraction": "2", "split.seed": "-1",
+        "gbdt.num_rounds": "0", "gbdt.early_stopping_rounds": "0", "gbdt.n_bins": "1",
+        "gbdt.reg_lambda": "nan", "gbdt.min_child_weight": "-1", "gbdt.eta_base": "0",
+        "gbdt.eta_min": "0.6", "gbdt.max_iter_decay": "0",
+        "mlp.initial_lr": "0", "mlp.plateau_factor": "1", "mlp.plateau_patience": "0",
+        "mlp.min_lr": "0.5", "mlp.early_stop_patience": "0", "mlp.max_epochs": "-1",
+        "mlp.batch_size": "0", "mlp.seed": "-1",
+    }
+
+    # `data` is any path string; no rule refuses it
+    @pytest.mark.parametrize("key", sorted(set(KNOWN_KEYS) - {"data"}))
+    def test_rejection_names_the_key(self, key):
+        section, _, field = key.rpartition(".")
+        setting = f"{key}={self.BAD_VALUES[key]}"
+        with pytest.raises(UsageError) as info:
+            cfg = load_config(build_parser().parse_args(["gen", "--set", setting]))
+            for name in SECTIONS:
+                build_config(name, cfg)
+        # "<section> configuration: <field>: ..." for a config field; the
+        # master seed is first refused as sim's; the other keys are named whole
+        if section in SECTIONS:
+            prefix = f"{section} configuration: {field}: "
+        elif key == "seed":
+            prefix = "sim configuration: seed: "
+        else:
+            prefix = f"configuration: {key}: "
+        assert str(info.value).startswith(prefix), str(info.value)
+
+    def test_manifest_records_are_keys(self, tmp_path):
+        data = gen_tiny(tmp_path)
+        records = {"sim": json.loads((tmp_path / "dataset.manifest.json").read_text())["config"]}
+        for kind, section in (("gbdt5", "gbdt"), ("mlp3", "mlp")):
+            budget = "gbdt.num_rounds=1" if section == "gbdt" else "mlp.max_epochs=1"
+            code = run("train", kind, "--data", str(data), "--out", str(tmp_path),
+                       "--set", budget)
+            assert code == 0
+            side = json.loads((tmp_path / f"{kind}.manifest.json").read_text())
+            # layers come from the mlp kind and max_depth from the gbdt kind
+            records[section] = {
+                name: value for name, value in side["hyperparameters"].items()
+                if name not in ("layers", "max_depth")
+            }
+        for section, record in records.items():
+            assert record and {f"{section}.{name}" for name in record} <= set(KNOWN_KEYS)
+
+    def test_readme_configuration_is_current(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```ini\n# example.cfg\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "example.cfg"
+        path.write_text(example, encoding="utf-8")
+        cfg = parse_config_file(path)
+        for section in SECTIONS:
+            build_config(section, cfg)
+        table = readme.split("Selected keys:", 1)[1].split("\n## ", 1)[0]
+        keys = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+        assert keys and set(keys) <= set(KNOWN_KEYS)
 
     @pytest.mark.parametrize(
         "command, settings",

@@ -9,7 +9,6 @@ from optbench import (
     THREE_LAYER,
     Architecture,
     Dataset,
-    EtaSchedule,
     GbdtConfig,
     LayerSpec,
     MlpTrainConfig,
@@ -410,11 +409,6 @@ FIELD_CASES = {
         "test_fraction": [INF, None],
         "seed": [-1, 2**64, 1.5, True, "1"],
     },
-    EtaSchedule: {
-        "eta_base": [0.0, 1.5, NAN, INF, "0.5"],
-        "eta_min": [0.0, -0.1, NAN, None],
-        "max_iter_decay": [0, 2.5, True, "10", INF],
-    },
     GbdtConfig: {
         "max_depth": [0, 33, 2.5, True, None],
         "num_rounds": [0, 2.5, True, "5", INF],
@@ -422,7 +416,10 @@ FIELD_CASES = {
         "n_bins": [1, 1025, 100.5, True, NAN],
         "reg_lambda": [-1.0, NAN, INF, "1"],
         "min_child_weight": [-0.5, NAN, INF, None],
-        "eta": [0.5, None, {"eta_base": 0.5}],
+        "eta_base": [0.0, 1.5, NAN, INF, "0.5"],
+        # 0.6 is above the default eta_base
+        "eta_min": [0.0, -0.1, NAN, None, 0.6],
+        "max_iter_decay": [0, 2.5, True, "10", INF],
     },
     MlpTrainConfig: {
         "initial_lr": [0.0, -0.01, NAN, INF, "0.01"],
@@ -437,14 +434,18 @@ FIELD_CASES = {
     SimConfig: {
         "n_underlyings": [-1, 2.5, True, "3"],
         "days_per_underlying": [20, 30.0, True],
-        "s0_range": [(0.0, 10.0), (10.0, 5.0), (NAN, 10.0), (10.0, INF), (1.0,), "ab", 5.0],
+        # 3000.0, 0.08 and 0.05 lie above the default of the matching _max
+        "s0_min": [0.0, 3000.0, NAN, (1.0,), "ab"],
+        "s0_max": [INF, -5.0, (10.0, 20.0)],
         "vol_regimes": [(), ((NAN, 1.0),), ((-0.1, 1.0),), ((0.2, 0.0),), ((0.2, INF),),
                         ((0.2,),), (("a", 1.0),)],
         "drift": [NAN, INF, -INF, "0.05", None],
-        "rate_range": [(2.0, 3.0), (0.0, 1.0), (0.05, 0.01), (NAN, 0.05), ("a", "b")],
-        "yield_range": [(-1.0, 0.0), (0.0, INF), ((0.0, 0.01), (0.02, 0.03))],
+        "rate_min": [2.0, 0.08, NAN, "a"],
+        "rate_max": [1.0, "b"],
+        "yield_min": [-1.0, 0.05, (0.0, 0.01)],
+        "yield_max": [INF, (0.02, 0.03)],
         "maturities": [(), (0.0,), (INF,), (NAN,), (-0.5, 1.0), ("a",), 0.5, ((0.5,),)],
-        "moneyness_grid": [(), (0.0, 1.0), (NAN,), (1.0, INF), (None,)],
+        "moneyness": [(), (0.0, 1.0), (NAN,), (1.0, INF), (None,)],
         "half_spread": [-0.01, 1.0, NAN, "0.01"],
         "seed": [-1, 1.5, True],
     },

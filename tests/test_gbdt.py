@@ -5,7 +5,6 @@ import pytest
 
 from optbench import (
     Dataset,
-    EtaSchedule,
     GbdtConfig,
     SimConfig,
     SplitSpec,
@@ -107,7 +106,7 @@ def exhaustive_partition_best_gain(X, grad, hess, reg_lambda, min_child_weight):
 
 class TestEtaDecay:
     def test_formula_checkpoints(self):
-        sched = EtaSchedule()
+        sched = GbdtConfig()
         for it in (0, 100, 2529, 39999):
             x = (it + 1) / 8.0
             expected = 0.2 + 0.3 * math.exp(-(x * x) / 100_000)
@@ -131,7 +130,7 @@ class TestEtaDecay:
         assert eta_decay(10**7) == 0.2
 
     def test_custom_schedule(self):
-        sched = EtaSchedule(eta_base=1.0, eta_min=1.0, max_iter_decay=10)
+        sched = GbdtConfig(eta_base=1.0, eta_min=1.0, max_iter_decay=10)
         assert eta_decay(0, sched) == 1.0
         assert eta_decay(500, sched) == 1.0
 
@@ -140,10 +139,10 @@ class TestEtaDecay:
             eta_decay(-1)
 
     def test_schedule_validation(self):
-        with pytest.raises(ValidationError):
-            EtaSchedule(eta_base=0.1, eta_min=0.2)
-        with pytest.raises(ValidationError):
-            EtaSchedule(max_iter_decay=0)
+        with pytest.raises(ValidationError, match=r"^eta_min: must be <= eta_base"):
+            GbdtConfig(eta_base=0.1, eta_min=0.2)
+        with pytest.raises(ValidationError, match="^max_iter_decay: "):
+            GbdtConfig(max_iter_decay=0)
 
 
 class TestQuantize:
@@ -346,9 +345,7 @@ class TestTraining:
         feats[:, 6:] = 1.0
         y = np.array([2.0, 2.0, 4.0, 4.0])
         ds = Dataset(feats, y)
-        cfg = GbdtConfig(
-            max_depth=1, num_rounds=1, eta=EtaSchedule(1.0, 1.0, 100_000)
-        )
+        cfg = GbdtConfig(max_depth=1, num_rounds=1, eta_base=1.0, eta_min=1.0)
         model = train_gbdt(ds, ds, cfg)
         assert model.base_score == 3.0
         preds = predict_gbdt(model, feats)
@@ -574,12 +571,8 @@ class TestTraining:
     def test_eta_folded_into_leaves(self):
         # one round at eta=1 vs eta=0.5: leaf contributions halve exactly
         train = make_dataset(80, seed=101)
-        cfg_full = GbdtConfig(
-            max_depth=2, num_rounds=1, eta=EtaSchedule(1.0, 1.0, 100_000)
-        )
-        cfg_half = GbdtConfig(
-            max_depth=2, num_rounds=1, eta=EtaSchedule(0.5, 0.5, 100_000)
-        )
+        cfg_full = GbdtConfig(max_depth=2, num_rounds=1, eta_base=1.0, eta_min=1.0)
+        cfg_half = GbdtConfig(max_depth=2, num_rounds=1, eta_base=0.5, eta_min=0.5)
         full = train_gbdt(train, train, cfg_full)
         half = train_gbdt(train, train, cfg_half)
         leaves_full = full.trees[0].value[full.trees[0].feature < 0]

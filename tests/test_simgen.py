@@ -37,7 +37,7 @@ def per_contract_chain(path, config) -> np.ndarray:
         spot = float(path.closes[day])
         lags = [float(x) for x in path.closes[day - 20 : day][::-1]]
         for maturity in config.maturities:
-            for moneyness in config.moneyness_grid:
+            for moneyness in config.moneyness:
                 strike = moneyness * spot
                 for option_type in (OptionType.CALL, OptionType.PUT):
                     fair = bs_price(BsInputs(
@@ -96,16 +96,17 @@ class TestSimulateUnderlying:
         for i in range(10):
             path = simulate_underlying(cfg, i)
             assert path.sigma in sigmas
-            assert cfg.rate_range[0] <= path.rate <= cfg.rate_range[1]
-            assert cfg.yield_range[0] <= path.dividend_yield <= cfg.yield_range[1]
-            assert cfg.s0_range[0] <= path.closes[0] <= cfg.s0_range[1]
+            assert cfg.rate_min <= path.rate <= cfg.rate_max
+            assert cfg.yield_min <= path.dividend_yield <= cfg.yield_max
+            assert cfg.s0_min <= path.closes[0] <= cfg.s0_max
 
     def test_gbm_terminal_moment(self):
         # E[S_T] = S_0 exp(mu T); check via many single-underlying sims
         cfg = SimConfig(
             n_underlyings=4000,
             days_per_underlying=22,
-            s0_range=(100.0, 100.0),
+            s0_min=100.0,
+            s0_max=100.0,
             vol_regimes=((0.4, 1.0),),
             drift=0.08,
             seed=21,
@@ -126,7 +127,7 @@ class TestGenerateChain:
             n_underlyings=1,
             days_per_underlying=30,
             maturities=(1.0,),
-            moneyness_grid=(1.0,),
+            moneyness=(1.0,),
             seed=5,
         )
         path = simulate_underlying(cfg, 0)
@@ -154,7 +155,7 @@ class TestGenerateChain:
     def test_lags_are_recent_closes_most_recent_first(self):
         cfg = SimConfig(
             n_underlyings=1, days_per_underlying=25,
-            maturities=(0.5,), moneyness_grid=(1.0,), seed=3,
+            maturities=(0.5,), moneyness=(1.0,), seed=3,
         )
         path = simulate_underlying(cfg, 0)
         quotes = generate_chain(path, cfg)
@@ -167,7 +168,7 @@ class TestGenerateChain:
     def test_strikes_follow_moneyness_grid(self):
         cfg = SimConfig(
             n_underlyings=1, days_per_underlying=22,
-            maturities=(1.0,), moneyness_grid=(0.8, 1.2), seed=3,
+            maturities=(1.0,), moneyness=(0.8, 1.2), seed=3,
         )
         path = simulate_underlying(cfg, 0)
         quotes = generate_chain(path, cfg)
@@ -200,8 +201,8 @@ class TestGenerateChain:
         [
             {},
             {"half_spread": 0.0},
-            {"maturities": (0.02, 2.0), "moneyness_grid": (0.5, 1.0, 1.7)},
-            {"vol_regimes": ((0.05, 1.0),), "moneyness_grid": (0.7, 1.3)},  # sub-tick drops
+            {"maturities": (0.02, 2.0), "moneyness": (0.5, 1.0, 1.7)},
+            {"vol_regimes": ((0.05, 1.0),), "moneyness": (0.7, 1.3)},  # sub-tick drops
         ],
     )
     def test_matches_per_contract_loop(self, overrides):
@@ -226,20 +227,20 @@ class TestGenerateChain:
         with pytest.raises(ValidationError, match="vol_regimes"):
             SimConfig(vol_regimes=())
         with pytest.raises(ValidationError, match="moneyness"):
-            SimConfig(moneyness_grid=(0.0, 1.0))
+            SimConfig(moneyness=(0.0, 1.0))
 
     @pytest.mark.parametrize(
-        "name, bounds",
-        [("rate_range", (2.0, 3.0)), ("rate_range", (0.0, 1.0)), ("yield_range", (-1.0, 0.0))],
+        "name, bound",
+        [("rate_min", 2.0), ("rate_max", 1.0), ("yield_min", -1.0)],
     )
-    def test_rate_bounds_the_pricer_rejects(self, name, bounds):
-        with pytest.raises(ValidationError, match=name):
-            SimConfig(**{name: bounds})
+    def test_rate_bounds_the_pricer_rejects(self, name, bound):
+        with pytest.raises(ValidationError, match=f"^{name}: "):
+            SimConfig(**{name: bound})
 
     def test_rates_just_inside_the_pricer_bound_generate(self):
         cfg = SimConfig(
             n_underlyings=1, days_per_underlying=22,
-            rate_range=(0.99, 0.99), yield_range=(-0.99, -0.99),
+            rate_min=0.99, rate_max=0.99, yield_min=-0.99, yield_max=-0.99,
         )
         assert len(generate_dataset(cfg)) > 0
 
