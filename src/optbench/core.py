@@ -360,7 +360,8 @@ class SplitSpec:
         total = self.train_fraction + self.val_fraction + self.test_fraction
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(
-                f"fractions must sum to 1 within 1e-12, got {total!r}"
+                "train_fraction, val_fraction, test_fraction: "
+                f"must sum to 1 within 1e-12, got {total!r}"
             )
 
 
@@ -380,7 +381,8 @@ def split_indices(
     n_train = n - n_val - n_test
     if n_train < 0:
         raise ValidationError(
-            f"fractions: rounded val ({n_val}) + test ({n_test}) exceed n ({n})"
+            "val_fraction, test_fraction: "
+            f"rounded val ({n_val}) + test ({n_test}) exceed n ({n})"
         )
     return (
         perm[:n_train],

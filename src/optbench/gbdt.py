@@ -37,6 +37,13 @@ The picks are those of `best_split` on each node's dense histogram,
 bit for bit, and no gradient of an empty bin is read, so subtraction
 residue left there needs no masking.
 
+Only the levels that a later level subtracts from, the root down to
+depth max_depth - 2, keep their histograms whole. The last searched
+level, the widest, is built, scored and dropped a chunk of slots at a
+time, and only its picks are kept; since a slot's sums and its pick do
+not depend on the slots built beside it, the trees are the same bit for
+bit as when the whole level is stored.
+
 Thresholds stored in the tree are the raw bin edges, so prediction on
 unbinned values routes rows exactly as binned training did: value <=
 edges[b] if and only if bin(value) <= b.
@@ -385,8 +392,8 @@ def _accumulate_histograms(
         hess_hist[:, f, :] = np.bincount(key, minlength=size).reshape(n_slots, n_bins)
 
 
-# slots scored together by _level_splits: bounds its packed arrays to a
-# few MB however wide the level is
+# slots scored together by _level_splits, and built together by
+# _last_level_splits: bounds their arrays to a few MB however wide the level is
 _SLOT_CHUNK = 64
 
 
@@ -472,6 +479,75 @@ def _root_histograms(binned: BinnedMatrix, grad: np.ndarray) -> tuple[np.ndarray
     return grad_hist, binned.counts[None]
 
 
+def _fill_children(
+    codes: np.ndarray,
+    rows: np.ndarray,
+    slot_of_row: np.ndarray,
+    grad: np.ndarray,
+    grad_hist: np.ndarray,
+    hess_hist: np.ndarray,
+    parents: np.ndarray,
+    lo: int,
+    next_grad: np.ndarray,
+    next_hess: np.ndarray,
+) -> None:
+    """Histograms of the children of pairs [lo, lo + k), k = len(next_grad) // 2.
+
+    Pair lo + j's smaller child, whose rows carry slot lo + j, is
+    accumulated into slot j of `next_grad`/`next_hess`; its sibling, the
+    parent's slot `parents[lo + j]` minus it, is filled in place into
+    slot k + j.
+    """
+    k = len(next_grad) // 2
+    # indices, not a mask: numpy filters slowly by a mask of interleaved runs
+    small = np.flatnonzero((slot_of_row >= lo) & (slot_of_row < lo + k))
+    _accumulate_histograms(
+        codes, rows[small], slot_of_row[small] - lo, grad, next_grad[:k], next_hess[:k]
+    )
+    for hist, nxt in ((grad_hist, next_grad), (hess_hist, next_hess)):
+        large = nxt[k:]
+        np.take(hist, parents[lo : lo + k], axis=0, out=large, mode="clip")
+        np.subtract(large, nxt[:k], out=large)
+
+
+def _last_level_splits(
+    codes: np.ndarray,
+    rows: np.ndarray,
+    slot_of_row: np.ndarray,
+    grad: np.ndarray,
+    grad_hist: np.ndarray,
+    hess_hist: np.ndarray,
+    parents: np.ndarray,
+    reg_lambda: float,
+    min_child_weight: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_level_splits` of the children of `parents`, never stored whole.
+
+    The level is built and scored `_SLOT_CHUNK // 2` pairs at a time in
+    one reused buffer pair, and only each slot's pick is kept: per slot
+    of the level, as `_grow_tree` numbers them, the split feature (-1
+    for a leaf) and bin. A slot's histogram and its pick do not depend
+    on which slots share its chunk, so they match the whole level's.
+    """
+    n_pairs = len(parents)
+    width = min(n_pairs, _SLOT_CHUNK // 2)
+    shape = (2 * width, *grad_hist.shape[1:])
+    chunk_grad, chunk_hess = np.empty(shape), np.empty(shape, dtype=np.int32)
+    split_feature = np.empty(2 * n_pairs, dtype=np.int64)
+    split_bin = np.empty(2 * n_pairs, dtype=np.int64)
+    for lo in range(0, n_pairs, width):
+        k = min(width, n_pairs - lo)
+        next_grad, next_hess = chunk_grad[: 2 * k], chunk_hess[: 2 * k]
+        _fill_children(
+            codes, rows, slot_of_row, grad, grad_hist, hess_hist, parents, lo, next_grad, next_hess
+        )
+        picks = _level_splits(next_grad, next_hess, reg_lambda, min_child_weight)
+        for out, pick in zip((split_feature, split_bin), picks):
+            out[lo : lo + k] = pick[:k]
+            out[n_pairs + lo : n_pairs + lo + k] = pick[k:]
+    return split_feature, split_bin
+
+
 def _grow_tree(
     binned: BinnedMatrix,
     grad: np.ndarray,
@@ -486,26 +562,35 @@ def _grow_tree(
     slots, and the rows still in open nodes carry `pos`, their node's
     offset within the level.
 
-    One `_level_splits` call per level gives every node `best_split`'s
-    pick. Below the root the smaller child of pair p, the left one on
-    equal counts, has its histogram accumulated from its rows into slot
-    p; its sibling's is the parent's minus it, filled in place into slot
-    n_pairs + p. Pair order is free: each slot sums its rows in row order
-    and is scored on its own. The tie rule is not: the subtracted sibling
-    carries the subtraction's rounding, so swapping the two would move
-    near-tie picks. Hessian histograms are int32 row counts, so they stay
-    exact; a zero-count bin of a subtracted sibling may keep residue in
-    its gradient, which the level search never reads. No bin needs
-    masking: feature f's codes lie in [0, len(edges[f])], and a split at
-    a node's last occupied bin sends every row left, so it is never
-    eligible and every split bin has an edge.
+    `_level_splits` over each level, or each chunk of one, gives every
+    node `best_split`'s pick. Below the root the smaller child of pair p,
+    the left one on equal counts, has its histogram accumulated from its
+    rows into slot p; its sibling's is the parent's minus it, filled in
+    place into slot n_pairs + p. Pair order is free: each slot sums its
+    rows in row order and is scored on its own. The tie rule is not: the
+    subtracted sibling carries the subtraction's rounding, so swapping
+    the two would move near-tie picks. Hessian histograms are int32 row
+    counts, so they stay exact; a zero-count bin of a subtracted sibling
+    may keep residue in its gradient, which the level search never
+    reads. No bin needs masking: feature f's codes lie in
+    [0, len(edges[f])], and a split at a node's last occupied bin sends
+    every row left, so it is never eligible and every split bin has an
+    edge.
+
+    The levels that a later level subtracts from, depths 0 to
+    max_depth - 2, keep their histograms whole. In a tree deeper than 1,
+    the last searched level, depth max_depth - 1, whose splits make
+    leaves, is built, scored and dropped by `_last_level_splits` one
+    `_SLOT_CHUNK` of slots at a time, keeping only each slot's pick: a
+    slot's sums and pick do not depend on the slots built beside it. The
+    widest histograms a tree holds are then those of depth max_depth - 2.
 
     The root's histograms are `_root_histograms`, not an accumulation.
     """
     codes = binned.codes
     n_rows = len(codes)
     n_features, n_bins = binned.counts.shape
-    lam = config.reg_lambda
+    lam, mcw = config.reg_lambda, config.min_child_weight
     # column-major, so row i's code in feature f is flat_codes[f * n_rows + i]
     flat_codes = codes.ravel(order="F")
     features: list[np.ndarray] = []
@@ -518,8 +603,8 @@ def _grow_tree(
     slot = np.zeros(1, dtype=np.int64)
     start, end = 0, 1
     grad_hist, hess_hist = _root_histograms(binned, grad)
+    slot_feature, slot_bin = _level_splits(grad_hist, hess_hist, lam, mcw)
     for depth in range(config.max_depth):
-        slot_feature, slot_bin = _level_splits(grad_hist, hess_hist, lam, config.min_child_weight)
         feature, split_bin = slot_feature[slot], slot_bin[slot]
         splits = feature >= 0
         parents = slot[splits]
@@ -548,18 +633,19 @@ def _grow_tree(
         slot[smaller] = np.arange(n_pairs)
         slot[smaller ^ 1] = np.arange(n_pairs, 2 * n_pairs)
         slot_of_row = slot[pos]
-        # indices, not a mask: numpy filters slowly by a mask of interleaved runs
-        small = np.flatnonzero(slot_of_row < n_pairs)
-        next_grad = np.empty((2 * n_pairs, n_features, n_bins), dtype=np.float64)
-        next_hess = np.empty((2 * n_pairs, n_features, n_bins), dtype=np.int32)
-        _accumulate_histograms(
-            codes, rows[small], slot_of_row[small], grad, next_grad[:n_pairs], next_hess[:n_pairs]
+        if depth + 2 == config.max_depth:
+            slot_feature, slot_bin = _last_level_splits(
+                codes, rows, slot_of_row, grad, grad_hist, hess_hist, parents, lam, mcw
+            )
+            continue
+        # the children are parents of a searched level: keep them whole
+        shape = (2 * n_pairs, n_features, n_bins)
+        next_grad, next_hess = np.empty(shape), np.empty(shape, dtype=np.int32)
+        _fill_children(
+            codes, rows, slot_of_row, grad, grad_hist, hess_hist, parents, 0, next_grad, next_hess
         )
-        for hist, nxt in ((grad_hist, next_grad), (hess_hist, next_hess)):
-            large = nxt[n_pairs:]
-            np.take(hist, parents, axis=0, out=large, mode="clip")
-            np.subtract(large, nxt[:n_pairs], out=large)
         grad_hist, hess_hist = next_grad, next_hess
+        slot_feature, slot_bin = _level_splits(grad_hist, hess_hist, lam, mcw)
 
     # the last level's nodes are leaves
     node_of_row[rows] = start + pos

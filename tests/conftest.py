@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,26 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal dtype, shape and bytes: -0.0 and 0.0 differ, NaNs compare."""
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def traced_peak(fn, *args):
+    """`fn(*args)` and the most bytes it held at once, as `tracemalloc` counts.
+
+    numpy reports its array buffers to `tracemalloc`, so the peak counts
+    every array `fn` allocates, less what was already allocated at the call.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
 
 
 def make_dataset(n: int, seed: int = 0) -> Dataset:

@@ -727,6 +727,13 @@ class TestConfigPlumbing:
             prefix = f"configuration: {key}: "
         assert str(info.value).startswith(prefix), str(info.value)
 
+    def test_fraction_sum_names_its_keys(self, tmp_path, capsys):
+        code = run("split", "--data", str(tmp_path / "no.csv"), "--out", str(tmp_path),
+                   "--set", "split.train_fraction=0.5")
+        assert code == 1
+        assert ("split configuration: train_fraction, val_fraction, test_fraction: "
+                "must sum to 1 within 1e-12, got 0.52") in capsys.readouterr().err
+
     def test_manifest_records_are_keys(self, tmp_path):
         data = gen_tiny(tmp_path)
         records = {"sim": json.loads((tmp_path / "dataset.manifest.json").read_text())["config"]}

@@ -280,8 +280,18 @@ class TestDataset:
 
 class TestSplit:
     def test_fractions_must_sum_to_one(self):
-        with pytest.raises(ValidationError, match="fractions must sum to 1"):
+        with pytest.raises(
+            ValidationError, match="^train_fraction, val_fraction, test_fraction: must sum to 1"
+        ):
             SplitSpec(0.5, 0.2, 0.2)
+
+    def test_rounded_parts_past_n_name_their_fractions(self):
+        # round(1.5) is 2 for both val and test: 4 rows of 3
+        with pytest.raises(
+            ValidationError,
+            match=r"^val_fraction, test_fraction: rounded val \(2\) \+ test \(2\) exceed n \(3\)$",
+        ):
+            split_indices(3, SplitSpec(0.0, 0.5, 0.5))
 
     def test_documented_sizes(self):
         train, val, test = split_indices(1000, SplitSpec(0.98, 0.01, 0.01, seed=0))

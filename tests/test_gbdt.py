@@ -22,6 +22,7 @@ from optbench import (
     train_gbdt,
 )
 from optbench.gbdt import (
+    _SLOT_CHUNK,
     NodeHistogram,
     Tree,
     _accumulate_histograms,
@@ -29,7 +30,13 @@ from optbench.gbdt import (
     _root_histograms,
 )
 
-from conftest import make_dataset, per_node_grow_tree, per_row_quantize, same_bits
+from conftest import (
+    make_dataset,
+    per_node_grow_tree,
+    per_row_quantize,
+    same_bits,
+    traced_peak,
+)
 
 
 def brute_force_best_split(X, grad, hess, edges, reg_lambda, min_child_weight):
@@ -63,6 +70,54 @@ def assert_same_growth(binned, grad, cfg, eta=0.3):
         assert same_bits(getattr(tree, name), getattr(want, name)), name
     assert same_bits(leaf_of_row, want_leaf)
     return tree
+
+
+def level_widths(tree):
+    """The node count of each depth of `tree`, the root's first."""
+    widths, level = [], np.zeros(1, dtype=np.int64)
+    while len(level):
+        widths.append(len(level))
+        level = level[tree.feature[level] >= 0]
+        level = np.concatenate((tree.left[level], tree.right[level]))
+    return widths
+
+
+def bit_rows(max_depth, n_pairs):
+    """Features and gradients on which depth max_depth - 2 makes `n_pairs` splits.
+
+    Each row holds a code below 2**max_depth, and two rows share each
+    code; the gradient weighs the code's bit j, most significant first,
+    by 4**-j. Bits 0 to max_depth - 2 are one feature each, so with
+    reg_lambda 0 (a positive lambda can make a split of a near-constant
+    node lose) the tree splits on bit d at depth d. Of the
+    2**(max_depth - 2) code prefixes that the nodes at depth
+    max_depth - 2 hold, `n_pairs` (drawn at random) carry all four codes
+    below them and split; the others carry one code and stay leaves.
+    The last bit, plus 0 or 1, goes to one of two more features, drawn
+    per node at depth max_depth - 1, so those nodes split on different
+    features and bins.
+    """
+    rng = np.random.default_rng(n_pairs)
+    n_prefixes = 2 ** (max_depth - 2)
+    full = np.zeros(n_prefixes, dtype=bool)
+    full[rng.permutation(n_prefixes)[:n_pairs]] = True
+    low = np.where(full[:, None], np.arange(4), 0)
+    code = np.repeat((4 * np.arange(n_prefixes)[:, None] + low).ravel(), 2)
+    bits = (code[:, None] >> np.arange(max_depth - 1, -1, -1)) & 1
+    kind = rng.integers(0, 4, size=2 ** (max_depth - 1))[code >> 1]
+    last = np.zeros((len(code), 2))
+    last[np.arange(len(code)), kind >> 1] = bits[:, -1] + (kind & 1)
+    features = np.column_stack([bits[:, :-1], last])
+    return features, bits @ 4.0 ** -np.arange(max_depth)
+
+
+def default_split_first_tree():
+    """The binned train part of the default split and its first depth-10
+    gradients, as criterion 6's depth-10 fit starts."""
+    quotes = generate_dataset(SimConfig(seed=42))
+    ds = Dataset.from_quotes(filter_quotes(quotes).kept)
+    train, _, _ = split_dataset(ds, SplitSpec(seed=42))
+    return quantize_features(train.features, 256), np.mean(train.targets) - train.targets
 
 
 BINNING_CASES = ["default_split", "integer_ties", "normal", "five_zeros_one_one"]
@@ -505,6 +560,36 @@ class TestTraining:
         grad = np.mean(train.targets) - train.targets
         tree = assert_same_growth(binned, grad, GbdtConfig(max_depth=10), eta=eta_decay(0))
         assert tree.n_nodes > 1000
+
+    # the last searched level, depth max_depth - 1, is built _SLOT_CHUNK // 2
+    # pairs at a time: its pair counts around and across those chunks
+    @pytest.mark.parametrize(
+        "n_pairs",
+        [1, _SLOT_CHUNK // 2, _SLOT_CHUNK // 2 + 1, 3 * (_SLOT_CHUNK // 2) + 5, 0],
+        ids=["one_pair", "one_chunk", "one_chunk_and_a_pair", "chunks_and_a_remainder",
+             "no_pairs"],
+    )
+    def test_last_level_chunks_match_per_node_growth(self, n_pairs):
+        max_depth = max(2, (n_pairs - 1).bit_length() + 2) if n_pairs else 4
+        X, grad = bit_rows(max_depth, n_pairs)
+        cfg = GbdtConfig(max_depth=max_depth, reg_lambda=0.0)
+        tree = assert_same_growth(quantize_features(X, 256), grad, cfg)
+        widths = level_widths(tree)
+        last = widths[max_depth - 1] if len(widths) >= max_depth else 0
+        assert last == 2 * n_pairs
+        assert widths[: max_depth - 2] == [2**d for d in range(max_depth - 2)]
+
+    def test_last_searched_level_is_never_stored_whole(self):
+        # full histograms cost a float64 sum and an int32 count per
+        # (feature, bin) slot; the growth must peak below the cost of the
+        # last searched level and its parents stored whole
+        binned, grad = default_split_first_tree()
+        cfg = GbdtConfig(max_depth=10)
+        (tree, _), peak = traced_peak(_grow_tree, binned, grad, cfg, eta_decay(0))
+        widths = level_widths(tree)
+        slot_bytes = binned.counts.size * (8 + 4)
+        both_levels = (widths[cfg.max_depth - 1] + widths[cfg.max_depth - 2]) * slot_bytes
+        assert peak < both_levels, (peak, both_levels)
 
     def test_split_bin_is_never_empty(self):
         # an empty bin ties its predecessor exactly and loses the tie, so

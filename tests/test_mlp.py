@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -29,6 +27,7 @@ from conftest import (
     full_matrix_forward,
     make_dataset,
     same_bits,
+    traced_peak,
 )
 
 
@@ -294,16 +293,11 @@ class TestScoringBlocks:
             assert same_bits(ours, theirs)
 
     def test_scoring_memory_is_set_by_the_block_not_the_rows(self):
-        n = 16 * BLOCK
+        n = 20 * BLOCK
         ds = make_dataset(n, seed=56)
         net = init_network(THREE_LAYER, 26, seed=56, stats=fit_feature_stats(ds.features))
         units = sum(spec.units for spec in THREE_LAYER.layers)
-        tracemalloc.start()
-        try:
-            forward(net, ds.features)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(forward, net, ds.features)
         # the scaled rows and the result, plus one buffer per layer for one
         # block; the whole-matrix pass needs n * units * 8 bytes on top
         bound = ds.features.nbytes + n * 8 + BLOCK * units * 8 + 2**20
