@@ -37,12 +37,13 @@ The picks are those of `best_split` on each node's dense histogram,
 bit for bit, and no gradient of an empty bin is read, so subtraction
 residue left there needs no masking.
 
-Only the levels that a later level subtracts from, the root down to
-depth max_depth - 2, keep their histograms whole. The last searched
-level, the widest, is built, scored and dropped a chunk of slots at a
-time, and only its picks are kept; since a slot's sums and its pick do
-not depend on the slots built beside it, the trees are the same bit for
-bit as when the whole level is stored.
+One routine builds and scores every level below the root, a chunk of
+slots at a time, and only the levels that a later level subtracts from,
+the root down to depth max_depth - 2, are kept whole. The last searched
+level, the widest, is built, scored and dropped chunk by chunk, and only
+its picks are kept; since a slot's sums and its pick do not depend on
+the slots built beside it, the trees are the same bit for bit as when
+every level is stored whole.
 
 Thresholds stored in the tree are the raw bin edges, so prediction on
 unbinned values routes rows exactly as binned training did: value <=
@@ -237,8 +238,8 @@ def best_split(
     larger computed gain wins. Splits leaving a child with hessian mass
     below `min_child_weight` (or empty) are ineligible. Returns None
     when no eligible split has strictly positive gain. `candidate_mask`,
-    shape (n_features, n_bins - 1), can further restrict which bins are
-    usable edges.
+    a bool array of shape (n_features, n_bins - 1), can further restrict
+    which bins are usable edges; any other mask is a ValidationError.
 
     This is the public reference of split finding: training does not
     call it, and tests check that the level search in `_grow_tree`
@@ -252,6 +253,12 @@ def best_split(
         )
     check_fields(_GBDT_RULES, reg_lambda=reg_lambda, min_child_weight=min_child_weight)
     n_features, n_bins = g.shape
+    shape = (n_features, n_bins - 1)
+    mask = np.ones(shape, dtype=bool) if candidate_mask is None else np.asarray(candidate_mask)
+    if mask.dtype != bool or mask.shape != shape:
+        raise ValidationError(
+            f"candidate_mask: must be a bool array of shape {shape}, got {mask.dtype} {mask.shape}"
+        )
     if n_bins < 2:
         return None
     grad_left = np.cumsum(g, axis=1)
@@ -268,9 +275,7 @@ def best_split(
             + gr * gr / (hr + reg_lambda)
             - grad_total * grad_total / (hess_total + reg_lambda)
         )
-    eligible = (hl >= min_child_weight) & (hr >= min_child_weight) & (hl > 0) & (hr > 0)
-    if candidate_mask is not None:
-        eligible = eligible & candidate_mask
+    eligible = (hl >= min_child_weight) & (hr >= min_child_weight) & (hl > 0) & (hr > 0) & mask
     gain = np.where(eligible, gain, -np.inf)
     flat = int(np.argmax(gain))  # argmax takes the first maximum: lowest feature, lowest bin
     f, b = divmod(flat, n_bins - 1)
@@ -392,8 +397,8 @@ def _accumulate_histograms(
         hess_hist[:, f, :] = np.bincount(key, minlength=size).reshape(n_slots, n_bins)
 
 
-# slots scored together by _level_splits, and built together by
-# _last_level_splits: bounds their arrays to a few MB however wide the level is
+# slots built and scored together, _SLOT_CHUNK // 2 pairs of children:
+# bounds the arrays of a level that is not kept to a few MB however wide it is
 _SLOT_CHUNK = 64
 
 
@@ -403,64 +408,64 @@ def _level_splits(
     reg_lambda: float,
     min_child_weight: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each slot's `best_split` pick from one level's histograms.
+    """Each slot's `best_split` pick from a set of slots' histograms.
 
     Takes (n_slots, n_features, n_bins) gradient sums and int32 row
-    counts; returns per slot the split feature (-1 where the slot stays
-    a leaf) and the split bin. Only occupied bins are scored, which the
-    module docstring shows to be exact. Each (slot, feature) line packs
-    its occupied bins in bin order into a zero-padded row, whose cumsum
-    has the dense cumsum's partial sums, added in the same order. Gains
-    follow `best_split`'s formula and operation order, each slot takes
-    its first maximum in (feature, bin) order, and a NaN maximum, as
-    overflowing gradients give, is no split, as in `best_split`.
+    counts, the root's one slot or one chunk of a level, and scores them
+    in one pass; returns per slot the split feature (-1 where the slot
+    stays a leaf) and the split bin. Only occupied bins are scored, which
+    the module docstring shows to be exact. Each (slot, feature) line
+    packs its occupied bins in bin order into a zero-padded row, whose
+    cumsum has the dense cumsum's partial sums, added in the same order,
+    so a slot's pick does not depend on the slots scored beside it.
+    Gains follow `best_split`'s formula and operation order, each slot
+    takes its first maximum in (feature, bin) order, and a NaN maximum,
+    as overflowing gradients give, is no split, as in `best_split`.
     """
     n_slots, n_features, n_bins = grad_hist.shape
     split_feature = np.full(n_slots, -1, dtype=np.int64)
     split_bin = np.zeros(n_slots, dtype=np.int64)
+    counts = hess_hist.reshape(-1)
+    occupied = np.flatnonzero(counts != 0)
+    if len(occupied) == 0:
+        return split_feature, split_bin
+    line = occupied // n_bins  # slot * n_features + feature
+    n_lines = n_slots * n_features
+    per_line = np.bincount(line, minlength=n_lines)
+    line_start = np.cumsum(per_line) - per_line
+    width = int(per_line.max())
+    at = line * width + (np.arange(len(occupied)) - line_start[line])
+    packed = np.zeros(n_lines * width)
+    packed[at] = grad_hist.reshape(-1)[occupied]
+    grad_left = packed.reshape(n_lines, width)
+    np.cumsum(grad_left, axis=1, out=grad_left)  # in place: no second (lines, width) array
+    grad_total = grad_left[:, -1]
+    gl = grad_left.reshape(-1)[at]
+    # integer sums are exact in any grouping, so one running count over
+    # the slots, less what precedes each line, gives the counts
+    count_left = np.zeros(len(occupied) + 1, dtype=np.int64)
+    np.cumsum(counts[occupied], out=count_left[1:])
+    before = count_left[line_start]
+    count_total = count_left[line_start + per_line] - before
+    hl = count_left[1:] - before[line]
+    hr = count_total[line] - hl
+    gr = grad_total[line] - gl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parent = grad_total * grad_total / (count_total + reg_lambda)
+        gain = 0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent[line])
     # counts are integers: hl >= mcw and hl > 0 is hl >= max(mcw, 1)
     least = max(min_child_weight, 1.0)
-    for lo in range(0, n_slots, _SLOT_CHUNK):
-        counts = hess_hist[lo : lo + _SLOT_CHUNK].reshape(-1)
-        occupied = np.flatnonzero(counts != 0)
-        if len(occupied) == 0:
-            continue
-        line = occupied // n_bins  # chunk slot * n_features + feature
-        n_lines = len(counts) // n_bins
-        per_line = np.bincount(line, minlength=n_lines)
-        line_start = np.cumsum(per_line) - per_line
-        width = int(per_line.max())
-        at = line * width + (np.arange(len(occupied)) - line_start[line])
-        packed = np.zeros(n_lines * width)
-        packed[at] = grad_hist[lo : lo + _SLOT_CHUNK].reshape(-1)[occupied]
-        grad_left = np.cumsum(packed.reshape(n_lines, width), axis=1)
-        grad_total = grad_left[:, -1]
-        gl = grad_left.reshape(-1)[at]
-        # integer sums are exact in any grouping, so one running count
-        # over the chunk, less what precedes each line, gives the counts
-        count_left = np.zeros(len(occupied) + 1, dtype=np.int64)
-        np.cumsum(counts[occupied], out=count_left[1:])
-        before = count_left[line_start]
-        count_total = count_left[line_start + per_line] - before
-        hl = count_left[1:] - before[line]
-        hr = count_total[line] - hl
-        gr = grad_total[line] - gl
-        with np.errstate(divide="ignore", invalid="ignore"):
-            parent = grad_total * grad_total / (count_total + reg_lambda)
-            gain = 0.5 * (
-                gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - parent[line]
-            )
-        gain[(hl < least) | (hr < least)] = -np.inf
-        # entries run slot by slot; a NaN maximum is not > 0
-        per_slot = per_line.reshape(-1, n_features).sum(axis=1)
-        slot_start = np.cumsum(per_slot) - per_slot
-        filled = np.flatnonzero(per_slot)
-        top = np.maximum.reduceat(gain, slot_start[filled])
-        hits = np.flatnonzero(gain == np.repeat(top, per_slot[filled]))
-        won = filled[top > 0.0]
-        pick = hits[np.searchsorted(hits, slot_start[won])]
-        split_feature[lo + won] = line[pick] % n_features
-        split_bin[lo + won] = occupied[pick] % n_bins
+    gain[(hl < least) | (hr < least)] = -np.inf
+    # entries run slot by slot; a NaN maximum is not > 0
+    per_slot = per_line.reshape(-1, n_features).sum(axis=1)
+    slot_start = np.cumsum(per_slot) - per_slot
+    filled = np.flatnonzero(per_slot)
+    top = np.maximum.reduceat(gain, slot_start[filled])
+    hits = np.flatnonzero(gain == np.repeat(top, per_slot[filled]))
+    won = filled[top > 0.0]
+    pick = hits[np.searchsorted(hits, slot_start[won])]
+    split_feature[won] = line[pick] % n_features
+    split_bin[won] = occupied[pick] % n_bins
     return split_feature, split_bin
 
 
@@ -479,7 +484,7 @@ def _root_histograms(binned: BinnedMatrix, grad: np.ndarray) -> tuple[np.ndarray
     return grad_hist, binned.counts[None]
 
 
-def _fill_children(
+def _child_splits(
     codes: np.ndarray,
     rows: np.ndarray,
     slot_of_row: np.ndarray,
@@ -487,65 +492,42 @@ def _fill_children(
     grad_hist: np.ndarray,
     hess_hist: np.ndarray,
     parents: np.ndarray,
-    lo: int,
-    next_grad: np.ndarray,
-    next_hess: np.ndarray,
-) -> None:
-    """Histograms of the children of pairs [lo, lo + k), k = len(next_grad) // 2.
+    lam: float,
+    mcw: float,
+    keep: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Build and score the children of `parents`, `_SLOT_CHUNK // 2` pairs at a time.
 
-    Pair lo + j's smaller child, whose rows carry slot lo + j, is
-    accumulated into slot j of `next_grad`/`next_hess`; its sibling, the
+    The chunk of pairs [lo, lo + k) owns the slots [2 lo, 2 lo + 2k), as
+    `_grow_tree` numbers them: pair lo + j's smaller child, whose rows
+    carry slot 2 lo + j, is accumulated from its rows; its sibling, the
     parent's slot `parents[lo + j]` minus it, is filled in place into
-    slot k + j.
-    """
-    k = len(next_grad) // 2
-    # indices, not a mask: numpy filters slowly by a mask of interleaved runs
-    small = np.flatnonzero((slot_of_row >= lo) & (slot_of_row < lo + k))
-    _accumulate_histograms(
-        codes, rows[small], slot_of_row[small] - lo, grad, next_grad[:k], next_hess[:k]
-    )
-    for hist, nxt in ((grad_hist, next_grad), (hess_hist, next_hess)):
-        large = nxt[k:]
-        np.take(hist, parents[lo : lo + k], axis=0, out=large, mode="clip")
-        np.subtract(large, nxt[:k], out=large)
-
-
-def _last_level_splits(
-    codes: np.ndarray,
-    rows: np.ndarray,
-    slot_of_row: np.ndarray,
-    grad: np.ndarray,
-    grad_hist: np.ndarray,
-    hess_hist: np.ndarray,
-    parents: np.ndarray,
-    reg_lambda: float,
-    min_child_weight: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """`_level_splits` of the children of `parents`, never stored whole.
-
-    The level is built and scored `_SLOT_CHUNK // 2` pairs at a time in
-    one reused buffer pair, and only each slot's pick is kept: per slot
-    of the level, as `_grow_tree` numbers them, the split feature (-1
-    for a leaf) and bin. A slot's histogram and its pick do not depend
-    on which slots share its chunk, so they match the whole level's.
+    slot 2 lo + k + j. Each chunk is then scored by `_level_splits` with
+    regularization `lam` and minimum child weight `mcw`.
+    Returns per slot the split feature (-1 for a leaf) and bin, and the
+    histogram buffers: with `keep` the whole level, each chunk a view of
+    it; without, one chunk's buffer pair, reused by every chunk.
     """
     n_pairs = len(parents)
-    width = min(n_pairs, _SLOT_CHUNK // 2)
-    shape = (2 * width, *grad_hist.shape[1:])
-    chunk_grad, chunk_hess = np.empty(shape), np.empty(shape, dtype=np.int32)
-    split_feature = np.empty(2 * n_pairs, dtype=np.int64)
-    split_bin = np.empty(2 * n_pairs, dtype=np.int64)
-    for lo in range(0, n_pairs, width):
-        k = min(width, n_pairs - lo)
-        next_grad, next_hess = chunk_grad[: 2 * k], chunk_hess[: 2 * k]
-        _fill_children(
-            codes, rows, slot_of_row, grad, grad_hist, hess_hist, parents, lo, next_grad, next_hess
+    half = _SLOT_CHUNK // 2
+    shape = (2 * (n_pairs if keep else min(n_pairs, half)), *grad_hist.shape[1:])
+    next_grad, next_hess = np.empty(shape), np.empty(shape, dtype=np.int32)
+    picks = np.empty((2, 2 * n_pairs), dtype=np.int64)  # split feature, split bin
+    for lo in range(0, n_pairs, half):
+        k = min(half, n_pairs - lo)
+        at = 2 * lo if keep else 0
+        chunk_grad, chunk_hess = next_grad[at : at + 2 * k], next_hess[at : at + 2 * k]
+        # indices, not a mask: numpy filters slowly by a mask of interleaved runs
+        small = np.flatnonzero((slot_of_row >= 2 * lo) & (slot_of_row < 2 * lo + k))
+        _accumulate_histograms(
+            codes, rows[small], slot_of_row[small] - 2 * lo, grad, chunk_grad[:k], chunk_hess[:k]
         )
-        picks = _level_splits(next_grad, next_hess, reg_lambda, min_child_weight)
-        for out, pick in zip((split_feature, split_bin), picks):
-            out[lo : lo + k] = pick[:k]
-            out[n_pairs + lo : n_pairs + lo + k] = pick[k:]
-    return split_feature, split_bin
+        for hist, chunk in ((grad_hist, chunk_grad), (hess_hist, chunk_hess)):
+            large = chunk[k:]
+            np.take(hist, parents[lo : lo + k], axis=0, out=large, mode="clip")
+            np.subtract(large, chunk[:k], out=large)
+        picks[:, 2 * lo : 2 * lo + 2 * k] = _level_splits(chunk_grad, chunk_hess, lam, mcw)
+    return picks[0], picks[1], next_grad, next_hess
 
 
 def _grow_tree(
@@ -562,34 +544,35 @@ def _grow_tree(
     slots, and the rows still in open nodes carry `pos`, their node's
     offset within the level.
 
-    `_level_splits` over each level, or each chunk of one, gives every
-    node `best_split`'s pick. Below the root the smaller child of pair p,
-    the left one on equal counts, has its histogram accumulated from its
-    rows into slot p; its sibling's is the parent's minus it, filled in
-    place into slot n_pairs + p. Pair order is free: each slot sums its
-    rows in row order and is scored on its own. The tie rule is not: the
-    subtracted sibling carries the subtraction's rounding, so swapping
-    the two would move near-tie picks. Hessian histograms are int32 row
-    counts, so they stay exact; a zero-count bin of a subtracted sibling
-    may keep residue in its gradient, which the level search never
-    reads. No bin needs masking: feature f's codes lie in
-    [0, len(edges[f])], and a split at a node's last occupied bin sends
-    every row left, so it is never eligible and every split bin has an
-    edge.
+    The root's one slot, and every level below it one chunk at a time,
+    get `best_split`'s pick for each node from `_level_splits`. Below the
+    root `_child_splits` builds and scores each level `_SLOT_CHUNK // 2`
+    pairs at a time: with first = p - p % (_SLOT_CHUNK // 2) and k the
+    size of pair p's chunk, the smaller child of pair p, the left one on
+    equal counts, has its histogram accumulated from its rows into slot
+    first + p; its sibling's is the parent's minus it, filled in place
+    into slot first + p + k. Pair order is free: each slot sums its rows
+    in row order and is scored on its own, so its pick does not depend
+    on the slots built beside it. The tie rule is not: the subtracted
+    sibling carries the subtraction's rounding, so swapping the two
+    would move near-tie picks. Hessian histograms are int32 row counts,
+    so they stay exact; a zero-count bin of a subtracted sibling may
+    keep residue in its gradient, which the level search never reads.
+    No bin needs masking: feature f's codes lie in [0, len(edges[f])],
+    and a split at a node's last occupied bin sends every row left, so
+    it is never eligible and every split bin has an edge.
 
-    The levels that a later level subtracts from, depths 0 to
-    max_depth - 2, keep their histograms whole. In a tree deeper than 1,
-    the last searched level, depth max_depth - 1, whose splits make
-    leaves, is built, scored and dropped by `_last_level_splits` one
-    `_SLOT_CHUNK` of slots at a time, keeping only each slot's pick: a
-    slot's sums and pick do not depend on the slots built beside it. The
-    widest histograms a tree holds are then those of depth max_depth - 2.
+    Levels differ only in `keep`: those that a later level subtracts
+    from, depths 0 to max_depth - 2, are kept whole, each chunk a view of
+    the level. The last searched level, depth max_depth - 1, whose
+    splits make leaves, is built into one chunk's buffer pair and
+    dropped chunk by chunk, keeping only each slot's pick, so the widest
+    histograms a tree holds are those of depth max_depth - 2.
 
     The root's histograms are `_root_histograms`, not an accumulation.
     """
     codes = binned.codes
     n_rows = len(codes)
-    n_features, n_bins = binned.counts.shape
     lam, mcw = config.reg_lambda, config.min_child_weight
     # column-major, so row i's code in feature f is flat_codes[f * n_rows + i]
     flat_codes = codes.ravel(order="F")
@@ -629,23 +612,17 @@ def _grow_tree(
 
         counts = np.bincount(pos, minlength=2 * n_pairs)
         smaller = np.arange(0, 2 * n_pairs, 2) + (counts[0::2] > counts[1::2])
+        p = np.arange(n_pairs)
+        first = p - p % (_SLOT_CHUNK // 2)
+        k = np.minimum(_SLOT_CHUNK // 2, n_pairs - first)
         slot = np.empty(2 * n_pairs, dtype=np.int64)
-        slot[smaller] = np.arange(n_pairs)
-        slot[smaller ^ 1] = np.arange(n_pairs, 2 * n_pairs)
-        slot_of_row = slot[pos]
-        if depth + 2 == config.max_depth:
-            slot_feature, slot_bin = _last_level_splits(
-                codes, rows, slot_of_row, grad, grad_hist, hess_hist, parents, lam, mcw
-            )
-            continue
-        # the children are parents of a searched level: keep them whole
-        shape = (2 * n_pairs, n_features, n_bins)
-        next_grad, next_hess = np.empty(shape), np.empty(shape, dtype=np.int32)
-        _fill_children(
-            codes, rows, slot_of_row, grad, grad_hist, hess_hist, parents, 0, next_grad, next_hess
+        slot[smaller] = first + p
+        slot[smaller ^ 1] = first + p + k
+        # only a level that a later level subtracts from is kept whole
+        keep = depth + 2 < config.max_depth
+        slot_feature, slot_bin, grad_hist, hess_hist = _child_splits(
+            codes, rows, slot[pos], grad, grad_hist, hess_hist, parents, lam, mcw, keep
         )
-        grad_hist, hess_hist = next_grad, next_hess
-        slot_feature, slot_bin = _level_splits(grad_hist, hess_hist, lam, mcw)
 
     # the last level's nodes are leaves
     node_of_row[rows] = start + pos

@@ -354,6 +354,16 @@ class TestBestSplit:
         assert decision.feature == 0
         assert decision.bin_index == 0
 
+    def test_mask_of_wrong_shape_is_refused(self):
+        hist = NodeHistogram(np.zeros((3, 16)), np.ones((3, 16)))
+        with pytest.raises(ValidationError, match=r"^candidate_mask: .*\(3, 15\).*\(2, 2\)"):
+            best_split(hist, 1.0, 1.0, np.ones((2, 2), dtype=bool))
+
+    def test_mask_that_is_not_bool_is_refused(self):
+        hist = NodeHistogram(np.zeros((3, 16)), np.ones((3, 16)))
+        with pytest.raises(ValidationError, match=r"^candidate_mask: .*float64"):
+            best_split(hist, 1.0, 1.0, np.ones((3, 15)))
+
     def test_matches_brute_force_on_random_data(self):
         rng = np.random.default_rng(31)
         for trial in range(5):
@@ -561,18 +571,22 @@ class TestTraining:
         tree = assert_same_growth(binned, grad, GbdtConfig(max_depth=10), eta=eta_decay(0))
         assert tree.n_nodes > 1000
 
-    # the last searched level, depth max_depth - 1, is built _SLOT_CHUNK // 2
-    # pairs at a time: its pair counts around and across those chunks
+    # every level below the root is built _SLOT_CHUNK // 2 pairs at a time:
+    # pair counts around and across those chunks at depth max_depth - 1,
+    # grown to max_depth, where that level is the last searched one and is
+    # dropped chunk by chunk, and to max_depth + 1, where it is kept whole
+    # and the next level subtracts from it
+    @pytest.mark.parametrize("extra_depth", [0, 1], ids=["dropped", "kept"])
     @pytest.mark.parametrize(
         "n_pairs",
         [1, _SLOT_CHUNK // 2, _SLOT_CHUNK // 2 + 1, 3 * (_SLOT_CHUNK // 2) + 5, 0],
         ids=["one_pair", "one_chunk", "one_chunk_and_a_pair", "chunks_and_a_remainder",
              "no_pairs"],
     )
-    def test_last_level_chunks_match_per_node_growth(self, n_pairs):
+    def test_level_chunks_match_per_node_growth(self, n_pairs, extra_depth):
         max_depth = max(2, (n_pairs - 1).bit_length() + 2) if n_pairs else 4
         X, grad = bit_rows(max_depth, n_pairs)
-        cfg = GbdtConfig(max_depth=max_depth, reg_lambda=0.0)
+        cfg = GbdtConfig(max_depth=max_depth + extra_depth, reg_lambda=0.0)
         tree = assert_same_growth(quantize_features(X, 256), grad, cfg)
         widths = level_widths(tree)
         last = widths[max_depth - 1] if len(widths) >= max_depth else 0

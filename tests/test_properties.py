@@ -29,7 +29,7 @@ from optbench import (
     write_csv,
 )
 from optbench.core import QUOTE_COLUMNS
-from optbench.gbdt import NodeHistogram, _level_splits, _sorted_quantiles
+from optbench.gbdt import _SLOT_CHUNK, NodeHistogram, _level_splits, _sorted_quantiles
 
 from conftest import make_quote, make_quotes, per_cell_csv, per_row_quantize, same_bits
 
@@ -349,7 +349,7 @@ class TestQuantizeInvariants:
 
 class TestLevelSplitInvariants:
     @given(
-        st.integers(min_value=1, max_value=6),  # slots
+        st.integers(min_value=1, max_value=_SLOT_CHUNK),  # slots: up to one chunk
         st.integers(min_value=1, max_value=5),  # features
         st.integers(min_value=2, max_value=40),  # bins
         st.sampled_from([0.0, 1.0, 3.0]),  # reg_lambda
