@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IMPLIED_VOL_CAP, OptionType, check_terms
+from .core import IMPLIED_VOL_CAP, TERM_RULES, OptionType, check_fields
 from .errors import DegenerateVolatilityError, NoSolutionError, ValidationError
 
 _SQRT2 = math.sqrt(2.0)
@@ -63,8 +63,8 @@ class BsInputs:
     option_type: OptionType
 
     def __post_init__(self) -> None:
-        check_terms(
-            underlying_price=self.underlying_price, strike=self.strike,
+        check_fields(
+            TERM_RULES, underlying_price=self.underlying_price, strike=self.strike,
             maturity_years=self.maturity_years, rate=self.rate,
             dividend_yield=self.dividend_yield, sigma=self.sigma,
         )
@@ -77,7 +77,7 @@ class BsInputs:
 def _flags(is_call) -> np.ndarray:
     """`is_call` as an array, refusing anything but booleans and numbers.
 
-    check_terms then holds numbers to the 1.0/0.0 flag rule.
+    check_fields then holds numbers to TERM_RULES' 1.0/0.0 flag rule.
     """
     flags = np.asarray(is_call)
     if flags.dtype.kind not in "biuf":
@@ -132,8 +132,8 @@ def bs_prices(S, K, T, r, q, sigma, is_call) -> np.ndarray:
     do not broadcast together are a ValidationError too.
     """
     flags = _flags(is_call)
-    check_terms(
-        underlying_price=S, strike=K, maturity_years=T, rate=r, dividend_yield=q,
+    check_fields(
+        TERM_RULES, underlying_price=S, strike=K, maturity_years=T, rate=r, dividend_yield=q,
         sigma=sigma, option_type=flags,
     )
     _broadcast_shape(S, K, T, r, q, sigma, flags)
@@ -171,8 +171,8 @@ def implied_vol(price, S, K, T, r, q, is_call) -> np.ndarray:
     attain, or when the search does not converge.
     """
     flags = _flags(is_call)
-    check_terms(
-        price=price, underlying_price=S, strike=K, maturity_years=T, rate=r,
+    check_fields(
+        TERM_RULES, price=price, underlying_price=S, strike=K, maturity_years=T, rate=r,
         dividend_yield=q, option_type=flags,
     )
     shape = _broadcast_shape(price, S, K, T, r, q, flags)

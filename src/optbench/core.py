@@ -5,7 +5,8 @@ columns are QUOTE_COLUMNS, the column order of the dataset CSV. The
 option_type column holds OptionType.flag (1.0 call, 0.0 put), and
 implied_vol is NaN when unknown; lag_1 is the most recent close before
 the quote date, lag_20 the oldest. QUOTE_RULE is the one validity rule
-for quotes and pricing inputs, checked column by column in order.
+for quotes, a table of term name to rule checked in order; TERM_RULES
+adds the pricing terms outside the table (sigma, price).
 
 Models never see the table itself; they see the fixed 26-column feature
 row taken from it, in FEATURE_NAMES order (is_call is the option_type
@@ -15,10 +16,11 @@ themselves.
 
 The input rules both learners share (check_fit_pair, check_features,
 predict_rows), the seed rule (SEED) and the seeded random streams
-(seeded_rng) are defined here once. So is the one check of config fields
-and count arguments: each config declares its rule table, a dict of field
-name to (test, requirement) made from the predicates and rule helpers
-here, and check_fields raises for the first field whose test fails.
+(seeded_rng) are defined here once. So are the one rule form and its one
+checker: a rule is a (test, requirement) pair, every rule table (the
+quote rule, the pricing terms, each config's fields, count arguments)
+maps names to rules, and check_fields raises for the first value whose
+test fails.
 """
 
 from __future__ import annotations
@@ -94,58 +96,31 @@ def is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-class Check(NamedTuple):
-    """One step of the validity rule: a term, its test and what it requires."""
-
-    name: str
-    ok: Callable
-    requirement: str
-
-
-# A rule is a (test, requirement) pair; these are shared by pricing
-# terms and config fields.
+# A rule is a (test, requirement) pair; a rule table maps names to rules.
 Rule = tuple[Callable, str]
 POSITIVE = (is_positive, "must be positive and finite")
 RATE = (is_rate, f"must be finite with |value| < {MAX_ABS_RATE}")
+FINITE = (np.isfinite, "must be finite")
 SEED = (lambda s: is_integer(s) and 0 <= s < 2**64, "must be an integer in [0, 2**64)")
 
-# A quote is valid when every check passes; a bad quote is reported
-# under its first failing check. A check covers the column of its name
+# A quote is valid when every rule passes; a bad quote is reported
+# under its first failing rule. A rule covers the column of its name
 # (see _SPANS).
-QUOTE_RULE: tuple[Check, ...] = (
-    Check("underlying_price", *POSITIVE),
-    Check("strike", *POSITIVE),
-    Check("maturity_years", *POSITIVE),
-    Check("rate", *RATE),
-    Check("dividend_yield", *RATE),
-    Check("lags", is_positive, "every lag must be a positive finite price"),
-    Check("midpoint", is_midpoint, f"must lie in (0, {MAX_MIDPOINT:g})"),
-    Check("implied_vol", is_implied_vol, f"must be NaN or lie in (0, {IMPLIED_VOL_CAP:g}]"),
-    Check("option_type", is_flag, "must be 1.0 (call) or 0.0 (put)"),
-)
+QUOTE_RULE: dict[str, Rule] = {
+    "underlying_price": POSITIVE,
+    "strike": POSITIVE,
+    "maturity_years": POSITIVE,
+    "rate": RATE,
+    "dividend_yield": RATE,
+    "lags": (is_positive, "every lag must be a positive finite price"),
+    "midpoint": (is_midpoint, f"must lie in (0, {MAX_MIDPOINT:g})"),
+    "implied_vol": (is_implied_vol, f"must be NaN or lie in (0, {IMPLIED_VOL_CAP:g}]"),
+    "option_type": (is_flag, "must be 1.0 (call) or 0.0 (put)"),
+}
 _SPANS = {name: slice(i, i + 1) for i, name in enumerate(QUOTE_COLUMNS)}
 _SPANS["lags"] = LAG_COLUMNS
 # Pricing terms outside the table share the predicates.
-_TERMS = {
-    **{c.name: (c.ok, c.requirement) for c in QUOTE_RULE},
-    "sigma": POSITIVE,
-    "price": POSITIVE,
-}
-
-
-def check_terms(**terms) -> None:
-    """Raise ValidationError naming the first term with a value its check fails.
-
-    Each value is a float or an array; the message shows the first bad
-    element as a plain float.
-    """
-    for name, values in terms.items():
-        ok, requirement = _TERMS[name]
-        good = ok(values)
-        # a float input gives a plain bool
-        if not (good.all() if isinstance(good, np.ndarray) else good):
-            bad = np.atleast_1d(values)[~np.atleast_1d(good)][0]
-            raise ValidationError(f"{name}: {requirement}, got {float(bad)!r}")
+TERM_RULES = {**QUOTE_RULE, "sigma": POSITIVE, "price": POSITIVE}
 
 
 def integer_rule(low: int, high: int | None = None) -> Rule:
@@ -169,18 +144,26 @@ def each_rule(rule: Rule) -> Rule:
 def check_fields(rules: dict[str, Rule], **values) -> None:
     """Raise ValidationError naming the first value that fails the rule of its name.
 
-    `rules` maps each name to its (test, requirement). A test that raises
-    TypeError or ValueError, as comparing a value of the wrong type or
-    shape does, fails.
+    `rules` maps each name to its (test, requirement). A value is a
+    float, an array or any config value; a test that gives an array
+    passes when every element passes, and a test that raises TypeError
+    or ValueError, as comparing a value of the wrong type or shape
+    does, fails. The message shows an array or numpy scalar that the
+    test judged element by element by its first bad element, as a plain
+    float, and any other value by its repr.
     """
     for name, value in values.items():
         ok, requirement = rules[name]
         try:
-            good = bool(ok(value))
+            good = ok(value)
+            # a float input gives a plain bool
+            if good.all() if isinstance(good, np.ndarray) else good:
+                continue
+            if isinstance(value, (np.ndarray, np.generic)) and np.shape(good) == np.shape(value):
+                value = float(np.asarray(value)[~np.asarray(good)][0])
         except (TypeError, ValueError):
-            good = False
-        if not good:
-            raise ValidationError(f"{name}: {requirement}, got {value!r}")
+            pass
+        raise ValidationError(f"{name}: {requirement}, got {value!r}")
 
 
 def check_table(quotes) -> np.ndarray:
@@ -194,10 +177,10 @@ def check_table(quotes) -> np.ndarray:
 
 
 def first_violation(table: np.ndarray) -> np.ndarray:
-    """Per row, the QUOTE_RULE index of its first failing check, or -1."""
+    """Per row, the QUOTE_RULE index of its first failing rule, or -1."""
     first = np.full(len(table), -1)
-    for i, check in enumerate(QUOTE_RULE):
-        bad = ~check.ok(table[:, _SPANS[check.name]]).all(axis=1)
+    for i, (name, (ok, _)) in enumerate(QUOTE_RULE.items()):
+        bad = ~ok(table[:, _SPANS[name]]).all(axis=1)
         first[bad & (first < 0)] = i
     return first
 
@@ -210,14 +193,14 @@ class FilterResult(NamedTuple):
 
 def filter_quotes(quotes) -> FilterResult:
     """Drop quotes that break the validity rule, counting each under its
-    first failing check.
+    first failing rule.
 
     Idempotent: filtering the kept table again drops nothing.
     """
     table = check_table(quotes)
     first = first_violation(table)
     counts = np.bincount(first[first >= 0], minlength=len(QUOTE_RULE))
-    by_reason = {c.name: int(n) for c, n in zip(QUOTE_RULE, counts) if n}
+    by_reason = {name: int(n) for name, n in zip(QUOTE_RULE, counts) if n}
     return FilterResult(table[first < 0], sum(by_reason.values()), by_reason)
 
 
@@ -244,10 +227,7 @@ class Dataset:
             raise ValidationError(
                 f"targets: expected shape ({len(feats)},), got {targs.shape}"
             )
-        if not is_midpoint(targs).all():
-            raise ValidationError(
-                f"targets: every midpoint must lie in (0, {MAX_MIDPOINT:g})"
-            )
+        check_fields({"targets": QUOTE_RULE["midpoint"]}, targets=targs)
         for name, arr in (("features", feats), ("targets", targs)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -263,11 +243,11 @@ class Dataset:
         bad = np.flatnonzero(first >= 0)
         if bad.size:
             row = int(bad[0])
-            check = QUOTE_RULE[first[row]]
-            span = _SPANS[check.name]
-            j = span.start + int(np.flatnonzero(~check.ok(table[row, span]))[0])
+            name, (ok, requirement) = list(QUOTE_RULE.items())[first[row]]
+            span = _SPANS[name]
+            j = span.start + int(np.flatnonzero(~ok(table[row, span]))[0])
             raise ValidationError(
-                f"{check.name}: {check.requirement}; row {row} has "
+                f"{name}: {requirement}; row {row} has "
                 f"{QUOTE_COLUMNS[j]} = {float(table[row, j])!r}"
             )
         # np.take copies into C order, as the models expect

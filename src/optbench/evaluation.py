@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import check_fields, integer_rule
+from .core import FINITE, POSITIVE, check_fields, integer_rule
 from .errors import ValidationError
 from .ingest import write_file, write_rows
 
@@ -32,8 +32,7 @@ def _aligned(predictions, targets) -> tuple[np.ndarray, np.ndarray]:
         )
     if p.shape[0] == 0:
         raise ValidationError("predictions: need at least one row")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
-        raise ValidationError("predictions/targets: all values must be finite")
+    check_fields({"predictions": FINITE, "targets": FINITE}, predictions=p, targets=t)
     return p, t
 
 
@@ -49,8 +48,7 @@ def mape(predictions, targets) -> float:
     Requires strictly positive targets; option midpoints always are.
     """
     p, t = _aligned(predictions, targets)
-    if not np.all(t > 0):
-        raise ValidationError("targets: mape needs strictly positive targets")
+    check_fields({"targets": POSITIVE}, targets=t)
     return float(100.0 * np.mean(np.abs(p - t) / t))
 
 
@@ -71,9 +69,7 @@ def binned_errors(predictions, targets, n_bins: int = 20) -> list[BinStat]:
     With one bin this reduces to the global MAE/MAPE.
     """
     p, t = _aligned(predictions, targets)
-    check_fields(_BIN_RULES, n_bins=n_bins)
-    if not np.all(t > 0):
-        raise ValidationError("targets: binned errors need strictly positive targets")
+    check_fields({**_BIN_RULES, "targets": POSITIVE}, n_bins=n_bins, targets=t)
     lo, hi = float(t.min()), float(t.max())
     if lo == hi:
         edges = np.array([lo, hi])
@@ -117,8 +113,7 @@ def _check_values(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] == 0:
         raise ValidationError(f"values: expected a non-empty 1-D array, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("values: all values must be finite")
+    check_fields({"values": FINITE}, values=v)
     return v
 
 

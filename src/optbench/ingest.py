@@ -45,6 +45,7 @@ from __future__ import annotations
 import glob
 import hashlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -54,7 +55,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import QUOTE_COLUMNS, QUOTE_WIDTH, OptionType, check_table, check_terms
+from .core import QUOTE_COLUMNS, QUOTE_WIDTH, TERM_RULES, OptionType, check_fields, check_table
 from .errors import CsvRowError, IncompatibleModelError, SchemaError, ValidationError
 from .gbdt import RoundRecord, Tree, TreeEnsemble
 from .mlp import Architecture, FeatureStats, LayerSpec, NetworkParams
@@ -125,7 +126,7 @@ def write_csv(quotes, path: str | Path, *, twin: bool = True) -> Path:
     written is only logged: the CSV still reads.
     """
     table = check_table(quotes)
-    check_terms(option_type=table[:, 0])
+    check_fields(TERM_RULES, option_type=table[:, 0])
     digest = hashlib.sha256()
     chunks = _csv_chunks(table)
     path = write_file(path, _hashed(chunks, digest) if twin else chunks)
@@ -356,7 +357,7 @@ def _ensemble_payload(model: TreeEnsemble) -> dict:
             for r in model.history
         ],
         "n_trees": len(model.trees),
-        "trees": [_tree_payload(t) for t in model.trees],
+        "trees": [],  # save_model streams each tree into the list
     }
 
 
@@ -396,10 +397,17 @@ def save_model(
         "manifest": manifest or {},
         "model": payload,
     }
-    blob = magic + json.dumps(
-        doc, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
-    return write_file(path, [blob])
+    blob = magic + _json(doc)
+    # "trees" sorts last in "model", and "model" last in the document, so
+    # the trees stream in before the document's last 3 bytes, "]}}"
+    assert kind != "tree_ensemble" or blob.endswith(b'"trees":[]}}')
+    trees = model.trees if kind == "tree_ensemble" else []
+    items = (b"," * (i > 0) + _json(_tree_payload(t)) for i, t in enumerate(trees))
+    return write_file(path, itertools.chain([blob[:-3]], items, [blob[-3:]]))
+
+
+def _json(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
 
 
 def _read_doc(path: Path) -> tuple[str, dict]:

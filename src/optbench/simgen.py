@@ -42,8 +42,8 @@ from .core import (
     QUOTE_WIDTH,
     RATE,
     SEED,
+    TERM_RULES,
     check_fields,
-    check_terms,
     each_rule,
     integer_rule,
     is_positive,
@@ -222,7 +222,7 @@ def realized_vol(lags):
         raise ValidationError(
             f"lags: expected {N_LAGS} entries, got shape {arr.shape}"
         )
-    check_terms(lags=arr)
+    check_fields(TERM_RULES, lags=arr)
     log_returns = np.log(arr[..., :-1] / arr[..., 1:])
     vol = np.sqrt(TRADING_DAYS_PER_YEAR * log_returns.var(axis=-1, ddof=1))
     return float(vol) if vol.ndim == 0 else vol

@@ -324,6 +324,23 @@ class TestKernel:
                 bs_prices(*terms, True)
             assert "np.float64" not in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: bs_prices("100", 100.0, 1.0, 0.01, 0.0, 0.2, True), "underlying_price"),
+            (lambda: bs_prices(None, 100.0, 1.0, 0.01, 0.0, 0.2, True), "underlying_price"),
+            (lambda: implied_vol(5.0, [100.0, "x"], 100.0, 1.0, 0.0, 0.0, True),
+             "underlying_price"),
+            (lambda: make_inputs(strike="90"), "strike"),
+        ],
+        ids=["string-spot", "none-spot", "implied-vol-list", "bs-inputs-string-strike"],
+    )
+    def test_non_numeric_term_is_a_validation_error(self, call, name):
+        # comparing a string or None with a bound raises TypeError; the
+        # term's rule turns that into a ValidationError naming the term
+        with pytest.raises(ValidationError, match=f"^{name}: "):
+            call()
+
 
 def noisy_quotes(n: int, seed: int) -> tuple:
     """(price, S, K, T, r, q, is_call): model prices under ±1% noise."""

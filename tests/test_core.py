@@ -32,8 +32,9 @@ from optbench.core import (
     QUOTE_COLUMNS,
     QUOTE_RULE,
     QUOTE_WIDTH,
+    TERM_RULES,
+    check_fields,
     check_table,
-    check_terms,
     first_violation,
 )
 
@@ -43,7 +44,7 @@ from conftest import make_dataset, make_quote, make_quotes
 def reason(row: np.ndarray) -> str | None:
     """Name of the first check a one-row table fails, or None."""
     i = first_violation(row)[0]
-    return None if i < 0 else QUOTE_RULE[i].name
+    return None if i < 0 else list(QUOTE_RULE)[i]
 
 
 class TestOptionQuote:
@@ -101,18 +102,41 @@ class TestOptionQuote:
         # checks run in QUOTE_RULE order; the first failure names the row
         row = make_quote(strike=0.0, implied_vol=5.0, midpoint=-1.0)
         assert reason(row) == "strike"
-        assert [c.name for c in QUOTE_RULE] == [
+        assert list(QUOTE_RULE) == [
             "underlying_price", "strike", "maturity_years", "rate", "dividend_yield",
             "lags", "midpoint", "implied_vol", "option_type",
         ]
 
-    def test_check_terms_names_term_and_plain_value(self):
+    def test_check_fields_names_term_and_plain_value(self):
         with pytest.raises(ValidationError) as exc:
-            check_terms(strike=np.array([90.0, -2.5, -3.0]))
+            check_fields(TERM_RULES, strike=np.array([90.0, -2.5, -3.0]))
         assert str(exc.value) == "strike: must be positive and finite, got -2.5"
         with pytest.raises(ValidationError, match="rate: .* got 1.5$"):
-            check_terms(rate=np.float64(1.5))
-        check_terms(rate=0.5, sigma=np.array([0.1, 0.2]))
+            check_fields(TERM_RULES, rate=np.float64(1.5))
+        check_fields(TERM_RULES, rate=0.5, sigma=np.array([0.1, 0.2]))
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            # a 0-d array and a numpy integer show as a plain float
+            (np.array(-1.0), "-1.0"),
+            (np.int64(-3), "-3.0"),
+            # a value that is not numpy keeps its repr; comparing these
+            # with 0 raises TypeError, so the test fails
+            ((1.0, 2.0), "(1.0, 2.0)"),
+            ("90", "'90'"),
+        ],
+        ids=["0-d-array", "numpy-int", "tuple", "string"],
+    )
+    def test_check_fields_shows_the_value(self, value, shown):
+        with pytest.raises(ValidationError) as exc:
+            check_fields(TERM_RULES, strike=value)
+        assert str(exc.value) == f"strike: must be positive and finite, got {shown}"
+
+    def test_dataset_names_first_bad_target(self):
+        with pytest.raises(ValidationError) as exc:
+            Dataset(np.ones((3, FEATURE_COUNT)), np.array([1.0, 0.0, -1.0]))
+        assert str(exc.value) == "targets: must lie in (0, 100000), got 0.0"
 
 
 class TestEncodeFeatures:

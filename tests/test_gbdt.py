@@ -95,7 +95,12 @@ def bit_rows(max_depth, n_pairs):
     below them and split; the others carry one code and stay leaves.
     The last bit, plus 0 or 1, goes to one of two more features, drawn
     per node at depth max_depth - 1, so those nodes split on different
-    features and bins.
+    features and bins. Under those `n_pairs` prefixes the two rows of
+    each code differ in a twin bit, weighed by 4**-max_depth, below every
+    bit; it too goes, plus 0 or 1, to one of two last features, drawn per
+    code. So a tree grown one level deeper splits each node at depth
+    max_depth on its own feature and bin, which only the right
+    histograms subtracted from the level above give.
     """
     rng = np.random.default_rng(n_pairs)
     n_prefixes = 2 ** (max_depth - 2)
@@ -107,8 +112,13 @@ def bit_rows(max_depth, n_pairs):
     kind = rng.integers(0, 4, size=2 ** (max_depth - 1))[code >> 1]
     last = np.zeros((len(code), 2))
     last[np.arange(len(code)), kind >> 1] = bits[:, -1] + (kind & 1)
-    features = np.column_stack([bits[:, :-1], last])
-    return features, bits @ 4.0 ** -np.arange(max_depth)
+    under_full = full[code >> 2]
+    twin = under_full & (np.arange(len(code)) % 2 == 1)
+    twin_kind = rng.integers(0, 4, size=2**max_depth)[code]
+    twins = np.zeros((len(code), 2))
+    twins[np.arange(len(code)), twin_kind >> 1] = under_full * (twin + (twin_kind & 1))
+    features = np.column_stack([bits[:, :-1], last, twins])
+    return features, bits @ 4.0 ** -np.arange(max_depth) + twin * 4.0**-max_depth
 
 
 def default_split_first_tree():

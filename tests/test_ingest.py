@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import io
 import json
@@ -35,6 +36,7 @@ from optbench import (
     write_csv,
 )
 from optbench.core import QUOTE_COLUMNS, QUOTE_WIDTH
+from optbench.gbdt import Tree
 from optbench import ingest
 from optbench.ingest import (
     MAGIC_NET,
@@ -46,7 +48,7 @@ from optbench.ingest import (
     write_rows,
 )
 
-from conftest import make_dataset, make_quote, make_quotes, per_cell_csv
+from conftest import make_dataset, make_quote, make_quotes, per_cell_csv, traced_peak
 
 
 def bits(table: np.ndarray) -> np.ndarray:
@@ -468,6 +470,43 @@ class TestModelFiles:
         net, _ = self.make_net_model()
         npath = save_model(net, tmp_path / "n.model")
         assert npath.read_bytes()[:8] == MAGIC_NET
+
+    @pytest.mark.parametrize("n_trees", [0, 1, 7, None], ids=["0-trees", "1-tree", "7-trees", "net"])
+    def test_streamed_bytes_are_the_whole_document(self, tmp_path, n_trees):
+        if n_trees is None:
+            model, _ = self.make_net_model()
+            magic, kind, payload = MAGIC_NET, "network", ingest._network_payload(model)
+        else:
+            trained, _ = self.make_tree_model()
+            model = dataclasses.replace(trained, trees=(trained.trees * 7)[:n_trees])
+            trees = [ingest._tree_payload(t) for t in model.trees]
+            magic, kind = MAGIC_TREES, "tree_ensemble"
+            payload = {**ingest._ensemble_payload(model), "trees": trees}
+        manifest = {"kind": "gbdt3", "trees": [1, 2]}
+        doc = {"format_version": 1, "kind": kind, "manifest": manifest, "model": payload}
+        whole = magic + json.dumps(
+            doc, sort_keys=True, separators=(",", ":"), allow_nan=False
+        ).encode("utf-8")
+        assert save_model(model, tmp_path / "m.model", manifest).read_bytes() == whole
+
+    def test_save_model_holds_a_few_trees_at_once(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n = 1435  # nodes of the first default depth-10 tree
+
+        def tree():
+            return Tree(
+                feature=rng.integers(-1, 26, n).astype(np.int32),
+                threshold=rng.normal(size=n),
+                left=rng.integers(0, n, n).astype(np.int32),
+                right=rng.integers(0, n, n).astype(np.int32),
+                value=rng.normal(size=n),
+            )
+
+        model = TreeEnsemble(0.5, [tree() for _ in range(100)], 26, 99)
+        one = traced_peak(lambda: json.dumps(ingest._tree_payload(model.trees[0])))[1]
+        _, peak = traced_peak(save_model, model, tmp_path / "m.model")
+        # the trees' lists and encodings of the whole ensemble would be 100 times that
+        assert peak < 4 * one, (peak, one)
 
     def test_file_bytes_reproducible(self, tmp_path):
         model, _ = self.make_tree_model()
