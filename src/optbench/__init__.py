@@ -96,3 +96,4 @@ from .simgen import (
     realized_vol,
     simulate_underlying,
 )
+from .tune import TuneResult, tune_gbdt

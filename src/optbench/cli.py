@@ -1,4 +1,4 @@
-"""Command line pipeline: gen, split, train, evaluate, report.
+"""Command line pipeline: gen, split, train, tune, evaluate, report.
 
 Configuration is flat dotted key=value pairs, read from --config files
 (one pair per line, # comments) and overridden by repeated --set flags;
@@ -61,6 +61,7 @@ from .ingest import (
 )
 from .mlp import FIVE_LAYER, THREE_LAYER, MlpTrainConfig, forward, train_mlp
 from .simgen import SimConfig, generate_dataset, realized_vol
+from .tune import CANDIDATES, tune_gbdt
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,6 +69,7 @@ EXIT_DATA = 2
 EXIT_TRAINING = 3
 
 MODEL_KINDS = ("gbdt5", "gbdt10", "mlp3", "mlp5")
+GBDT_DEPTHS = {"gbdt5": 5, "gbdt10": 10}
 
 logger = logging.getLogger(__name__)
 
@@ -278,10 +280,18 @@ def cmd_split(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
+def _fit_pair(cfg: dict, spec: SplitSpec) -> tuple[Dataset, Dataset, dict]:
+    """The train and val parts of the dataset, and the identity that ties a model to them."""
+    (kept, _, _), digest = _load(cfg)
+    train_idx, val_idx, _ = split_indices(len(kept), spec)
+    train, val = Dataset.from_quotes(kept[train_idx]), Dataset.from_quotes(kept[val_idx])
+    return train, val, _identity(digest, spec)
+
+
 def cmd_train(cfg: dict, kind: str, out: Path) -> int:
     spec = build_config("split", cfg)
-    if kind in ("gbdt5", "gbdt10"):
-        mcfg = build_config("gbdt", cfg, max_depth=5 if kind == "gbdt5" else 10)
+    if kind in GBDT_DEPTHS:
+        mcfg = build_config("gbdt", cfg, max_depth=GBDT_DEPTHS[kind])
         hyper = dataclasses.asdict(mcfg)
     elif kind in ("mlp3", "mlp5"):
         arch = THREE_LAYER if kind == "mlp3" else FIVE_LAYER
@@ -293,10 +303,7 @@ def cmd_train(cfg: dict, kind: str, out: Path) -> int:
     else:
         raise UsageError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     data_path = Path(cfg["data"])
-    (kept, _, _), digest = _load(cfg)
-    identity = _identity(digest, spec)
-    train_idx, val_idx, _ = split_indices(len(kept), spec)
-    train, val = Dataset.from_quotes(kept[train_idx]), Dataset.from_quotes(kept[val_idx])
+    train, val, identity = _fit_pair(cfg, spec)
 
     started = time.perf_counter()
     if isinstance(mcfg, GbdtConfig):
@@ -325,6 +332,41 @@ def cmd_train(cfg: dict, kind: str, out: Path) -> int:
         out / f"{kind}.manifest.json",
     )
     print(f"trained {kind} in {seconds:.1f}s; model at {model_path}")
+    return EXIT_OK
+
+
+def cmd_tune(cfg: dict, kind: str, out: Path) -> int:
+    """Successive halving over gbdt keys; the winner becomes a --config file for train."""
+    spec = build_config("split", cfg)
+    base = build_config("gbdt", cfg, max_depth=GBDT_DEPTHS[kind])
+    train, val, identity = _fit_pair(cfg, spec)
+    seed = cfg.get("seed", 0)
+    started = time.perf_counter()
+    result = tune_gbdt(train, val, base, seed)
+    seconds = time.perf_counter() - started
+
+    lines = [f"# optbench tune {kind} --seed {seed}: candidate {result.winner} of {CANDIDATES}"]
+    for name, value in dataclasses.asdict(result.candidates[result.winner]).items():
+        if f"gbdt.{name}" not in FIXED_FIELDS:
+            lines.append(f"gbdt.{name} = {'none' if value is None else repr(value)}")
+    out.mkdir(parents=True, exist_ok=True)
+    conf_path = write_file(out / f"{kind}.tuned.conf", [("\n".join(lines) + "\n").encode("utf-8")])
+    _write_json(
+        {
+            "command": "tune",
+            "kind": kind,
+            **identity,
+            "dataset_name": Path(cfg["data"]).name,
+            "seed": seed,
+            "candidates": [dataclasses.asdict(c) for c in result.candidates],
+            "rungs": [rung._asdict() for rung in result.rungs],  # val_mae keyed by candidate
+            "winner": result.winner,
+            "tuning_seconds": seconds,
+            "created_at": _now(),
+        },
+        out / f"{kind}.tune.json",
+    )
+    print(f"tuned {kind} in {seconds:.1f}s: candidate {result.winner}; config at {conf_path}")
     return EXIT_OK
 
 
@@ -495,6 +537,10 @@ def build_parser() -> _Parser:
     p_train.add_argument("kind", choices=MODEL_KINDS)
     common(p_train)
 
+    p_tune = sub.add_parser("tune", help="choose a GBDT's hyperparameters on the val split")
+    p_tune.add_argument("kind", choices=tuple(GBDT_DEPTHS))
+    common(p_tune)
+
     p_eval = sub.add_parser("evaluate", help="score trained models on the test split")
     p_eval.add_argument("models", nargs="*", help="model file paths")
     p_eval.add_argument("--include-bs", action="store_true",
@@ -521,6 +567,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_split(cfg, out)
         if args.command == "train":
             return cmd_train(cfg, args.kind, out)
+        if args.command == "tune":
+            return cmd_tune(cfg, args.kind, out)
         if args.command == "evaluate":
             if not args.models and not args.include_bs:
                 raise UsageError("evaluate: give at least one model path or --include-bs")

@@ -20,14 +20,16 @@ predict_rows), the seed rule (SEED) and the seeded random streams
 checker: a rule is a (test, requirement) pair, every rule table (the
 quote rule, the pricing terms, each config's fields, count arguments)
 maps names to rules, and check_fields raises for the first value whose
-test fails.
+test fails. The pricing terms take arrays; a config's number fields take
+their rules through scalar_rule, which refuses an array of one or more
+dimensions whatever its elements.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -130,6 +132,12 @@ def integer_rule(low: int, high: int | None = None) -> Rule:
     return (lambda v: is_integer(v) and low <= v <= high), f"must be an integer in [{low}, {high}]"
 
 
+def scalar_rule(rule: Rule) -> Rule:
+    """`rule` for a single value: an array of one or more dimensions fails it."""
+    ok, requirement = rule
+    return (lambda v: np.ndim(v) == 0 and ok(v)), f"{requirement}, as one number"
+
+
 def _all_pass(ok: Callable, values) -> bool:
     arr = np.asarray(values)
     return arr.ndim == 1 and arr.size > 0 and bool(ok(arr).all())
@@ -204,17 +212,24 @@ def filter_quotes(quotes) -> FilterResult:
     return FilterResult(table[first < 0], sum(by_reason.values()), by_reason)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """The learners' fit pair: an immutable feature matrix and its aligned
     midpoint targets.
 
-    Arrays are frozen on construction; the Dataset takes ownership of
-    what it is given.
+    Arrays are frozen on construction, and the Dataset owns them: it
+    takes what it is given and copies an array that does not own its
+    memory (a view), whose base could still be written. So no one edits
+    them in place afterwards, and work derived from them (as
+    `train_gbdt`'s binning) is kept on the Dataset for its lifetime.
+    Equality and hashing are by identity: two Datasets of equal arrays
+    are not equal, and a Dataset can be a set member or dict key.
     """
 
     features: np.ndarray
     targets: np.ndarray
+    # gbdt's binnings of `features` by n_bins (gbdt._binning)
+    _binnings: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
@@ -229,6 +244,8 @@ class Dataset:
             )
         check_fields({"targets": QUOTE_RULE["midpoint"]}, targets=targs)
         for name, arr in (("features", feats), ("targets", targs)):
+            if not arr.flags.owndata:
+                arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -317,7 +334,7 @@ def seeded_rng(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
 
 
-_FRACTION = (lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+_FRACTION = scalar_rule((lambda v: 0 <= v <= 1, "must lie in [0, 1]"))
 _SPLIT_RULES = {
     "train_fraction": _FRACTION,
     "val_fraction": _FRACTION,

@@ -6,15 +6,20 @@ are row counts. Trees grow depth-wise, one level of whole arrays at a
 time: a level's open nodes have contiguous ids, and their children
 follow them in the same order, left before right, so the flat tree is
 in level order. Split finding is done on quantized features: each
-feature is bucketed once per fit into at most `n_bins` quantile bins,
-whose edges are read off the sorted column, and the codes are stored
-column-major so each feature's bin codes are contiguous. The sorted
-column also counts each bin's rows: that is every tree's root count
-histogram, and a root's gradient histogram is one bincount per code
-column. Below the root, gradient/count histograms are accumulated with
-bincount for the smaller child of every split; the larger sibling's
-histogram is its parent's minus the smaller child's (sibling
-subtraction, as in LightGBM). Candidate splits are scored by
+feature is bucketed into at most `n_bins` quantile bins, whose edges are
+read off the sorted column, and the codes are stored column-major so
+each feature's bin codes are contiguous. A training Dataset is binned
+once per `n_bins`: it owns its frozen features, so every later fit on
+the same Dataset object reuses that binning, whose arrays are frozen
+too. The binning is kept on the Dataset and lives as long as it does;
+features made writeable again are binned afresh on every fit and never
+kept. The sorted column also counts each bin's rows: that is every
+tree's root count histogram, and a root's gradient histogram is one
+bincount per code column. Below the root, gradient/count histograms
+are accumulated with bincount for the smaller child of every split;
+the larger sibling's histogram is its parent's minus the smaller
+child's (sibling subtraction, as in LightGBM). Candidate splits are
+scored by
 
     gain = 1/2 [ GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda) ]
 
@@ -74,11 +79,12 @@ from .core import (
     integer_rule,
     is_integer,
     predict_rows,
+    scalar_rule,
 )
 from .errors import ValidationError
 
-_SHRINKAGE = (lambda v: 0 < v <= 1, "must lie in (0, 1]")
-_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "must be >= 0 and finite")
+_SHRINKAGE = scalar_rule((lambda v: 0 < v <= 1, "must lie in (0, 1]"))
+_NON_NEGATIVE = scalar_rule((lambda v: 0 <= v < math.inf, "must be >= 0 and finite"))
 _GBDT_RULES = {
     "max_depth": integer_rule(1, 32),
     "num_rounds": integer_rule(1),
@@ -208,6 +214,23 @@ def quantize_features(features: np.ndarray, n_bins: int) -> BinnedMatrix:
         edge_table[f, : len(e)] = e
         edges.append(e)
     return BinnedMatrix(edges, codes, counts, edge_table)
+
+
+def _binning(train: Dataset, n_bins: int) -> BinnedMatrix:
+    """`quantize_features(train.features, n_bins)`, computed once per Dataset and n_bins.
+
+    The binning is kept on `train`, so it lives as long as the Dataset,
+    and its arrays are frozen, as every fit on `train` shares them.
+    Features whose writes were re-enabled are binned afresh and not kept.
+    """
+    if train.features.flags.writeable:
+        return quantize_features(train.features, n_bins)
+    if n_bins not in train._binnings:
+        binned = quantize_features(train.features, n_bins)
+        for arr in (binned.codes, binned.counts, binned.edge_table, *binned.edges):
+            arr.setflags(write=False)
+        train._binnings[n_bins] = binned
+    return train._binnings[n_bins]
 
 
 class NodeHistogram(NamedTuple):
@@ -473,9 +496,9 @@ def _root_histograms(binned: BinnedMatrix, grad: np.ndarray) -> tuple[np.ndarray
     """The root's (1, n_features, n_bins) gradient and count histograms.
 
     The count histogram is a view of the binning's counts, which no
-    caller writes; the gradient sums are one bincount per code column,
-    adding the rows in row order as `_accumulate_histograms` does over
-    all rows.
+    caller writes (a kept binning's are read-only); the gradient sums
+    are one bincount per code column, adding the rows in row order as
+    `_accumulate_histograms` does over all rows.
     """
     n_features, n_bins = binned.counts.shape
     grad_hist = np.empty((1, n_features, n_bins), dtype=np.float64)
@@ -644,9 +667,17 @@ def train_gbdt(train: Dataset, val: Dataset, config: GbdtConfig) -> TreeEnsemble
     The base score is the train-target mean. Stops early once val MAE
     has not improved for `early_stopping_rounds` rounds (never, when
     that is None) and truncates the ensemble at the best round.
+
+    `train` is binned on its first fit at each `n_bins`, and later fits
+    on the same Dataset object reuse that binning; an equal copy is
+    binned again. The Dataset owns its frozen features, so editing them
+    in place is not supported: features whose writes were re-enabled
+    are binned on every fit, but features edited and then frozen again
+    leave the kept binning stale, and later fits grow trees on the old
+    values' bins.
     """
     check_fit_pair(train, val)
-    binned = quantize_features(train.features, config.n_bins)
+    binned = _binning(train, config.n_bins)
     y = train.targets
     base = float(np.mean(y))
     pred = np.full(len(y), base, dtype=np.float64)

@@ -57,6 +57,7 @@ from .core import (
     check_width,
     integer_rule,
     predict_rows,
+    scalar_rule,
     seeded_rng,
 )
 from .errors import DivergenceError, ValidationError
@@ -358,10 +359,10 @@ def adam_step(
 
 
 _TRAIN_RULES = {
-    "initial_lr": POSITIVE,
-    "plateau_factor": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "initial_lr": scalar_rule(POSITIVE),
+    "plateau_factor": scalar_rule((lambda v: 0 < v < 1, "must lie in (0, 1)")),
     "plateau_patience": integer_rule(1),
-    "min_lr": POSITIVE,
+    "min_lr": scalar_rule(POSITIVE),
     "early_stop_patience": integer_rule(1),
     "max_epochs": integer_rule(0),
     "batch_size": integer_rule(1),

@@ -47,6 +47,7 @@ from .core import (
     each_rule,
     integer_rule,
     is_positive,
+    scalar_rule,
     seeded_rng,
 )
 from .errors import ValidationError
@@ -70,21 +71,21 @@ _NOISE_STREAM = 2
 _SIM_RULES = {
     "n_underlyings": integer_rule(0),
     "days_per_underlying": integer_rule(N_LAGS + 1),  # a lag window, then a quote day
-    "s0_min": POSITIVE,
-    "s0_max": POSITIVE,
+    "s0_min": scalar_rule(POSITIVE),
+    "s0_max": scalar_rule(POSITIVE),
     "vol_regimes": (
         lambda regimes: len(regimes) > 0
         and all(0 <= sigma < math.inf and is_positive(weight) for sigma, weight in regimes),
         "need at least one (sigma, weight) pair, each finite with sigma >= 0 and weight > 0",
     ),
-    "drift": (math.isfinite, "must be finite"),
-    "rate_min": RATE,
-    "rate_max": RATE,
-    "yield_min": RATE,
-    "yield_max": RATE,
+    "drift": scalar_rule((math.isfinite, "must be finite")),
+    "rate_min": scalar_rule(RATE),
+    "rate_max": scalar_rule(RATE),
+    "yield_min": scalar_rule(RATE),
+    "yield_max": scalar_rule(RATE),
     "maturities": each_rule(POSITIVE),
     "moneyness": each_rule(POSITIVE),
-    "half_spread": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "half_spread": scalar_rule((lambda v: 0 <= v < 1, "must lie in [0, 1)")),
     "seed": SEED,
 }
 

@@ -14,6 +14,7 @@ from optbench import (
     predict_gbdt,
     read_csv,
     split_dataset,
+    split_indices,
     write_csv,
 )
 from optbench.blackscholes import VOL_FLOOR, bs_prices
@@ -248,6 +249,51 @@ class TestTrain:
             "--set", "gbdt.num_rounds=0",
         )
         assert code == 1
+
+
+class TestTune:
+    ARGS = ("--seed", "9", "--set", "gbdt.num_rounds=30")
+
+    def tune(self, data, out, *extra):
+        assert run("tune", "gbdt5", "--data", str(data), "--out", str(out), *self.ARGS, *extra) == 0
+        return (out / "gbdt5.tuned.conf").read_bytes()
+
+    def test_winner_is_a_config_that_train_reads(self, tmp_path):
+        data = gen_tiny(tmp_path)
+        self.tune(data, tmp_path)
+        doc = json.loads((tmp_path / "gbdt5.tune.json").read_text())
+        winner = doc["candidates"][doc["winner"]]
+        assert [rung["rounds"] for rung in doc["rungs"]] == [20, 30]
+        assert run(
+            "train", "gbdt5", "--config", str(tmp_path / "gbdt5.tuned.conf"),
+            "--data", str(data), "--out", str(tmp_path), "--seed", "9",
+        ) == 0
+        side = json.loads((tmp_path / "gbdt5.manifest.json").read_text())
+        assert side["hyperparameters"] == winner
+        assert (side["dataset_digest"], side["split"]) == (doc["dataset_digest"], doc["split"])
+
+    def test_same_seed_same_bytes_whatever_the_test_targets(self, tmp_path):
+        data = gen_tiny(tmp_path)
+        first = self.tune(data, tmp_path / "a")
+        assert self.tune(data, tmp_path / "b") == first
+        # double the midpoint of every test row: the filter keeps them all
+        kept = filter_quotes(read_csv(data)).kept
+        assert len(kept) == len(read_csv(data))  # so kept row i is the file's row i
+        _, _, test_idx = split_indices(len(kept), SplitSpec(seed=9))
+        lines = data.read_text().splitlines()
+        col = QUOTE_COLUMNS.index("midpoint")
+        for row in test_idx:
+            cells = lines[row + 1].split(",")
+            cells[col] = repr(2 * float(cells[col]))
+            lines[row + 1] = ",".join(cells)
+        data.write_text("\n".join(lines) + "\n")
+        assert len(filter_quotes(read_csv(data)).kept) == len(kept)
+        assert self.tune(data, tmp_path / "c") == first
+
+    def test_a_network_kind_is_a_usage_error(self, tmp_path, capsys):
+        data = gen_tiny(tmp_path)
+        assert run("tune", "mlp3", "--data", str(data), "--out", str(tmp_path)) == 1
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestEvaluate:

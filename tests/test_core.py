@@ -277,6 +277,23 @@ class TestDataset:
         with pytest.raises(ValidationError, match="targets"):
             Dataset(feats, np.array([100_000.0]))
 
+    def test_a_view_is_copied_and_an_owned_array_kept(self):
+        base = np.random.default_rng(2).uniform(1, 2, (4, 30))
+        targets = np.array([1.0, 2.0, 3.0, 4.0])
+        ds = Dataset(base[:, :26], targets)
+        assert ds.features.flags.owndata and not np.shares_memory(ds.features, base)
+        assert ds.targets is targets and not targets.flags.writeable
+        base[:, :26] = 9.0
+        assert np.all(ds.features < 2)
+
+    def test_equality_and_hash_are_identity(self):
+        ds = make_dataset(3, seed=1)
+        twin = Dataset(ds.features.copy(), ds.targets.copy())
+        assert ds == ds
+        assert (ds == twin) is False and ds != twin
+        assert len({ds, twin, ds}) == 2
+        assert {ds: "a", twin: "b"}[twin] == "b"
+
     def test_subset_refuses_a_boolean_mask(self):
         # as int64 the mask would select rows [1, 0, 0, 1]
         with pytest.raises(ValidationError, match="^indices: .*dtype bool"):
@@ -516,6 +533,30 @@ class TestFieldRules:
             cls(**kwargs)
         message = str(info.value)
         assert message.startswith(f"{field}: ") and message.endswith(f", got {bad!r}")
+
+    @pytest.mark.parametrize(
+        "cls, kwargs",
+        [
+            (SimConfig, {"s0_min": np.array([1.0, 2.0]), "s0_max": np.array([300.0, 400.0])}),
+            (SimConfig, {"drift": np.array([0.05])}),
+            (MlpTrainConfig, {"initial_lr": np.array([0.01, 0.02])}),
+            (GbdtConfig, {"reg_lambda": np.array([1.0, 2.0])}),
+            (SplitSpec, {"train_fraction": np.array([[0.98]])}),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else next(iter(v)),
+    )
+    def test_array_in_a_number_field_is_refused(self, cls, kwargs):
+        field, bad = next(iter(kwargs.items()))
+        with pytest.raises(ValidationError) as info:
+            cls(**kwargs)
+        message = str(info.value)
+        assert message.startswith(f"{field}: must ")
+        assert message.endswith(f", as one number, got {bad!r}")
+
+    def test_zero_dimensional_numbers_count(self):
+        sim = SimConfig(s0_min=np.float64(5.0), drift=np.array(0.01))
+        mlp = MlpTrainConfig(initial_lr=np.array(0.02), min_lr=np.float32(1e-5))
+        assert (sim.s0_min, sim.drift, mlp.initial_lr) == (5.0, 0.01, 0.02)
 
     def test_numpy_integers_count(self):
         cfg = GbdtConfig(num_rounds=np.int64(3), n_bins=np.uint16(64))

@@ -1,7 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+
+import optbench.gbdt as gbdt_module
 
 from optbench import (
     Dataset,
@@ -745,3 +749,88 @@ class TestTraining:
         assert tree.depth() == 3
         none = np.array([-1], dtype=np.int32)
         assert Tree(none, np.zeros(1), none, none, np.zeros(1)).depth() == 0
+
+
+def counting_quantize(monkeypatch):
+    """Count `train_gbdt`'s calls of `quantize_features`; returns the list of their n_bins."""
+    calls = []
+    real = gbdt_module.quantize_features
+
+    def counted(features, n_bins):
+        calls.append(n_bins)
+        return real(features, n_bins)
+
+    monkeypatch.setattr(gbdt_module, "quantize_features", counted)
+    return calls
+
+
+def same_trees(a: TreeEnsemble, b: TreeEnsemble) -> bool:
+    return len(a.trees) == len(b.trees) and a.base_score == b.base_score and all(
+        same_bits(getattr(ta, name), getattr(tb, name))
+        for ta, tb in zip(a.trees, b.trees)
+        for name in ("feature", "threshold", "left", "right", "value")
+    )
+
+
+class TestBinningCache:
+    """A training Dataset is binned once per n_bins; later fits reuse the binning."""
+
+    def test_fits_on_one_dataset_bin_once(self, monkeypatch):
+        train, val = make_dataset(300, seed=81), make_dataset(50, seed=82)
+        configs = [GbdtConfig(max_depth=d, num_rounds=4, n_bins=64) for d in (6, 2)]
+        calls = counting_quantize(monkeypatch)
+        models = [train_gbdt(train, val, cfg) for cfg in configs]
+        assert calls == [64]
+        fresh = Dataset(train.features.copy(), train.targets.copy())
+        for model, cfg in zip(models, configs):
+            assert same_trees(model, train_gbdt(fresh, val, cfg))
+        assert calls == [64, 64]  # the equal copy is another Dataset, binned once
+
+    def test_other_bins_and_subsets_bin_anew(self, monkeypatch):
+        train, val = make_dataset(200, seed=83), make_dataset(40, seed=84)
+        part = train.subset(range(150))
+        calls = counting_quantize(monkeypatch)
+        for ds, n_bins in ((train, 32), (train, 16), (train, 32), (part, 32), (part, 16)):
+            train_gbdt(ds, val, GbdtConfig(max_depth=3, num_rounds=2, n_bins=n_bins))
+        assert calls == [32, 16, 32, 16]
+
+    def test_writeable_features_are_binned_every_fit(self, monkeypatch):
+        train, val = make_dataset(120, seed=85), make_dataset(30, seed=86)
+        train.features.setflags(write=True)
+        calls = counting_quantize(monkeypatch)
+        cfg = GbdtConfig(max_depth=3, num_rounds=2, n_bins=32)
+        train_gbdt(train, val, cfg)
+        train_gbdt(train, val, cfg)
+        assert calls == [32, 32]
+        assert not train._binnings
+
+    def test_dataset_on_a_view_keeps_its_values_and_bins(self):
+        # writing the view's base after a fit changes neither the
+        # Dataset's features nor the trees a later fit grows
+        rng = np.random.default_rng(88)
+        X = rng.uniform(1.0, 2.0, (150, 30))
+        ds, val = Dataset(X[:, :26], rng.uniform(1.0, 5.0, 150)), make_dataset(30, seed=89)
+        before = ds.features.copy()
+        cfg = GbdtConfig(max_depth=3, num_rounds=3, n_bins=16)
+        first = train_gbdt(ds, val, cfg)
+        X[:, :26] = X[:, :26] ** 3
+        assert same_bits(ds.features, before)
+        assert same_trees(train_gbdt(ds, val, cfg), first)
+        edited = Dataset(X[:, :26], ds.targets.copy())
+        assert same_bits(edited.features, X[:, :26])
+        assert same_trees(train_gbdt(edited, val, cfg), train_gbdt(
+            Dataset(X[:, :26].copy(), ds.targets.copy()), val, cfg))
+
+    def test_binning_is_frozen_and_dies_with_its_dataset(self):
+        ds = make_dataset(100, seed=87)
+        binned = gbdt_module._binning(ds, 16)
+        assert gbdt_module._binning(ds, 16) is binned
+        assert same_bits(binned.codes, quantize_features(ds.features, 16).codes)
+        for arr in (binned.codes, binned.counts, binned.edge_table, *binned.edges):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
+        codes = weakref.ref(binned.codes)
+        del ds, binned
+        gc.collect()
+        assert codes() is None
