@@ -1,5 +1,8 @@
 """Command line pipeline: gen, split, train, tune, evaluate, report.
 
+Each command is an adapter over the library calls of optbench.pipeline,
+which a script can make directly: it builds configs from its arguments,
+makes the calls and writes the files.
 Configuration is flat dotted key=value pairs, read from --config files
 (one pair per line, # comments) and overridden by repeated --set flags;
 --seed and --data override their keys last. Exit codes: 0 success,
@@ -20,19 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .blackscholes import MIN_VOL_TIME, VOL_FLOOR, bs_prices
-from .core import (
-    LAG_COLUMNS,
-    QUOTE_COLUMNS,
-    Dataset,
-    FilterResult,
-    SplitSpec,
-    check_fields,
-    filter_quotes,
-    integer_rule,
-    split_indices,
-)
+from . import __version__, pipeline
+from .blackscholes import MIN_VOL_TIME
+from .core import QUOTE_COLUMNS, Dataset, SplitSpec, check_fields, integer_rule
 from .errors import (
     DivergenceError,
     IncompatibleModelError,
@@ -50,8 +43,7 @@ from .evaluation import (
     write_report,
     write_summary_csv,
 )
-from .gbdt import GbdtConfig, TreeEnsemble, predict_gbdt, train_gbdt
-from .ingest import (
+from .ingest import (  # read_csv unused here: perfbench's tracer test looks it up on cli
     load_model_and_manifest,
     read_csv,
     save_model,
@@ -59,17 +51,13 @@ from .ingest import (
     write_file,
     write_metrics_csv,
 )
-from .mlp import FIVE_LAYER, THREE_LAYER, MlpTrainConfig, forward, train_mlp
-from .simgen import SimConfig, generate_dataset, realized_vol
+from .simgen import SimConfig, generate_dataset
 from .tune import CANDIDATES, tune_gbdt
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRAINING = 3
-
-MODEL_KINDS = ("gbdt5", "gbdt10", "mlp3", "mlp5")
-GBDT_DEPTHS = {"gbdt5": 5, "gbdt10": 10}
 
 logger = logging.getLogger(__name__)
 
@@ -96,7 +84,7 @@ def _parse_optional_int(text: str):
 
 
 # Each field of these dataclasses is the key "<section>.<field>".
-SECTIONS = {"sim": SimConfig, "split": SplitSpec, "gbdt": GbdtConfig, "mlp": MlpTrainConfig}
+SECTIONS = {"sim": SimConfig, "split": SplitSpec, **pipeline.CONFIGS}
 # No key sets this: max_depth comes from the model kind.
 FIXED_FIELDS = {"gbdt.max_depth"}
 
@@ -197,28 +185,13 @@ def _write_json(doc: dict, path: Path) -> None:
     write_file(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
-def _load(cfg: dict) -> tuple[FilterResult, str]:
-    """The usable quotes of the dataset CSV `data` names, and the sha256 of
-    its bytes, from one read; a file with no usable quotes is a data error."""
-    data_path = Path(cfg["data"])
-    quotes, digest = read_csv(data_path, with_digest=True)
-    result = filter_quotes(quotes)
-    if result.dropped_count:
-        logger.warning(
-            "dropped %d of %d quotes: %s", result.dropped_count, len(quotes), result.by_reason
-        )
-    if len(result.kept) == 0:
-        raise ValidationError(f"{data_path}: no usable quotes after filtering")
-    return result, digest
-
-
-def _identity(digest: str, spec: SplitSpec) -> dict:
-    """What ties a model to its data: the dataset file's sha256 and the split."""
-    return {"dataset_digest": digest, "split": dataclasses.asdict(spec)}
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def _write_manifest(path: Path, command: str, **doc) -> None:
+    """A command's side manifest, stamped with the command and the time it was written."""
+    _write_json({"command": command, **doc, "created_at": _now()}, path)
 
 
 def cmd_gen(cfg: dict, out: Path) -> int:
@@ -236,95 +209,78 @@ def cmd_gen(cfg: dict, out: Path) -> int:
         logger.warning("generated an empty dataset (n_underlyings=%d)", sim.n_underlyings)
     out.mkdir(parents=True, exist_ok=True)
     data_path = write_csv(quotes, out / "dataset.csv")
-    _write_json(
-        {
-            "command": "gen",
-            "rows": len(quotes),
-            "config": dataclasses.asdict(sim),
-            "created_at": _now(),
-        },
-        out / "dataset.manifest.json",
+    _write_manifest(
+        out / "dataset.manifest.json", "gen", rows=len(quotes), config=dataclasses.asdict(sim)
     )
     print(f"wrote {len(quotes)} quotes to {data_path}")
     return EXIT_OK
 
 
-def cmd_split(cfg: dict, out: Path) -> int:
+def _load_parts(cfg: dict):
+    """The dataset's filter result, its (train, val, test) quote rows under the
+    split configuration, and the identity of those parts."""
     spec = build_config("split", cfg)
-    (kept, dropped, by_reason), _ = _load(cfg)
-    train_idx, val_idx, test_idx = split_indices(len(kept), spec)
+    result, digest = pipeline.load(cfg["data"])
+    return result, pipeline.parts(result.kept, spec), pipeline.identity(digest, spec)
+
+
+def cmd_split(cfg: dict, out: Path) -> int:
+    (kept, dropped, by_reason), rows, identity = _load_parts(cfg)
     out.mkdir(parents=True, exist_ok=True)
     parts = {}
-    for name, idx in (("train", train_idx), ("val", val_idx), ("test", test_idx)):
+    for name, part in zip(("train", "val", "test"), rows):
         # no command reads a part back (train and evaluate re-split the
         # dataset), so a part gets no binary twin
-        part_path = write_csv(kept[idx], out / f"{name}.csv", twin=False)
-        parts[name] = {"rows": int(len(idx)), "path": part_path.name}
-    _write_json(
-        {
-            "command": "split",
-            "source_rows": len(kept) + dropped,
-            "kept_rows": len(kept),
-            "dropped_rows": dropped,
-            "dropped_by_reason": by_reason,
-            "split": dataclasses.asdict(spec),
-            "parts": parts,
-            "created_at": _now(),
-        },
+        part_path = write_csv(part, out / f"{name}.csv", twin=False)
+        parts[name] = {"rows": len(part), "path": part_path.name}
+    _write_manifest(
         out / "split.manifest.json",
+        "split",
+        source_rows=len(kept) + dropped,
+        kept_rows=len(kept),
+        dropped_rows=dropped,
+        dropped_by_reason=by_reason,
+        split=identity["split"],
+        parts=parts,
     )
-    print(
-        f"split {len(kept)} quotes into "
-        f"{len(train_idx)} train / {len(val_idx)} val / {len(test_idx)} test"
-    )
+    print(f"split {len(kept)} quotes into "
+          + " / ".join(f"{info['rows']} {name}" for name, info in parts.items()))
     return EXIT_OK
 
 
-def _fit_pair(cfg: dict, spec: SplitSpec) -> tuple[Dataset, Dataset, dict]:
-    """The train and val parts of the dataset, and the identity that ties a model to them."""
-    (kept, _, _), digest = _load(cfg)
-    train_idx, val_idx, _ = split_indices(len(kept), spec)
-    train, val = Dataset.from_quotes(kept[train_idx]), Dataset.from_quotes(kept[val_idx])
-    return train, val, _identity(digest, spec)
+def _fit_inputs(cfg: dict, kind: str):
+    """What train and tune share: the kind's config, the train and val parts
+    and what ties a model to them. The config is built before the dataset is read."""
+    family, fixed = pipeline.KINDS[kind]
+    config = build_config(family, cfg, **({"max_depth": fixed} if family == "gbdt" else {}))
+    _, rows, identity = _load_parts(cfg)
+    train, val = (Dataset.from_quotes(part) for part in rows[:2])
+    return config, train, val, {**identity, "dataset_name": Path(cfg["data"]).name}
 
 
 def cmd_train(cfg: dict, kind: str, out: Path) -> int:
-    spec = build_config("split", cfg)
-    if kind in GBDT_DEPTHS:
-        mcfg = build_config("gbdt", cfg, max_depth=GBDT_DEPTHS[kind])
-        hyper = dataclasses.asdict(mcfg)
-    elif kind in ("mlp3", "mlp5"):
-        arch = THREE_LAYER if kind == "mlp3" else FIVE_LAYER
-        mcfg = build_config("mlp", cfg)
-        hyper = {
-            "layers": [[layer.units, layer.activation] for layer in arch.layers],
-            **dataclasses.asdict(mcfg),
-        }
-    else:
-        raise UsageError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    data_path = Path(cfg["data"])
-    train, val, identity = _fit_pair(cfg, spec)
-
+    config, train, val, identity = _fit_inputs(cfg, kind)
+    family, fixed = pipeline.KINDS[kind]
     started = time.perf_counter()
-    if isinstance(mcfg, GbdtConfig):
-        model = train_gbdt(train, val, mcfg)
-        records = model.history
-        progress = {"rounds_trained": len(records), "best_round": model.best_round}
-    else:
-        model, records = train_mlp(train, val, arch, mcfg)
-        best = min(range(len(records)), key=lambda i: records[i].val_mae) + 1 if records else 0
-        progress = {"epochs_trained": len(records), "best_epoch": best}
+    model, records = pipeline.fit(kind, train, val, config)
     seconds = time.perf_counter() - started
 
+    hyper = dataclasses.asdict(config)
+    if family == "mlp":
+        hyper["layers"] = [[layer.units, layer.activation] for layer in fixed.layers]
+    unit = "round" if family == "gbdt" else "epoch"
+    # a record's first field is its round (0-based) or epoch (1-based)
+    best = min(records, key=lambda record: record.val_mae)[0] if records else 0
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"kind": kind, "hyperparameters": hyper, **identity, "dataset_name": data_path.name}
+    manifest = {"kind": kind, "hyperparameters": hyper, **identity}
     model_path = save_model(model, out / f"{kind}.model", manifest)
     if records:
         write_metrics_csv(records, out / f"{kind}_metrics.csv")
     _write_json(
         {
             **manifest,
-            **progress,
+            f"{unit}s_trained": len(records),
+            f"best_{unit}": best,
             "training_seconds": seconds,
             "trained_at": _now(),
             "final_val_mae": records[-1].val_mae if records else None,
@@ -337,9 +293,7 @@ def cmd_train(cfg: dict, kind: str, out: Path) -> int:
 
 def cmd_tune(cfg: dict, kind: str, out: Path) -> int:
     """Successive halving over gbdt keys; the winner becomes a --config file for train."""
-    spec = build_config("split", cfg)
-    base = build_config("gbdt", cfg, max_depth=GBDT_DEPTHS[kind])
-    train, val, identity = _fit_pair(cfg, spec)
+    base, train, val, identity = _fit_inputs(cfg, kind)
     seed = cfg.get("seed", 0)
     started = time.perf_counter()
     result = tune_gbdt(train, val, base, seed)
@@ -351,48 +305,24 @@ def cmd_tune(cfg: dict, kind: str, out: Path) -> int:
             lines.append(f"gbdt.{name} = {'none' if value is None else repr(value)}")
     out.mkdir(parents=True, exist_ok=True)
     conf_path = write_file(out / f"{kind}.tuned.conf", [("\n".join(lines) + "\n").encode("utf-8")])
-    _write_json(
-        {
-            "command": "tune",
-            "kind": kind,
-            **identity,
-            "dataset_name": Path(cfg["data"]).name,
-            "seed": seed,
-            "candidates": [dataclasses.asdict(c) for c in result.candidates],
-            "rungs": [rung._asdict() for rung in result.rungs],  # val_mae keyed by candidate
-            "winner": result.winner,
-            "tuning_seconds": seconds,
-            "created_at": _now(),
-        },
+    _write_manifest(
         out / f"{kind}.tune.json",
+        "tune",
+        kind=kind,
+        **identity,
+        seed=seed,
+        candidates=[dataclasses.asdict(c) for c in result.candidates],
+        rungs=[rung._asdict() for rung in result.rungs],  # val_mae keyed by candidate
+        winner=result.winner,
+        tuning_seconds=seconds,
     )
     print(f"tuned {kind} in {seconds:.1f}s: candidate {result.winner}; config at {conf_path}")
     return EXIT_OK
 
 
-def _reprice(quotes: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Closed-form prices of the quote rows under the given volatilities."""
-    S, K, T, r, q, flags = (
-        quotes[:, QUOTE_COLUMNS.index(name)]
-        for name in ("underlying_price", "strike", "maturity_years", "rate",
-                     "dividend_yield", "option_type")
-    )
-    return bs_prices(S, K, T, r, q, sigma, flags)
-
-
-def _bs_implied_predictions(quotes: np.ndarray) -> np.ndarray:
-    vols = quotes[:, QUOTE_COLUMNS.index("implied_vol")]
-    if not np.all(np.isfinite(vols)):
-        missing = int(np.sum(~np.isfinite(vols)))
-        raise ValidationError(
-            f"implied_vol: {missing} evaluation rows have no implied volatility; "
-            "the repricing baseline needs it on every row"
-        )
-    return _reprice(quotes, vols)
-
-
-def _bs_realized_predictions(quotes: np.ndarray) -> np.ndarray:
-    return _reprice(quotes, np.maximum(realized_vol(quotes[:, LAG_COLUMNS]), VOL_FLOOR))
+# the baselines by the names that tests import from this module
+_bs_implied_predictions = pipeline.bs_implied
+_bs_realized_predictions = pipeline.bs_realized
 
 
 def _training_seconds(side: Path) -> float | None:
@@ -413,16 +343,11 @@ def _training_seconds(side: Path) -> float | None:
 
 
 def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path) -> int:
-    spec = build_config("split", cfg)
-    data_path = Path(cfg["data"])
-    (kept, _, _), digest = _load(cfg)
-    identity = _identity(digest, spec)
-    test_idx = split_indices(len(kept), spec)[2]
-    if len(test_idx) == 0:
+    _, (_, _, quotes), identity = _load_parts(cfg)
+    if len(quotes) == 0:
         raise ValidationError(
-            f"{data_path}: the test fraction selects zero rows; nothing to evaluate"
+            f"{cfg['data']}: the test fraction selects zero rows; nothing to evaluate"
         )
-    quotes = kept[test_idx]
     test = Dataset.from_quotes(quotes)
 
     results = []
@@ -445,27 +370,19 @@ def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path)
                     f"{path}: model was trained with {key} {stored!r}, "
                     f"but this evaluation uses {expected!r}"
                 )
-        if isinstance(model, TreeEnsemble):
-            preds = predict_gbdt(model, test.features)
-        else:
-            preds = forward(model, test.features)
         seconds = _training_seconds(path.with_suffix(".manifest.json"))
-        results.append(ModelResult(name, preds, seconds))
+        results.append(ModelResult(name, pipeline.predict(model, test.features), seconds))
     if include_bs:
-        results.append(ModelResult("bs_implied", _bs_implied_predictions(quotes)))
-        results.append(ModelResult("bs_realized", _bs_realized_predictions(quotes)))
+        results += [ModelResult(name, preds) for name, preds in pipeline.baselines(quotes).items()]
     report = compare_models(test.targets, results, cfg.get("eval.curve_bins", 20))
     out.mkdir(parents=True, exist_ok=True)
     written = write_report(report, out)
-    _write_json(
-        {
-            "command": "evaluate",
-            **identity,
-            "rows_evaluated": report.n_rows,
-            "models": [row.name for row in report.rows],
-            "created_at": _now(),
-        },
+    _write_manifest(
         out / "evaluate.manifest.json",
+        "evaluate",
+        **identity,
+        rows_evaluated=report.n_rows,
+        models=[row.name for row in report.rows],
     )
     print(report.to_text(), end="")
     print(f"report files in {written[0].parent}")
@@ -484,7 +401,7 @@ REPORT_COLUMNS = (
 
 
 def cmd_report(cfg: dict, out: Path) -> int:
-    kept = _load(cfg)[0].kept
+    kept = pipeline.load(cfg["data"])[0].kept
     n_bins = cfg.get("report.hist_bins", 30)
     out.mkdir(parents=True, exist_ok=True)
     stats = {}
@@ -527,18 +444,16 @@ def build_parser() -> _Parser:
         p.add_argument("--data", help="dataset CSV path")
         p.add_argument("--out", default=".", help="output directory (default: .)")
 
-    p_gen = sub.add_parser("gen", help="generate a synthetic quote dataset")
-    common(p_gen)
-
-    p_split = sub.add_parser("split", help="filter and split a dataset CSV")
-    common(p_split)
+    common(sub.add_parser("gen", help="generate a synthetic quote dataset"))
+    common(sub.add_parser("split", help="filter and split a dataset CSV"))
 
     p_train = sub.add_parser("train", help="train one model on a dataset")
-    p_train.add_argument("kind", choices=MODEL_KINDS)
+    p_train.add_argument("kind", choices=tuple(pipeline.KINDS))
     common(p_train)
 
     p_tune = sub.add_parser("tune", help="choose a GBDT's hyperparameters on the val split")
-    p_tune.add_argument("kind", choices=tuple(GBDT_DEPTHS))
+    gbdt_kinds = tuple(kind for kind, (family, _) in pipeline.KINDS.items() if family == "gbdt")
+    p_tune.add_argument("kind", choices=gbdt_kinds)
     common(p_tune)
 
     p_eval = sub.add_parser("evaluate", help="score trained models on the test split")
@@ -547,8 +462,7 @@ def build_parser() -> _Parser:
                         help="add the closed-form repricing baselines")
     common(p_eval)
 
-    p_report = sub.add_parser("report", help="summarize a dataset's distributions")
-    common(p_report)
+    common(sub.add_parser("report", help="summarize a dataset's distributions"))
     return parser
 
 
@@ -560,22 +474,17 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args)
         if args.command != "gen" and "data" not in cfg:
             raise UsageError("no dataset given; pass --data or set data= in the config")
+        if args.command == "evaluate" and not args.models and not args.include_bs:
+            raise UsageError("evaluate: give at least one model path or --include-bs")
         out = Path(args.out)
-        if args.command == "gen":
-            return cmd_gen(cfg, out)
-        if args.command == "split":
-            return cmd_split(cfg, out)
-        if args.command == "train":
-            return cmd_train(cfg, args.kind, out)
-        if args.command == "tune":
-            return cmd_tune(cfg, args.kind, out)
-        if args.command == "evaluate":
-            if not args.models and not args.include_bs:
-                raise UsageError("evaluate: give at least one model path or --include-bs")
-            return cmd_evaluate(cfg, args.models, args.include_bs, out)
-        if args.command == "report":
-            return cmd_report(cfg, out)
-        raise UsageError(f"unknown command {args.command!r}")
+        return {
+            "gen": lambda: cmd_gen(cfg, out),
+            "split": lambda: cmd_split(cfg, out),
+            "train": lambda: cmd_train(cfg, args.kind, out),
+            "tune": lambda: cmd_tune(cfg, args.kind, out),
+            "evaluate": lambda: cmd_evaluate(cfg, args.models, args.include_bs, out),
+            "report": lambda: cmd_report(cfg, out),
+        }[args.command]()
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
