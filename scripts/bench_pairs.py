@@ -11,7 +11,8 @@ run at a time, and the side that runs first alternates from seed to
 seed. The output keeps every run's result line and, per workload and
 end-to-end metric of BENCHMARK.json, each side's quartiles, the pairs
 the change wins and ties, and the ratio of the medians (change over
-parent). Uses git and the standard library only.
+parent). Stopped by SIGTERM or Ctrl-C, it kills the run in progress and
+removes the export before it exits. Uses git and the standard library only.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import io
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -103,6 +105,9 @@ def main(argv=None) -> int:
     parser.add_argument("--description", default="")
     parser.add_argument("--tmp", type=Path, help="where the parent's export is written")
     args = parser.parse_args(argv)
+    # On SIGTERM unwind normally: subprocess.run kills and reaps the running
+    # perfbench child, and the parent's export directory is removed
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = (args.workloads.split(",") if args.workloads

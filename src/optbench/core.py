@@ -194,6 +194,12 @@ def first_violation(table: np.ndarray) -> np.ndarray:
 
 
 class FilterResult(NamedTuple):
+    """The kept rows, the number dropped and that number per first failing rule.
+
+    `kept` is the checked table itself when no row is dropped, and a
+    copy of the passing rows otherwise.
+    """
+
     kept: np.ndarray
     dropped_count: int
     by_reason: dict[str, int]
@@ -203,13 +209,16 @@ def filter_quotes(quotes) -> FilterResult:
     """Drop quotes that break the validity rule, counting each under its
     first failing rule.
 
-    Idempotent: filtering the kept table again drops nothing.
+    Idempotent: filtering the kept table again drops nothing. When no row
+    is dropped, `kept` is the checked table itself (for a float64 input,
+    the caller's own array), not a copy.
     """
     table = check_table(quotes)
     first = first_violation(table)
     counts = np.bincount(first[first >= 0], minlength=len(QUOTE_RULE))
     by_reason = {name: int(n) for name, n in zip(QUOTE_RULE, counts) if n}
-    return FilterResult(table[first < 0], sum(by_reason.values()), by_reason)
+    dropped = sum(by_reason.values())
+    return FilterResult(table[first < 0] if dropped else table, dropped, by_reason)
 
 
 @dataclass(frozen=True, eq=False)

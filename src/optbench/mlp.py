@@ -276,7 +276,9 @@ def _backward_scaled(
                 # relu(z) > 0 exactly where z > 0
                 mask = ws.mask[: acts[l].size].reshape(acts[l].shape)
                 np.greater(acts[l], 0.0, out=mask)
-            delta = np.matmul(delta, net.weights[l], out=acts[l])
+            # a 1-unit layer's delta @ W[l] has inner dimension 1: one product per cell
+            product = np.multiply if delta.shape[1] == 1 else np.matmul
+            delta = product(delta, net.weights[l], out=acts[l])
             if relu:
                 delta *= mask
     return grads_w, grads_b, residual

@@ -202,12 +202,22 @@ def generate_chain(path: UnderlyingPath, config: SimConfig) -> np.ndarray:
 
 
 def generate_dataset(config: SimConfig) -> np.ndarray:
-    """The quote table of every underlying in the config, in underlying order."""
-    chains = [
-        generate_chain(simulate_underlying(config, index), config)
-        for index in range(config.n_underlyings)
-    ]
-    return np.concatenate([np.empty((0, QUOTE_WIDTH)), *chains])
+    """The quote table of every underlying in the config, in underlying order.
+
+    Each chain is copied into one table sized for every quote the grid
+    can hold, so the chains are never held together. The result is a
+    view of that table's filled row prefix; the rows past it, one per
+    cell priced below the half-tick floor, are never written.
+    """
+    days = config.days_per_underlying - N_LAGS
+    cells = days * len(config.maturities) * len(config.moneyness) * 2
+    table = np.empty((config.n_underlyings * cells, QUOTE_WIDTH))
+    n = 0
+    for index in range(config.n_underlyings):
+        chain = generate_chain(simulate_underlying(config, index), config)
+        table[n : n + len(chain)] = chain
+        n += len(chain)
+    return table[:n]
 
 
 def realized_vol(lags):

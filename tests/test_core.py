@@ -17,6 +17,7 @@ from optbench import (
     ValidationError,
     filter_quotes,
     fit_feature_stats,
+    generate_dataset,
     forward,
     init_network,
     predict_gbdt,
@@ -38,7 +39,7 @@ from optbench.core import (
     first_violation,
 )
 
-from conftest import make_dataset, make_quote, make_quotes
+from conftest import make_dataset, make_quote, make_quotes, traced_peak
 
 
 def reason(row: np.ndarray) -> str | None:
@@ -233,6 +234,20 @@ class TestFilterQuotes:
         # any implied vol inside (0, 3] is kept, however high
         kept, dropped, _ = filter_quotes(make_quote(implied_vol=2.999))
         assert len(kept) == 1 and dropped == 0
+
+    def test_all_valid_table_is_kept_without_a_copy(self):
+        quotes = generate_dataset(SimConfig(seed=42))
+        (kept, dropped, _), peak = traced_peak(filter_quotes, quotes)
+        assert dropped == 0 and kept is quotes
+        assert peak <= 0.5 * quotes.nbytes
+
+    def test_failing_row_gets_a_copy(self):
+        quotes = make_quotes(make_quote(), make_quote(rate=1.5), make_quote(midpoint=2.0))
+        before = quotes.copy()
+        kept = filter_quotes(quotes).kept
+        assert len(kept) == 2 and not np.shares_memory(kept, quotes)
+        kept[:] = 0.0
+        assert np.array_equal(quotes, before, equal_nan=True)
 
     def test_kept_rows_build_a_dataset(self):
         # whatever the filter keeps, Dataset.from_quotes accepts

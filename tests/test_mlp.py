@@ -210,6 +210,23 @@ class TestInPlaceLayers:
             for ours, theirs in zip(grads_w + grads_b, want_w + want_b):
                 assert same_bits(ours, theirs)
 
+    def test_one_unit_layers_match_the_matrix_products(self):
+        # a 1-unit layer's delta @ W[l] is a broadcast multiply; the oracle
+        # takes it as a matrix product, here at the default batch size
+        # and through a 1-unit relu layer as well as the output layer
+        arch = Architecture((LayerSpec(16, "relu"), LayerSpec(1, "relu"), LayerSpec(1, "linear")))
+        rows = MlpTrainConfig().batch_size
+        for net, scaled, targets in (
+            self.scaled_batch(arch, rows, seed=48),
+            self.scaled_batch(THREE_LAYER, rows, seed=49),
+        ):
+            ws = optbench.mlp._Workspace(net, rows)
+            got = optbench.mlp._backward_scaled(net, scaled, targets, ws)
+            want = allocating_backward_scaled(net, scaled, targets)
+            assert same_bits(got[2], want[2])
+            for ours, theirs in zip(got[0] + got[1], want[0] + want[1]):
+                assert same_bits(ours, theirs)
+
     @ARCHITECTURES
     def test_forward_matches_allocating_oracle(self, arch):
         net, scaled, _ = self.scaled_batch(arch, 50, seed=43)

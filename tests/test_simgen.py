@@ -17,6 +17,8 @@ from optbench.blackscholes import BsInputs, bs_price
 from optbench.core import LAG_COLUMNS, QUOTE_COLUMNS, QUOTE_WIDTH, first_violation, seeded_rng
 from optbench.simgen import _NOISE_STREAM, MIN_MIDPOINT, TRADING_DAYS_PER_YEAR
 
+from conftest import traced_peak
+
 COL = {name: i for i, name in enumerate(QUOTE_COLUMNS)}
 
 
@@ -218,6 +220,32 @@ class TestGenerateChain:
 
     def test_empty_dataset_is_an_empty_table(self):
         assert generate_dataset(SimConfig(n_underlyings=0)).shape == (0, QUOTE_WIDTH)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SimConfig(seed=42),
+            SimConfig(n_underlyings=3, days_per_underlying=32, seed=21,
+                      vol_regimes=((0.05, 1.0),), moneyness=(0.7, 1.3)),  # sub-tick drops
+            SimConfig(n_underlyings=0),
+        ],
+        ids=["default", "sub_tick", "empty"],
+    )
+    def test_dataset_is_its_chains_concatenated(self, cfg):
+        table = generate_dataset(cfg)
+        chains = [generate_chain(simulate_underlying(cfg, i), cfg)
+                  for i in range(cfg.n_underlyings)]
+        expected = np.concatenate([np.empty((0, QUOTE_WIDTH)), *chains])
+        assert table.shape == expected.shape
+        assert np.array_equal(table.view(np.uint64), expected.view(np.uint64))
+        cells = (cfg.days_per_underlying - 20) * len(cfg.maturities) * len(cfg.moneyness) * 2
+        # the default and sub-tick grids both skip cells, so the table has an unused tail
+        assert len(table) < cfg.n_underlyings * cells or cfg.n_underlyings == 0
+
+    def test_dataset_holds_one_table(self):
+        # the chains are copied into one table as they come, never held together
+        table, peak = traced_peak(generate_dataset, SimConfig(seed=42))
+        assert peak <= 1.3 * table.nbytes
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="days_per_underlying"):
