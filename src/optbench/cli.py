@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, pipeline
 from .blackscholes import MIN_VOL_TIME
-from .core import QUOTE_COLUMNS, Dataset, SplitSpec, check_fields, integer_rule
+from .core import QUOTE_COLUMNS, Dataset, SplitSpec, check_fields, integer_rule, split_indices
 from .errors import (
     DivergenceError,
     IncompatibleModelError,
@@ -217,22 +217,23 @@ def cmd_gen(cfg: dict, out: Path) -> int:
 
 
 def _load_parts(cfg: dict):
-    """The dataset's filter result, its (train, val, test) quote rows under the
-    split configuration, and the identity of those parts."""
+    """The dataset's filter result, the (train, val, test) row positions of
+    its kept quotes under the split configuration, and the identity of
+    those parts. A command copies only the rows it uses."""
     spec = build_config("split", cfg)
     result, digest = pipeline.load(cfg["data"])
-    return result, pipeline.parts(result.kept, spec), pipeline.identity(digest, spec)
+    return result, split_indices(len(result.kept), spec), pipeline.identity(digest, spec)
 
 
 def cmd_split(cfg: dict, out: Path) -> int:
     (kept, dropped, by_reason), rows, identity = _load_parts(cfg)
     out.mkdir(parents=True, exist_ok=True)
     parts = {}
-    for name, part in zip(("train", "val", "test"), rows):
+    for name, idx in zip(("train", "val", "test"), rows):
         # no command reads a part back (train and evaluate re-split the
         # dataset), so a part gets no binary twin
-        part_path = write_csv(part, out / f"{name}.csv", twin=False)
-        parts[name] = {"rows": len(part), "path": part_path.name}
+        part_path = write_csv(kept, out / f"{name}.csv", twin=False, rows=idx)
+        parts[name] = {"rows": len(idx), "path": part_path.name}
     _write_manifest(
         out / "split.manifest.json",
         "split",
@@ -253,8 +254,8 @@ def _fit_inputs(cfg: dict, kind: str):
     and what ties a model to them. The config is built before the dataset is read."""
     family, fixed = pipeline.KINDS[kind]
     config = build_config(family, cfg, **({"max_depth": fixed} if family == "gbdt" else {}))
-    _, rows, identity = _load_parts(cfg)
-    train, val = (Dataset.from_quotes(part) for part in rows[:2])
+    (kept, _, _), rows, identity = _load_parts(cfg)
+    train, val = (Dataset.from_quotes(kept[idx]) for idx in rows[:2])
     return config, train, val, {**identity, "dataset_name": Path(cfg["data"]).name}
 
 
@@ -343,7 +344,8 @@ def _training_seconds(side: Path) -> float | None:
 
 
 def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path) -> int:
-    _, (_, _, quotes), identity = _load_parts(cfg)
+    (kept, _, _), (_, _, test_idx), identity = _load_parts(cfg)
+    quotes = kept[test_idx]
     if len(quotes) == 0:
         raise ValidationError(
             f"{cfg['data']}: the test fraction selects zero rows; nothing to evaluate"

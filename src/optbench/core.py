@@ -15,14 +15,15 @@ midpoint targets; the closed-form baselines read the quote rows
 themselves.
 
 The input rules both learners share (check_fit_pair, check_features,
-predict_rows), the seed rule (SEED) and the seeded random streams
-(seeded_rng) are defined here once. So are the one rule form and its one
-checker: a rule is a (test, requirement) pair, every rule table (the
-quote rule, the pricing terms, each config's fields, count arguments)
-maps names to rules, and check_fields raises for the first value whose
-test fails. The pricing terms take arrays; a config's number fields take
-their rules through scalar_rule, which refuses an array of one or more
-dimensions whatever its elements.
+predict_rows), the row-position rule of `Dataset.subset` and
+`write_csv(rows=)` (check_positions), the seed rule (SEED) and the
+seeded random streams (seeded_rng) are defined here once. So are the
+one rule form and its one checker: a rule is a (test, requirement)
+pair, every rule table (the quote rule, the pricing terms, each
+config's fields, count arguments) maps names to rules, and check_fields
+raises for the first value whose test fails. The pricing terms take
+arrays; a config's number fields take their rules through scalar_rule,
+which refuses an array of one or more dimensions whatever its elements.
 """
 
 from __future__ import annotations
@@ -283,25 +284,32 @@ class Dataset:
         )
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """The rows at `indices`, a sequence of integer positions in [0, len(self)).
-
-        A boolean mask or float positions would select the wrong rows
-        without an error, so every non-integer dtype is refused.
-        """
-        idx = np.asarray(indices)
-        if idx.size == 0:  # an empty list arrives as float64
-            idx = idx.astype(np.int64)
-        if idx.ndim != 1 or idx.dtype.kind not in "iu":
-            raise ValidationError(
-                f"indices: expected a 1-D sequence of integers, "
-                f"got dtype {idx.dtype} and shape {idx.shape}"
-            )
-        outside = idx[(idx < 0) | (idx >= len(self))]
-        if outside.size:
-            raise ValidationError(
-                f"indices: every position must lie in [0, {len(self)}), got {int(outside[0])}"
-            )
+        """The rows at `indices`, integer positions in [0, len(self)) (see check_positions)."""
+        idx = check_positions(indices, len(self), "indices")
         return Dataset(self.features[idx], self.targets[idx])
+
+
+def check_positions(indices, n: int, name: str) -> np.ndarray:
+    """`indices` as a 1-D integer array of row positions in [0, n).
+
+    A boolean mask or float positions would select the wrong rows
+    without an error, so every non-integer dtype is refused; `name`
+    heads the error.
+    """
+    idx = np.asarray(indices)
+    if idx.size == 0:  # an empty list arrives as float64
+        idx = idx.astype(np.int64)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValidationError(
+            f"{name}: expected a 1-D sequence of integers, "
+            f"got dtype {idx.dtype} and shape {idx.shape}"
+        )
+    outside = idx[(idx < 0) | (idx >= n)]
+    if outside.size:
+        raise ValidationError(
+            f"{name}: every position must lie in [0, {n}), got {int(outside[0])}"
+        )
+    return idx
 
 
 def check_fit_pair(train: Dataset, val: Dataset) -> None:

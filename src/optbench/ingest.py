@@ -14,7 +14,9 @@ every float with repr() so it round-trips bit-exactly, and an unknown
 chain carries the same 25 terms (its segment), so the writer formats
 each distinct segment and strike once, keeping up to _MAX_CACHED texts
 of each across its chunks, and writes a row as
-`code,strike,segment,midpoint`.
+`code,strike,segment,midpoint`. Given row positions (`rows=`), it
+writes those rows of the table, in that order, taking them one chunk at
+a time, so a part of a table is written without a copy of the part.
 
 Next to the CSV the writer leaves its binary twin: the table the text
 parses to, as a float64 `.npy` array named `.<csv name>.<sha256>.npy`
@@ -55,7 +57,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import QUOTE_COLUMNS, QUOTE_WIDTH, TERM_RULES, OptionType, check_fields, check_table
+from .core import (
+    QUOTE_COLUMNS,
+    QUOTE_WIDTH,
+    TERM_RULES,
+    OptionType,
+    check_fields,
+    check_positions,
+    check_table,
+)
 from .errors import CsvRowError, IncompatibleModelError, SchemaError, ValidationError
 from .gbdt import RoundRecord, Tree, TreeEnsemble
 from .mlp import Architecture, FeatureStats, LayerSpec, NetworkParams
@@ -117,8 +127,15 @@ def write_rows(path: str | Path, header: Iterable[str], rows: Iterable) -> Path:
     return write_file(path, (line.encode("utf-8") for line in lines))
 
 
-def write_csv(quotes, path: str | Path, *, twin: bool = True) -> Path:
+def write_csv(quotes, path: str | Path, *, twin: bool = True, rows=None) -> Path:
     """Write a quote table in the canonical 28-column layout, and its twin.
+
+    With `rows`, integer positions into the table (the rule of
+    `core.check_positions`), only those rows are written, in that order:
+    the same bytes, twin included, as writing `quotes[rows]`, but read
+    from the table one write chunk at a time, so no copy of the
+    selection is made. The option-type check covers the written rows
+    only. A refused `rows` writes nothing.
 
     The twin is keyed by the sha256 of the CSV bytes as they are
     written; twins of earlier contents of the same path are removed, and
@@ -126,9 +143,11 @@ def write_csv(quotes, path: str | Path, *, twin: bool = True) -> Path:
     written is only logged: the CSV still reads.
     """
     table = check_table(quotes)
-    check_fields(TERM_RULES, option_type=table[:, 0])
+    if rows is not None:
+        rows = check_positions(rows, len(table), "rows")
+    check_fields(TERM_RULES, option_type=table[:, 0] if rows is None else table[rows, 0])
     digest = hashlib.sha256()
-    chunks = _csv_chunks(table)
+    chunks = _csv_chunks(table, rows)
     path = write_file(path, _hashed(chunks, digest) if twin else chunks)
     own = _twin_path(path, digest.hexdigest()) if twin else None
     any_twin = glob.escape(f".{path.name}.") + "[0-9a-f]" * 64 + ".npy"
@@ -137,7 +156,7 @@ def write_csv(quotes, path: str | Path, *, twin: bool = True) -> Path:
             if old != own:
                 old.unlink(missing_ok=True)
         if own is not None:
-            write_file(own, _twin_chunks(table))
+            write_file(own, _twin_chunks(table, rows))
     except OSError as exc:
         logger.warning("%s: binary twin not written (%s); reads will parse the text", path, exc)
     return path
@@ -179,12 +198,19 @@ def _cached_texts(cells: np.ndarray, cache: dict[bytes, str], make) -> list[str]
     return [cache[key] for key in keys]
 
 
-def _csv_chunks(table: np.ndarray) -> Iterable[bytes]:
+def _row_chunks(table: np.ndarray, rows: np.ndarray | None) -> Iterable[np.ndarray]:
+    """The rows to write, _WRITE_CHUNK at a time: slices of the whole
+    table, or the table's rows at each run of `rows`, copied one run at a time."""
+    for start in range(0, len(table) if rows is None else len(rows), _WRITE_CHUNK):
+        span = slice(start, start + _WRITE_CHUNK)
+        yield table[span] if rows is None else table[rows[span]]
+
+
+def _csv_chunks(table: np.ndarray, rows: np.ndarray | None) -> Iterable[bytes]:
     yield (",".join(QUOTE_COLUMNS) + "\n").encode("utf-8")
     segments: dict[bytes, str] = {}  # the bits of a row's terms -> their text
     strikes: dict[bytes, str] = {}
-    for start in range(0, len(table), _WRITE_CHUNK):
-        chunk = table[start : start + _WRITE_CHUNK]
+    for chunk in _row_chunks(table, rows):
         lines = zip(
             [_TYPE_CODES[flag] for flag in chunk[:, 0].tolist()],
             _cached_texts(chunk[:, _STRIKE : _STRIKE + 1], strikes, _strike_texts),
@@ -206,12 +232,12 @@ def _twin_header(rows: int) -> bytes:
     return header.getvalue()
 
 
-def _twin_chunks(table: np.ndarray) -> Iterable[bytes]:
-    """The `.npy` bytes of what parsing the table's CSV gives: flags
-    exactly 1.0 or 0.0 and every NaN float('nan'); -0.0 and inf stay."""
-    yield _twin_header(len(table))
-    for start in range(0, len(table), _WRITE_CHUNK):
-        chunk = table[start : start + _WRITE_CHUNK].astype("<f8")
+def _twin_chunks(table: np.ndarray, rows: np.ndarray | None) -> Iterable[bytes]:
+    """The `.npy` bytes of what parsing the CSV of the written rows gives:
+    flags exactly 1.0 or 0.0 and every NaN float('nan'); -0.0 and inf stay."""
+    yield _twin_header(len(table) if rows is None else len(rows))
+    for chunk in _row_chunks(table, rows):
+        chunk = chunk.astype("<f8")
         chunk[:, 0] = chunk[:, 0] == 1.0
         chunk[np.isnan(chunk)] = math.nan
         yield chunk.tobytes()

@@ -68,7 +68,12 @@ def load(path: str | Path) -> tuple[FilterResult, str]:
 
 
 def parts(kept: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (train, val, test) quote rows of the kept quotes under `spec`."""
+    """The (train, val, test) quote rows of the kept quotes under `spec`.
+
+    Each part is a copy of its rows. When only one part is needed, index
+    `core.split_indices(len(kept), spec)` instead, as `evaluate` takes
+    `kept[test_idx]`: the same rows, without copying the other parts.
+    """
     return tuple(kept[idx] for idx in split_indices(len(kept), spec))
 
 

@@ -355,7 +355,7 @@ class TestBinaryTwin:
     def test_failed_twin_write_leaves_no_temporary_file(self, tmp_path, monkeypatch, caplog):
         quotes = chain_table(5, 4)
 
-        def failing(table):
+        def failing(table, rows):
             yield b"\x93NUMPY"
             raise OSError(28, "No space left on device")
 
@@ -432,6 +432,89 @@ class TestBinaryTwin:
         path = write_csv(quotes, tmp_path / "q.csv")
         assert path.read_bytes() == per_cell_csv(quotes)
         assert np.array_equal(bits(read_csv(path)), bits(self.parsed(path)))
+
+
+def written(directory: Path, quotes: np.ndarray, **kwargs) -> tuple[bytes, list[bytes]]:
+    """The CSV bytes and the twin bytes that write_csv leaves in a new `directory`."""
+    directory.mkdir()
+    path = write_csv(quotes, directory / "q.csv", **kwargs)
+    return path.read_bytes(), [twin.read_bytes() for twin in twins(directory)]
+
+
+class TestWriteRows:
+    """write_csv(rows=) writes the table's rows at `rows`, as writing their copy does."""
+
+    @pytest.mark.parametrize(
+        "select",
+        [
+            lambda n: np.random.default_rng(3).permutation(n)[: n - 300],
+            lambda n: [17],
+            lambda n: [],
+        ],
+        ids=["shuffled-across-chunks", "one-row", "zero-rows"],
+    )
+    def test_bytes_and_twin_are_those_of_the_copy(self, tmp_path, select):
+        quotes = chain_table(61, 120)  # 7,320 rows, over three write chunks
+        rows = select(len(quotes))
+        copy = quotes[np.asarray(rows, dtype=int)]
+        csv, twin = written(tmp_path / "rows", quotes, rows=rows)
+        assert (csv, twin) == written(tmp_path / "copy", copy)
+        assert csv == per_cell_csv(copy)
+        assert len(twin) == 1
+        if len(rows) == 0:
+            assert csv == (",".join(QUOTE_COLUMNS) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "column, value", [("implied_vol", np.nan), ("rate", -0.0), ("strike", -0.0)]
+    )
+    def test_nan_and_negative_zero_cells(self, tmp_path, column, value):
+        quotes = chain_table(8, 5)
+        rows = [31, 2, 17, 2, 0]
+        quotes[[2, 5], QUOTE_COLUMNS.index(column)] = value  # row 2 is written, twice
+        csv, twin = written(tmp_path / "rows", quotes, rows=rows)
+        assert (csv, twin) == written(tmp_path / "copy", quotes[rows])
+        assert csv == per_cell_csv(quotes[rows])
+
+    def test_without_twin(self, tmp_path):
+        quotes = chain_table(8, 5)
+        csv, twin = written(tmp_path / "rows", quotes, rows=[4, 3], twin=False)
+        assert (csv, twin) == (per_cell_csv(quotes[[4, 3]]), [])
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([True, False] * 20, r"dtype bool"),
+            ([0.7, 2.2], r"dtype float64"),
+            ([[0, 1]], r"shape \(1, 2\)"),
+            ([0, 40], r"\[0, 40\), got 40"),
+            ([-1, 2], r"\[0, 40\), got -1"),
+        ],
+        ids=["bool-mask", "floats", "2-D", "past-the-end", "negative"],
+    )
+    def test_refused_rows_write_nothing(self, tmp_path, rows, message):
+        with pytest.raises(ValidationError, match=rf"^rows: .*{message}"):
+            write_csv(chain_table(8, 5), tmp_path / "q.csv", rows=rows)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flag_check_covers_the_written_rows_only(self, tmp_path):
+        quotes = chain_table(8, 5)
+        quotes[6, 0] = 0.5
+        path = write_csv(quotes, tmp_path / "q.csv", rows=[5, 7])
+        assert path.read_bytes() == per_cell_csv(quotes[[5, 7]])
+        with pytest.raises(ValidationError, match="option_type: .* got 0.5"):
+            write_csv(quotes, tmp_path / "q.csv", rows=[5, 6])
+
+    def test_writes_without_a_copy_of_the_rows(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n = 40_000
+        quotes = np.repeat(chain_table(40, 10), n // 400, axis=0)
+        quotes[:, QUOTE_COLUMNS.index("midpoint")] = rng.uniform(1.0, 50.0, n)
+        rows = rng.permutation(n)[: 3 * n // 4]
+        copy = quotes[rows].nbytes
+        _, by_rows = traced_peak(lambda: write_csv(quotes, tmp_path / "a.csv", twin=False, rows=rows))
+        _, by_copy = traced_peak(lambda: write_csv(quotes[rows], tmp_path / "b.csv", twin=False))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert by_copy - by_rows >= 0.8 * copy, (by_rows, by_copy, copy)
 
 
 class TestModelFiles:
