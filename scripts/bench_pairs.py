@@ -10,8 +10,8 @@ in turn, `python3 perfbench/run.py --trace 0` runs once on each side, one
 run at a time, and the side that runs first alternates from seed to
 seed. The output keeps every run's result line and, per workload and
 end-to-end metric of BENCHMARK.json, each side's quartiles, the pairs
-the change wins and ties, and the ratio of the medians (change over
-parent). Stopped by SIGTERM or Ctrl-C, it kills the run in progress and
+the change wins and ties, the ratio of the medians (change over parent)
+and a verdict (see `verdict`). Stopped by SIGTERM or Ctrl-C, it kills the run in progress and
 removes the export before it exits. Uses git and the standard library only.
 """
 
@@ -64,12 +64,35 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return {"correct": False, "error": (done.stderr or done.stdout).strip()[-2000:]}
 
 
-def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
-    """Per workload and metric: quartiles, change wins and ties, median ratio."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """How the change's runs compare with the parent's, pair by pair.
+
+    "gain": the change wins at least 9 in 10 pairs (a tie counts for
+    neither side) and its median is better by more than the parent's
+    q3 - q1. "regression": its median is worse by more than bound x the
+    parent's median. "unresolved": neither, and the parent's q3 - q1 is
+    wider than bound x its median. "no change": any other case.
+    """
+    q1, median, q3 = statistics.quantiles(parent, n=4)
+    sign = 1 if better == "lower" else -1  # > 0 where the change is better
+    ahead = sign * (median - statistics.median(change))
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    if wins >= 0.9 * len(parent) and ahead > q3 - q1:
+        return "gain"
+    if -ahead > bound * abs(median):
+        return "regression"
+    if q3 - q1 > bound * abs(median):
+        return "unresolved"
+    return "no change"
+
+
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per workload and metric: quartiles, change wins and ties, median
+    ratio and verdict. `metrics` maps each name to its BENCHMARK.json entry."""
     summary: dict = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         summary[workload] = {}
-        for name, better in metrics.items():
+        for name, metric in metrics.items():
             value = {
                 (run["seed"], run["side"]): run["metrics"][name]["value"]
                 for run in runs
@@ -81,7 +104,7 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
                 continue
             parent = [value[seed, "parent"] for seed in seeds]
             change = [value[seed, "change"] for seed in seeds]
-            lower = better == "lower"
+            lower = metric["better"] == "lower"
             summary[workload][name] = {
                 "parent_q1_median_q3": statistics.quantiles(parent, n=4),
                 "change_q1_median_q3": statistics.quantiles(change, n=4),
@@ -89,6 +112,7 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
                 "ties": sum(c == p for p, c in zip(parent, change)),
                 "pairs": len(seeds),
                 "median_ratio": statistics.median(change) / statistics.median(parent),
+                "verdict": verdict(parent, change, metric["better"], metric["bound"]),
                 "seeds": seeds,
             }
     return summary
@@ -113,7 +137,7 @@ def main(argv=None) -> int:
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
     seconds = args.seconds or bench["run_seconds"]
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-", dir=args.tmp) as tmp:

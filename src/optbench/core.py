@@ -14,10 +14,12 @@ flag). A Dataset is the learners' fit pair, that feature matrix and the
 midpoint targets; the closed-form baselines read the quote rows
 themselves.
 
-The input rules both learners share (check_fit_pair, check_features,
-predict_rows), the row-position rule of `Dataset.subset` and
-`write_csv(rows=)` (check_positions), the seed rule (SEED) and the
-seeded random streams (seeded_rng) are defined here once. So are the
+The width rule of every matrix (check_width: the quote table, a
+Dataset's features, a model's input rows), the input rules both
+learners share (check_fit_pair, check_features, predict_rows), the
+row-position rule of `Dataset.subset` and `write_csv(rows=)`
+(check_positions), the seed rule (SEED) and the seeded random streams
+(seeded_rng) are defined here once. So are the
 one rule form and its one checker: a rule is a (test, requirement)
 pair, every rule table (the quote rule, the pricing terms, each
 config's fields, count arguments) maps names to rules, and check_fields
@@ -175,14 +177,12 @@ def check_fields(rules: dict[str, Rule], **values) -> None:
         raise ValidationError(f"{name}: {requirement}, got {value!r}")
 
 
-def check_table(quotes) -> np.ndarray:
-    """The quote table as a float64 array, after checking its shape."""
-    table = np.asarray(quotes, dtype=np.float64)
-    if table.ndim != 2 or table.shape[1] != QUOTE_WIDTH:
-        raise ValidationError(
-            f"quotes: expected a table of shape (n, {QUOTE_WIDTH}), got {table.shape}"
-        )
-    return table
+def check_width(rows, width: int, name: str) -> np.ndarray:
+    """`rows` as a float64 matrix of `width` columns; `name` heads the error."""
+    X = np.asarray(rows, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != width:
+        raise ValidationError(f"{name}: expected {width} columns, got shape {X.shape}")
+    return X
 
 
 def first_violation(table: np.ndarray) -> np.ndarray:
@@ -214,7 +214,7 @@ def filter_quotes(quotes) -> FilterResult:
     is dropped, `kept` is the checked table itself (for a float64 input,
     the caller's own array), not a copy.
     """
-    table = check_table(quotes)
+    table = check_width(quotes, QUOTE_WIDTH, "quotes")
     first = first_violation(table)
     counts = np.bincount(first[first >= 0], minlength=len(QUOTE_RULE))
     by_reason = {name: int(n) for name, n in zip(QUOTE_RULE, counts) if n}
@@ -242,12 +242,8 @@ class Dataset:
     _binnings: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
+        feats = check_width(self.features, FEATURE_COUNT, "features")
         targs = np.asarray(self.targets, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[1] != FEATURE_COUNT:
-            raise ValidationError(
-                f"features: expected shape (n, {FEATURE_COUNT}), got {feats.shape}"
-            )
         if targs.shape != (len(feats),):
             raise ValidationError(
                 f"targets: expected shape ({len(feats)},), got {targs.shape}"
@@ -265,7 +261,7 @@ class Dataset:
     @classmethod
     def from_quotes(cls, quotes) -> "Dataset":
         """Dataset of a quote table whose every row passes QUOTE_RULE."""
-        table = check_table(quotes)
+        table = check_width(quotes, QUOTE_WIDTH, "quotes")
         first = first_violation(table)
         bad = np.flatnonzero(first >= 0)
         if bad.size:
@@ -327,14 +323,6 @@ def check_features(features) -> np.ndarray:
         raise ValidationError(f"features: expected a non-empty 2-D array, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValidationError("features: all values must be finite")
-    return X
-
-
-def check_width(rows, width: int, name: str) -> np.ndarray:
-    """`rows` as a float64 matrix of `width` columns; `name` heads the error."""
-    X = np.asarray(rows, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != width:
-        raise ValidationError(f"{name}: expected {width} columns, got shape {X.shape}")
     return X
 
 

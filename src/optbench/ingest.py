@@ -21,11 +21,12 @@ a time, so a part of a table is written without a copy of the part.
 Next to the CSV the writer leaves its binary twin: the table the text
 parses to, as a float64 `.npy` array named `.<csv name>.<sha256>.npy`
 after the sha256 of the CSV's bytes (`twin=False` leaves none, for a
-CSV that no command reads back). Reading hashes the CSV and loads
-the twin of that digest if there is one; otherwise, and with one
-warning if that twin is not the `.npy` file of a 28-column float64
-table, it parses the text. So an edited, appended-to or copied-alone
-CSV reads its text, and a twin is safe to delete.
+CSV that no command reads back). Reading hashes the CSV in one
+streamed pass, without holding it, and loads the twin of that digest if
+there is one; otherwise, and with one warning if that twin is not the
+`.npy` file of a 28-column float64 table, it reads and parses the text.
+So an edited, appended-to or copied-alone CSV reads its text, and a
+twin is safe to delete.
 
 Parsing decodes each line on its own and tolerates up to 1% malformed
 data rows (skipped with a warning, each naming its 1-based line number),
@@ -64,7 +65,7 @@ from .core import (
     OptionType,
     check_fields,
     check_positions,
-    check_table,
+    check_width,
 )
 from .errors import CsvRowError, IncompatibleModelError, SchemaError, ValidationError
 from .gbdt import RoundRecord, Tree, TreeEnsemble
@@ -90,6 +91,7 @@ _TERMS = slice(_STRIKE + 1, _MIDPOINT)
 _WRITE_CHUNK = 2048  # rows formatted at a time, to bound memory
 _MAX_CACHED = 8192  # texts kept across chunks, to bound memory
 _ROW_BYTES = QUOTE_WIDTH * 8  # one row of the binary twin
+_HASH_BLOCK = 1 << 20  # bytes read at a time to hash a CSV
 
 
 def write_file(path: str | Path, chunks: Iterable[bytes]) -> Path:
@@ -142,7 +144,7 @@ def write_csv(quotes, path: str | Path, *, twin: bool = True, rows=None) -> Path
     with `twin=False` no new one is written. A twin that cannot be
     written is only logged: the CSV still reads.
     """
-    table = check_table(quotes)
+    table = check_width(quotes, QUOTE_WIDTH, "quotes")
     if rows is not None:
         rows = check_positions(rows, len(table), "rows")
     check_fields(TERM_RULES, option_type=table[:, 0] if rows is None else table[rows, 0])
@@ -254,11 +256,10 @@ def _load_twin(path: Path, twin: Path) -> np.ndarray | None:
             np.fromfile(twin, dtype=np.uint8, count=len(header)).tobytes() != header
         ):
             raise ValueError(f"not the .npy file of a {QUOTE_WIDTH}-column float64 table")
-        table = np.fromfile(twin, dtype="<f8", offset=len(header)).reshape(rows, QUOTE_WIDTH)
+        return np.fromfile(twin, dtype="<f8", offset=len(header)).reshape(rows, QUOTE_WIDTH)
     except (OSError, ValueError) as exc:
         logger.warning("%s: ignoring binary twin %s: %s; parsing the text", path, twin.name, exc)
         return None
-    return table
 
 
 def _parse_line(
@@ -288,8 +289,11 @@ def read_csv(
     """Read the quote table of a CSV written by write_csv.
 
     With `with_digest`, returns (table, sha256 hex digest of the file's
-    bytes), both from one read. The table comes from the CSV's binary
-    twin when one matches its bytes, else from parsing the text.
+    bytes). The file is hashed in one pass of _HASH_BLOCK reads, and the
+    table comes from the binary twin of that digest, so the text is
+    never held whole. Only when there is no usable twin are the bytes
+    read whole, hashed again and parsed: the digest is then that of the
+    bytes parsed.
 
     Raises SchemaError on a missing, undecodable or wrong header.
     Malformed data rows are collected with their line numbers; if more
@@ -298,20 +302,19 @@ def read_csv(
     not checked here; `filter_quotes` applies the validity rule.
     """
     path = Path(path)
-    blob = path.read_bytes()
-    digest = hashlib.sha256(blob).hexdigest()
-    twin = _twin_path(path, digest)
-    table = None
-    if twin.is_file():
-        blob = None  # freed before the table is loaded
-        table = _load_twin(path, twin)
+    digest, block = hashlib.sha256(), memoryview(bytearray(_HASH_BLOCK))
+    with io.FileIO(path) as fh:  # read-only, into one reused block
+        while size := fh.readinto(block):
+            digest.update(block[:size])
+    del block  # freed before the table is loaded
+    twin = _twin_path(path, digest.hexdigest())
+    table = _load_twin(path, twin) if twin.is_file() else None
     if table is None:
-        if blob is None:  # the twin was refused: read the text again
-            blob = path.read_bytes()
-            digest = hashlib.sha256(blob).hexdigest()
+        blob = path.read_bytes()
+        digest = hashlib.sha256(blob)
         lines, blob = blob.splitlines(), None
         table = _parse_lines(path, lines)
-    return (table, digest) if with_digest else table
+    return (table, digest.hexdigest()) if with_digest else table
 
 
 def _parse_lines(path: Path, lines: list[bytes]) -> np.ndarray:

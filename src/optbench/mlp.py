@@ -18,22 +18,24 @@ averages each batch's |residual| as the batch saw it, before its update.
 The layer arithmetic runs in place. `train_mlp` builds one workspace per
 fit, sized for min(n, batch_size) rows: an activation buffer per layer,
 one bool ReLU-mask buffer as wide as the widest ReLU layer, a residual
-buffer and a weight-gradient buffer per layer; each batch is gathered
-into one input buffer. A short last batch uses row-prefix views of the
-same buffers. Backward overwrites each activation once its gradient and
+buffer and a weight-gradient buffer per layer; each batch's raw rows
+are gathered into one input buffer and standardized there, so no
+standardized copy of a split is made. A short last batch uses
+row-prefix views of the same buffers. Backward overwrites each activation once its gradient and
 mask are taken, so the deltas need no buffers of their own. The
 operations and their order are those of the plain `a @ w.T + b`
 formulation, so the trained weights are the same bit for bit.
 
 Every forward pass (scoring and the end-of-epoch validation pass)
-works through the rows in blocks of _SCORE_BLOCK, as Keras
-`Model.predict` does in batches, with one activation buffer per layer
-sized for one block. Scoring memory is then set by the block, not by
-the row count. A matrix of at most one block runs the same single
-product per layer as a whole-matrix pass, so its predictions are the
-same bit for bit. A longer one may differ in the last bits: BLAS rounds
-a row according to where it sits in the product, so a row's
-prediction already depended on the matrix around it.
+works through the raw rows in blocks of _SCORE_BLOCK, as Keras
+`Model.predict` does in batches: each block is standardized into one
+input buffer, with one activation buffer per layer, all sized for one
+block. Scoring memory is then set by the block, not by the row count.
+A matrix of at most one block runs the same single product per layer
+as a whole-matrix pass, so its predictions are the same bit for bit. A
+longer one may differ in the last bits: BLAS rounds a row according to
+where it sits in the product, so a row's prediction already depended
+on the matrix around it.
 
 LayerSpec, Architecture and MlpTrainConfig each declare their field
 rules as one table checked by `core.check_fields`.
@@ -212,15 +214,19 @@ def _layer(
     return z
 
 
-def _forward_scaled(net: NetworkParams, scaled: np.ndarray) -> np.ndarray:
-    """Predictions for scaled rows, _SCORE_BLOCK rows at a time."""
-    n = len(scaled)
+def _forward_scaled(net: NetworkParams, rows: np.ndarray) -> np.ndarray:
+    """Predictions for raw rows, _SCORE_BLOCK rows at a time, each block
+    standardized into one reused buffer."""
+    n = len(rows)
     layers = net.architecture.layers
-    acts = [np.empty((min(n, _SCORE_BLOCK), spec.units)) for spec in layers]
+    block = min(n, _SCORE_BLOCK)
+    scaled = np.empty((block, net.n_inputs))
+    acts = [np.empty((block, spec.units)) for spec in layers]
     out = np.empty(n)
     for start in range(0, n, _SCORE_BLOCK):
-        a = scaled[start : start + _SCORE_BLOCK]
-        m = len(a)
+        m = min(n - start, _SCORE_BLOCK)
+        a = np.subtract(rows[start : start + m], net.stats.mean, out=scaled[:m])
+        a /= net.stats.std
         for spec, w, b, buf in zip(layers, net.weights, net.biases, acts):
             a = _layer(a, w, b, spec.activation == "relu", out=buf[:m])
         out[start : start + m] = a[:, 0]
@@ -229,9 +235,7 @@ def _forward_scaled(net: NetworkParams, scaled: np.ndarray) -> np.ndarray:
 
 def forward(net: NetworkParams, batch: np.ndarray) -> np.ndarray | float:
     """Predictions for one raw feature row (returns float) or a matrix."""
-    return predict_rows(
-        lambda X: _forward_scaled(net, standardize(X, net.stats)), batch, net.n_inputs, "batch"
-    )
+    return predict_rows(lambda X: _forward_scaled(net, X), batch, net.n_inputs, "batch")
 
 
 class _Workspace:
@@ -438,8 +442,6 @@ def train_mlp(
     check_fit_pair(train, val)
     stats = fit_feature_stats(train.features)
     net = init_network(architecture, train.features.shape[1], config.seed, stats)
-    scaled_train = standardize(train.features, stats)
-    scaled_val = standardize(val.features, stats)
     y_train = train.targets
     y_val = val.targets
     state = AdamState.for_network(net)
@@ -461,12 +463,14 @@ def train_mlp(
             abs_residual_sum = 0.0
             for start in range(0, n, config.batch_size):
                 batch = order[start : start + config.batch_size]
-                scaled = np.take(scaled_train, batch, axis=0, out=inputs[: len(batch)])
+                scaled = np.take(train.features, batch, axis=0, out=inputs[: len(batch)])
+                scaled -= stats.mean
+                scaled /= stats.std
                 grads_w, grads_b, residual = _backward_scaled(net, scaled, y_train[batch], ws)
                 abs_residual_sum += float(np.abs(residual).sum())
                 adam_step(net, state, grads_w, grads_b, lr)
             train_mae = abs_residual_sum / n
-            val_mae = float(np.mean(np.abs(_forward_scaled(net, scaled_val) - y_val)))
+            val_mae = float(np.mean(np.abs(_forward_scaled(net, val.features) - y_val)))
             if not (
                 math.isfinite(train_mae)
                 and math.isfinite(val_mae)

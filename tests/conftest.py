@@ -214,15 +214,16 @@ def per_node_grow_tree(
     return tree, node_of_row
 
 
-def full_matrix_forward(net, scaled: np.ndarray) -> np.ndarray:
-    """The oracle of `mlp._forward_scaled`: every row through each layer
-    in one product, a fresh array per operation.
+def full_matrix_forward(net, rows: np.ndarray) -> np.ndarray:
+    """The oracle of `mlp._forward_scaled`: the raw rows standardized as
+    one matrix, then every row through each layer in one product, a fresh
+    array per operation.
 
     A matrix of at most `mlp._SCORE_BLOCK` rows gives the same bits as
     the blocked pass; a longer one may differ in the last bits, since
     BLAS rounds a row by where it sits in the product.
     """
-    a = scaled
+    a = (np.asarray(rows, dtype=np.float64) - net.stats.mean) / net.stats.std
     for spec, w, b in zip(net.architecture.layers, net.weights, net.biases):
         z = a @ w.T + b
         a = np.maximum(z, 0.0) if spec.activation == "relu" else z

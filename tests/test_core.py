@@ -35,7 +35,7 @@ from optbench.core import (
     QUOTE_WIDTH,
     TERM_RULES,
     check_fields,
-    check_table,
+    check_width,
     first_violation,
 )
 
@@ -58,12 +58,13 @@ class TestOptionQuote:
     def test_nineteen_lags_rejected(self):
         # a table without all 20 lag columns has the wrong shape everywhere
         short = np.delete(make_quote(), QUOTE_COLUMNS.index("lag_20"), axis=1)
-        message = re.escape(f"quotes: expected a table of shape (n, {QUOTE_WIDTH})")
-        for fn in (check_table, filter_quotes, Dataset.from_quotes):
+        width = QUOTE_WIDTH
+        message = re.escape(f"quotes: expected {width} columns, got shape (1, {width - 1})")
+        for fn in (lambda q: check_width(q, width, "quotes"), filter_quotes, Dataset.from_quotes):
             with pytest.raises(ValidationError, match=message):
                 fn(short)
         with pytest.raises(ValidationError, match="quotes"):
-            check_table(np.ones(QUOTE_WIDTH))
+            check_width(np.ones(QUOTE_WIDTH), QUOTE_WIDTH, "quotes")
 
     def test_nonpositive_lag_rejected(self):
         assert reason(make_quote(lags=(0.0,) + (100.0,) * 19)) == "lags"

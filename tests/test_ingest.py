@@ -422,6 +422,34 @@ class TestBinaryTwin:
             tracemalloc.stop()
         assert text > table and peak < text + table / 2
 
+    def test_twin_read_never_holds_the_file(self, tmp_path):
+        # the digest is streamed through one 1 MiB block, freed before the
+        # twin loads, so a twin read holds the table and never the text
+        rng = np.random.default_rng(1)
+        quotes = rng.uniform(1.0, 100.0, size=(40_000, QUOTE_WIDTH))
+        quotes[:, 0] = rng.integers(0, 2, size=len(quotes))
+        path = write_csv(quotes, tmp_path / "q.csv")
+        table, peak = traced_peak(read_csv, path)
+        assert np.array_equal(bits(table), bits(quotes))
+        assert peak <= 1.2 * quotes.nbytes, (peak, quotes.nbytes)
+
+    def test_twin_text_and_refused_twin_reads_agree(self, tmp_path, caplog):
+        quotes = chain_table(40, 30)
+        path = write_csv(quotes, tmp_path / "q.csv")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        [twin] = twins(tmp_path)
+        reads = [read_csv(path, with_digest=True)]
+        moved = twin.rename(twin.with_name(twin.name + ".away"))
+        reads.append(read_csv(path, with_digest=True))
+        raw = moved.read_bytes()
+        twin.write_bytes(b"\x93NUMPY" + b"\0" * 10 + raw[16:])  # a corrupt header
+        with caplog.at_level(logging.WARNING):
+            reads.append(read_csv(path, with_digest=True))
+        assert "ignoring binary twin" in caplog.text
+        for table, read_digest in reads:
+            assert np.array_equal(bits(table), bits(quotes))
+            assert read_digest == digest
+
     @pytest.mark.parametrize("chunk, cached", [(16, 8), (7, 3), (_WRITE_CHUNK, 10**6)])
     def test_texts_kept_across_chunks(self, tmp_path, monkeypatch, chunk, cached):
         # shuffled chains, so segments and strikes recur across chunks, and

@@ -229,9 +229,10 @@ class TestInPlaceLayers:
 
     @ARCHITECTURES
     def test_forward_matches_allocating_oracle(self, arch):
-        net, scaled, _ = self.scaled_batch(arch, 50, seed=43)
+        ds = make_dataset(50, seed=43)
+        net = init_network(arch, 26, seed=43, stats=fit_feature_stats(ds.features))
         assert same_bits(
-            optbench.mlp._forward_scaled(net, scaled), full_matrix_forward(net, scaled)
+            optbench.mlp._forward_scaled(net, ds.features), full_matrix_forward(net, ds.features)
         )
 
     @ARCHITECTURES
@@ -318,6 +319,57 @@ class TestScoringBlocks:
         # the scaled rows and the result, plus one buffer per layer for one
         # block; the whole-matrix pass needs n * units * 8 bytes on top
         bound = ds.features.nbytes + n * 8 + BLOCK * units * 8 + 2**20
+        assert peak < bound, (peak, bound)
+
+
+class TestStandardizedWhereUsed:
+    """train_mlp standardizes each batch in its input buffer, and the
+    forward pass each block in its own, with the bits of one standardized
+    copy of the whole split."""
+
+    def test_each_batch_is_its_rows_of_the_standardized_split(self, monkeypatch):
+        train = make_dataset(150, seed=57)
+        val = make_dataset(20, seed=58)
+        cfg = MlpTrainConfig(max_epochs=3, batch_size=64, seed=10)
+        seen, forwarded = [], []
+        backward_scaled = optbench.mlp._backward_scaled
+        forward_scaled = optbench.mlp._forward_scaled
+
+        def recorded_backward(net, scaled, targets, ws):
+            seen.append(scaled.copy())
+            return backward_scaled(net, scaled, targets, ws)
+
+        def recorded_forward(net, rows):
+            forwarded.append(rows)
+            return forward_scaled(net, rows)
+
+        monkeypatch.setattr(optbench.mlp, "_backward_scaled", recorded_backward)
+        monkeypatch.setattr(optbench.mlp, "_forward_scaled", recorded_forward)
+        _, history = train_mlp(train, val, THREE_LAYER, cfg)
+        scaled = standardize(train.features, fit_feature_stats(train.features))
+        shuffle = optbench.mlp.seeded_rng(cfg.seed, (1,))
+        want = []
+        for _ in history:
+            order = shuffle.permutation(len(train))
+            want += [scaled[order[i : i + cfg.batch_size]] for i in range(0, len(train), 64)]
+        assert len(seen) == len(want) == 3 * 3
+        assert all(same_bits(got, rows) for got, rows in zip(seen, want))
+        # the validation pass is handed the raw rows themselves
+        assert all(rows is val.features for rows in forwarded) and len(forwarded) == 3
+
+    def test_training_holds_no_standardized_copy(self):
+        # one batch of every row, so the input buffer and workspace set the
+        # fit's memory; a standardized copy of the training rows adds their size
+        train = make_dataset(4000, seed=59)
+        val = make_dataset(BLOCK, seed=60)
+        arch = Architecture((LayerSpec(32, "relu"), LayerSpec(1, "linear")))
+        cfg = MlpTrainConfig(max_epochs=1, batch_size=len(train), seed=11)
+        _, peak = traced_peak(train_mlp, train, val, arch, cfg)
+        X = train.features.nbytes
+        # the input buffer and np.take's buffered copy of it, then the
+        # activations, relu mask and residual of every row
+        workspace = 2 * X + len(train) * (33 * 8 + 32 + 8)
+        bound = workspace + X // 2
         assert peak < bound, (peak, bound)
 
 
