@@ -35,22 +35,15 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import (
+    HistogramBin,
     ModelResult,
     compare_models,
     histogram,
     summary_stats,
-    write_histogram_csv,
     write_report,
     write_summary_csv,
 )
-from .ingest import (  # read_csv unused here: perfbench's tracer test looks it up on cli
-    load_model_and_manifest,
-    read_csv,
-    save_model,
-    write_csv,
-    write_file,
-    write_metrics_csv,
-)
+from .ingest import load_model_and_manifest, save_model, write_csv, write_file, write_rows
 from .simgen import SimConfig, generate_dataset
 from .tune import CANDIDATES, tune_gbdt
 
@@ -276,7 +269,7 @@ def cmd_train(cfg: dict, kind: str, out: Path) -> int:
     manifest = {"kind": kind, "hyperparameters": hyper, **identity}
     model_path = save_model(model, out / f"{kind}.model", manifest)
     if records:
-        write_metrics_csv(records, out / f"{kind}_metrics.csv")
+        write_rows(out / f"{kind}_metrics.csv", records[0]._fields, records)
     _write_json(
         {
             **manifest,
@@ -319,11 +312,6 @@ def cmd_tune(cfg: dict, kind: str, out: Path) -> int:
     )
     print(f"tuned {kind} in {seconds:.1f}s: candidate {result.winner}; config at {conf_path}")
     return EXIT_OK
-
-
-# the baselines by the names that tests import from this module
-_bs_implied_predictions = pipeline.bs_implied
-_bs_realized_predictions = pipeline.bs_realized
 
 
 def _training_seconds(side: Path) -> float | None:
@@ -414,7 +402,7 @@ def cmd_report(cfg: dict, out: Path) -> int:
             if values.size == 0:
                 continue
         stats[column] = summary_stats(values)
-        write_histogram_csv(histogram(values, n_bins), out / f"hist_{column}.csv")
+        write_rows(out / f"hist_{column}.csv", HistogramBin._fields, histogram(values, n_bins))
     write_summary_csv(stats, out / "summary.csv")
     width = max(len(c) for c in stats)
     print(f"{'column'.ljust(width)}  {'count':>8}  {'mean':>12}  {'std':>12}  "

@@ -259,7 +259,3 @@ def write_summary_csv(
         ("column", "count", "mean", "std", "min", "q25", "median", "q75", "max"),
         ((name, *s) for name, s in stats_by_column.items()),
     )
-
-
-def write_histogram_csv(bins: Sequence[HistogramBin], path: str | Path) -> Path:
-    return write_rows(path, HistogramBin._fields, bins)

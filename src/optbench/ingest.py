@@ -592,11 +592,3 @@ def load_model_and_manifest(path: str | Path) -> tuple[TreeEnsemble | NetworkPar
 def load_model(path: str | Path) -> TreeEnsemble | NetworkParams:
     """Load either model kind, with structural verification."""
     return load_model_and_manifest(path)[0]
-
-
-def write_metrics_csv(records, path: str | Path) -> Path:
-    """Per-round or per-epoch training log as CSV (header from the record type)."""
-    records = list(records)
-    if not records:
-        raise ValidationError("records: need at least one record")
-    return write_rows(path, records[0]._fields, records)

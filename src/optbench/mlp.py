@@ -19,23 +19,25 @@ The layer arithmetic runs in place. `train_mlp` builds one workspace per
 fit, sized for min(n, batch_size) rows: an activation buffer per layer,
 one bool ReLU-mask buffer as wide as the widest ReLU layer, a residual
 buffer and a weight-gradient buffer per layer; each batch's raw rows
-are gathered into one input buffer and standardized there, so no
-standardized copy of a split is made. A short last batch uses
-row-prefix views of the same buffers. Backward overwrites each activation once its gradient and
-mask are taken, so the deltas need no buffers of their own. The
-operations and their order are those of the plain `a @ w.T + b`
-formulation, so the trained weights are the same bit for bit.
+are gathered into one input buffer and standardized there by
+`standardize(..., out=)`, so no standardized copy of a split is made.
+A short last batch uses row-prefix views of the same buffers. Backward
+overwrites each activation once its gradient and mask are taken, so
+the deltas need no buffers of their own. The operations and their
+order are those of the plain `a @ w.T + b` formulation, so the trained
+weights are the same bit for bit.
 
 Every forward pass (scoring and the end-of-epoch validation pass)
 works through the raw rows in blocks of _SCORE_BLOCK, as Keras
 `Model.predict` does in batches: each block is standardized into one
-input buffer, with one activation buffer per layer, all sized for one
-block. Scoring memory is then set by the block, not by the row count.
-A matrix of at most one block runs the same single product per layer
-as a whole-matrix pass, so its predictions are the same bit for bit. A
-longer one may differ in the last bits: BLAS rounds a row according to
-where it sits in the product, so a row's prediction already depended
-on the matrix around it.
+input buffer through `standardize(..., out=)`, with one activation
+buffer per layer, all sized for one block. Scoring memory is then set
+by the block, not by the row count. A matrix of at most one block runs
+the same single product per layer as a whole-matrix pass, so its
+predictions are the same bit for bit. A longer one may differ in the
+last bits: BLAS rounds a row according to where it sits in the
+product, so a row's prediction already depended on the matrix around
+it.
 
 LayerSpec, Architecture and MlpTrainConfig each declare their field
 rules as one table checked by `core.check_fields`.
@@ -141,8 +143,11 @@ def fit_feature_stats(features: np.ndarray) -> FeatureStats:
     return FeatureStats(mean, std)
 
 
-def standardize(rows: np.ndarray, stats: FeatureStats) -> np.ndarray:
-    scaled = np.asarray(rows, dtype=np.float64) - stats.mean
+def standardize(
+    rows: np.ndarray, stats: FeatureStats, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(rows - mean) / std, into `out` when given (`out` may be `rows`)."""
+    scaled = np.subtract(np.asarray(rows, dtype=np.float64), stats.mean, out=out)
     scaled /= stats.std
     return scaled
 
@@ -225,8 +230,7 @@ def _forward_scaled(net: NetworkParams, rows: np.ndarray) -> np.ndarray:
     out = np.empty(n)
     for start in range(0, n, _SCORE_BLOCK):
         m = min(n - start, _SCORE_BLOCK)
-        a = np.subtract(rows[start : start + m], net.stats.mean, out=scaled[:m])
-        a /= net.stats.std
+        a = standardize(rows[start : start + m], net.stats, out=scaled[:m])
         for spec, w, b, buf in zip(layers, net.weights, net.biases, acts):
             a = _layer(a, w, b, spec.activation == "relu", out=buf[:m])
         out[start : start + m] = a[:, 0]
@@ -464,8 +468,7 @@ def train_mlp(
             for start in range(0, n, config.batch_size):
                 batch = order[start : start + config.batch_size]
                 scaled = np.take(train.features, batch, axis=0, out=inputs[: len(batch)])
-                scaled -= stats.mean
-                scaled /= stats.std
+                standardize(scaled, stats, out=scaled)
                 grads_w, grads_b, residual = _backward_scaled(net, scaled, y_train[batch], ws)
                 abs_residual_sum += float(np.abs(residual).sum())
                 adam_step(net, state, grads_w, grads_b, lr)

@@ -45,8 +45,9 @@ from optbench import (
     train_gbdt,
     train_mlp,
 )
-from optbench.cli import _bs_realized_predictions, main as cli_main
+from optbench.cli import main as cli_main
 from optbench.gbdt import NodeHistogram, _grow_tree
+from optbench.pipeline import bs_realized
 
 from conftest import ACCEPTANCE_RESULTS, make_dataset
 from test_gbdt import brute_force_best_split, exhaustive_partition_best_gain
@@ -351,7 +352,7 @@ def test_criterion_6_benchmark_ordering():
         mae10 = mae(predict_gbdt(g10, test.features), test.targets)
         g5 = train_gbdt(train, val, GbdtConfig(max_depth=5, num_rounds=500))
         mae5 = mae(predict_gbdt(g5, test.features), test.targets)
-        mae_rv = mae(_bs_realized_predictions(kept[test_idx]), test.targets)
+        mae_rv = mae(bs_realized(kept[test_idx]), test.targets)
 
         assert mae10 <= mae5
         assert mae10 < mae_rv

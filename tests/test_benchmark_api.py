@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import optbench as ob
-from optbench import cli as ob_cli, ingest, mlp
+from optbench import cli as ob_cli, ingest, mlp, pipeline
 from optbench.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,10 +62,10 @@ def test_tracer_targets_resolve():
         from tracer import TARGETS
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    # the CSV spans, traced where the CLI looks them up
+    # the CSV spans, traced where the commands look them up
     for span in ("ingest.read_csv", "ingest.write_csv"):
         assert TARGETS[span][:2] == ("optbench.ingest", span.split(".")[1])
-    assert ob_cli.read_csv is ingest.read_csv and ob_cli.write_csv is ingest.write_csv
+    assert pipeline.read_csv is ingest.read_csv and ob_cli.write_csv is ingest.write_csv
     for span, (module_name, attr, _) in TARGETS.items():
         owner = importlib.import_module(module_name)
         for part in attr.split("."):

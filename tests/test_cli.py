@@ -22,8 +22,6 @@ from optbench.blackscholes import VOL_FLOOR, bs_prices
 from optbench.cli import (
     KNOWN_KEYS,
     SECTIONS,
-    _bs_implied_predictions,
-    _bs_realized_predictions,
     build_config,
     build_parser,
     load_config,
@@ -32,6 +30,7 @@ from optbench.cli import (
 )
 from optbench.core import QUOTE_COLUMNS
 from optbench.errors import UsageError, ValidationError
+from optbench.pipeline import bs_implied, bs_realized
 from optbench.simgen import realized_vol
 
 from conftest import make_quote, make_quotes, same_bits
@@ -197,7 +196,7 @@ class TestTrain:
         assert side["training_seconds"] > 0
         metrics = (tmp_path / "gbdt5_metrics.csv").read_text().splitlines()
         assert metrics[0] == "round_index,eta,train_mae,val_mae"
-        assert len(metrics) == 4
+        assert [line.split(",")[0] for line in metrics[1:]] == ["0", "1", "2"]
 
     def test_model_file_reproducible(self, tmp_path):
         data = gen_tiny(tmp_path)
@@ -556,7 +555,7 @@ class TestBaselines:
 
     def test_realized_prices_at_each_rows_floored_realized_vol(self):
         expected = self.priced_each(lambda vol, lags: max(realized_vol(lags), VOL_FLOOR))
-        preds = _bs_realized_predictions(self.table())
+        preds = bs_realized(self.table())
         assert same_bits(preds, expected)
         # constant lags have realized vol 0, so that row prices at the floor
         flag, k, t, r, q, _, lags = self.ROWS[2]
@@ -565,13 +564,13 @@ class TestBaselines:
 
     def test_implied_prices_at_each_rows_implied_vol(self):
         expected = self.priced_each(lambda vol, lags: vol)
-        assert same_bits(_bs_implied_predictions(self.table()), expected)
+        assert same_bits(bs_implied(self.table()), expected)
 
     def test_implied_refuses_a_missing_implied_vol(self):
         table = self.table()
         table[1, QUOTE_COLUMNS.index("implied_vol")] = np.nan
         with pytest.raises(ValidationError, match="^implied_vol: 1 evaluation rows have no"):
-            _bs_implied_predictions(table)
+            bs_implied(table)
 
 
 class TestOneValidityRule:
@@ -659,16 +658,20 @@ class TestLoad:
 class TestReport:
     def test_summary_and_histograms(self, tmp_path, capsys):
         data = gen_tiny(tmp_path)
-        code = run("report", "--data", str(data), "--out", str(tmp_path))
+        code = run("report", "--data", str(data), "--out", str(tmp_path),
+                   "--set", "report.hist_bins=4")
         assert code == 0
         assert (tmp_path / "summary.csv").exists()
-        assert (tmp_path / "hist_midpoint.csv").exists()
         assert (tmp_path / "hist_implied_vol.csv").exists()
         out = capsys.readouterr().out
         assert "midpoint" in out
         summary = (tmp_path / "summary.csv").read_text().splitlines()
         assert summary[0].startswith("column,count")
-        assert any(line.startswith("midpoint,") for line in summary)
+        count = next(line for line in summary if line.startswith("midpoint,")).split(",")[1]
+        hist = (tmp_path / "hist_midpoint.csv").read_text().splitlines()
+        assert hist[0] == "lower,upper,count"
+        assert len(hist) == 5
+        assert sum(int(line.split(",")[2]) for line in hist[1:]) == int(count)
 
     def test_unexpected_exception_is_one_line_exit_2(self, tmp_path, capsys, monkeypatch):
         data = gen_tiny(tmp_path)

@@ -15,7 +15,8 @@ from optbench import (
     summary_stats,
     write_report,
 )
-from optbench.evaluation import write_histogram_csv, write_summary_csv
+from optbench.evaluation import HistogramBin, write_summary_csv
+from optbench.ingest import write_rows
 
 
 class TestPointMetrics:
@@ -219,7 +220,7 @@ class TestWriters:
 
     def test_write_histogram_csv(self, tmp_path):
         bins = histogram([1.0, 2.0, 2.5, 9.0], n_bins=4)
-        path = write_histogram_csv(bins, tmp_path / "hist.csv")
+        path = write_rows(tmp_path / "hist.csv", HistogramBin._fields, bins)
         lines = path.read_text().splitlines()
         assert lines[0] == "lower,upper,count"
         assert len(lines) == 5

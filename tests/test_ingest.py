@@ -44,7 +44,6 @@ from optbench.ingest import (
     _WRITE_CHUNK,
     load_model_and_manifest,
     write_file,
-    write_metrics_csv,
     write_rows,
 )
 
@@ -772,7 +771,7 @@ class TestMetricsCsv:
     def test_round_records(self, tmp_path):
         model_train = make_dataset(50, seed=9)
         model = train_gbdt(model_train, model_train, GbdtConfig(max_depth=2, num_rounds=3))
-        path = write_metrics_csv(model.history, tmp_path / "m.csv")
+        path = write_rows(tmp_path / "m.csv", model.history[0]._fields, model.history)
         lines = path.read_text().splitlines()
         assert lines[0] == "round_index,eta,train_mae,val_mae"
         assert len(lines) == 4

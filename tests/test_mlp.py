@@ -53,6 +53,20 @@ class TestStandardize:
         scaled = standardize(X, stats)
         assert scaled[:, 0].tolist() == [0.0, 1.0, 1.0]
 
+    def test_into_out_is_the_same_bits(self):
+        # train_mlp standardizes each batch in place, _forward_scaled each
+        # block into a row-prefix view of its buffer
+        X = make_dataset(30, seed=61).features
+        stats = fit_feature_stats(X)
+        want = standardize(X, stats)
+        buf = np.full((40, X.shape[1]), np.nan)
+        prefix = buf[: len(X)]
+        assert standardize(X, stats, out=prefix) is prefix
+        assert same_bits(prefix, want) and np.isnan(buf[len(X) :]).all()
+        rows = X.copy()
+        assert standardize(rows, stats, out=rows) is rows
+        assert same_bits(rows, want)
+
     def test_constant_column_safe(self):
         X = np.full((4, 1), 3.5)
         stats = fit_feature_stats(X)

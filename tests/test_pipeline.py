@@ -10,7 +10,6 @@ from optbench import (
     MlpTrainConfig,
     SplitSpec,
     ValidationError,
-    cli,
     mae,
     pipeline,
     read_csv,
@@ -83,11 +82,6 @@ def test_scores_are_the_report_cells(cli_run, library):
     scores.update({name: mae(preds, test.targets)
                    for name, preds in pipeline.baselines(rows[2]).items()})
     assert {name: repr(score) for name, score in scores.items()} == cells
-
-
-def test_cli_baseline_names_are_the_pipeline_functions():
-    assert cli._bs_implied_predictions is pipeline.bs_implied
-    assert cli._bs_realized_predictions is pipeline.bs_realized
 
 
 @pytest.mark.parametrize(
