@@ -98,6 +98,15 @@ def _broadcast_shape(*terms) -> tuple[int, ...]:
         ) from None
 
 
+def _erfc_once(x: np.ndarray) -> np.ndarray:
+    """math.erfc of each element, evaluated once per distinct bit pattern:
+    a quote table repeats its chains' terms, so most arguments recur."""
+    x = np.asarray(x, dtype=np.float64)
+    bits, inverse = np.unique(x.view(np.uint64), return_inverse=True)
+    values = np.asarray(_erfc(bits.view(np.float64)), dtype=np.float64)
+    return values[inverse].reshape(x.shape)
+
+
 def _prices(S, K, T, r, q, sigma, call):
     """Model prices and d1 of checked terms; `call` is boolean.
 
@@ -112,8 +121,8 @@ def _prices(S, K, T, r, q, sigma, call):
         )
     d1 = (np.log(S / K) + (r - q + 0.5 * sigma * sigma) * T) / vol_time
     sign = np.where(call, 1.0, -1.0)
-    n1 = 0.5 * np.asarray(_erfc(-(sign * d1) / _SQRT2), dtype=np.float64)
-    n2 = 0.5 * np.asarray(_erfc(-(sign * (d1 - vol_time)) / _SQRT2), dtype=np.float64)
+    n1 = 0.5 * _erfc_once(-(sign * d1) / _SQRT2)
+    n2 = 0.5 * _erfc_once(-(sign * (d1 - vol_time)) / _SQRT2)
     disc_s = S * np.exp(-q * T)
     disc_k = K * np.exp(-r * T)
     price = np.where(call, disc_s * n1 - disc_k * n2, disc_k * n2 - disc_s * n1)

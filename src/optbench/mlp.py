@@ -15,29 +15,31 @@ best validation epoch (or at `max_epochs`) and the returned parameters
 are the checkpoint from that best epoch. Like Keras, the logged train MAE
 averages each batch's |residual| as the batch saw it, before its update.
 
-The layer arithmetic runs in place. `train_mlp` builds one workspace per
-fit, sized for min(n, batch_size) rows: an activation buffer per layer,
-one bool ReLU-mask buffer as wide as the widest ReLU layer, a residual
-buffer and a weight-gradient buffer per layer; each batch's raw rows
-are gathered into one input buffer and standardized there by
-`standardize(..., out=)`, so no standardized copy of a split is made.
-A short last batch uses row-prefix views of the same buffers. Backward
-overwrites each activation once its gradient and mask are taken, so
-the deltas need no buffers of their own. The operations and their
-order are those of the plain `a @ w.T + b` formulation, so the trained
-weights are the same bit for bit.
+The layer arithmetic runs in place, in the buffers of a workspace
+(`_Workspace`): acts[0] for the standardized inputs and an activation
+buffer per layer after it, one bool ReLU-mask buffer as wide as the
+widest ReLU layer, a residual buffer and a weight-gradient buffer per
+layer. `_forward` is the one layer pass, from acts[0] through each
+layer into the next buffer. `train_mlp` builds one workspace per fit,
+sized for min(n, batch_size) rows, and gathers each batch's raw rows
+into acts[0] and standardizes them there, so no standardized copy of a
+split is made; `backward` standardizes its batch into a workspace of
+its own. A short last batch uses row-prefix views of the same buffers.
+Backward overwrites each activation once its gradient and mask are
+taken, so the deltas need no buffers of their own. The operations and
+their order are those of the plain `a @ w.T + b` formulation, so the
+trained weights are the same bit for bit.
 
 Every forward pass (scoring and the end-of-epoch validation pass)
 works through the raw rows in blocks of _SCORE_BLOCK, as Keras
-`Model.predict` does in batches: each block is standardized into one
-input buffer through `standardize(..., out=)`, with one activation
-buffer per layer, all sized for one block. Scoring memory is then set
-by the block, not by the row count. A matrix of at most one block runs
-the same single product per layer as a whole-matrix pass, so its
-predictions are the same bit for bit. A longer one may differ in the
-last bits: BLAS rounds a row according to where it sits in the
-product, so a row's prediction already depended on the matrix around
-it.
+`Model.predict` does in batches: each block is standardized into the
+acts[0] of one block-sized workspace and run through `_forward`.
+Scoring memory is then set by the block, not by the row count. A
+matrix of at most one block runs the same single product per layer as
+a whole-matrix pass, so its predictions are the same bit for bit. A
+longer one may differ in the last bits: BLAS rounds a row according to
+where it sits in the product, so a row's prediction already depended
+on the matrix around it.
 
 LayerSpec, Architecture and MlpTrainConfig each declare their field
 rules as one table checked by `core.check_fields`.
@@ -152,10 +154,6 @@ def standardize(
     return scaled
 
 
-def _identity_stats(n_inputs: int) -> FeatureStats:
-    return FeatureStats(np.zeros(n_inputs), np.ones(n_inputs))
-
-
 @dataclass
 class NetworkParams:
     """Weights/biases per layer plus the input-scaling statistics.
@@ -199,7 +197,7 @@ def init_network(
         biases.append(np.zeros(spec.units))
         fan_in = spec.units
     if stats is None:
-        stats = _identity_stats(n_inputs)
+        stats = FeatureStats(np.zeros(n_inputs), np.ones(n_inputs))
     if stats.mean.shape != (n_inputs,) or stats.std.shape != (n_inputs,):
         raise ValidationError(
             f"stats: expected shape ({n_inputs},) arrays, got "
@@ -208,50 +206,49 @@ def init_network(
     return NetworkParams(architecture, weights, biases, stats)
 
 
-def _layer(
-    a: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool, out: np.ndarray | None = None
-) -> np.ndarray:
-    """relu(a @ w.T + b) (or without the relu), into `out` when given."""
-    z = np.matmul(a, w.T, out=out)
-    z += b
-    if relu:
-        np.maximum(z, 0.0, out=z)
-    return z
+class _Workspace:
+    """The buffers of one layer pass and its backward pass, for up to
+    `rows` rows: acts[0] takes the standardized inputs, acts[l + 1] the
+    output of layer l."""
+
+    def __init__(self, net: NetworkParams, rows: int) -> None:
+        layers = net.architecture.layers
+        widths = [net.n_inputs] + [spec.units for spec in layers]
+        self.acts = [np.empty((rows, units)) for units in widths]
+        width = max((spec.units for spec in layers if spec.activation == "relu"), default=0)
+        self.mask = np.empty(rows * width, dtype=bool)
+        self.residual = np.empty(rows)
+        self.grads_w = [np.empty_like(w) for w in net.weights]
+
+
+def _forward(net: NetworkParams, acts: list[np.ndarray]) -> np.ndarray:
+    """relu(a @ w.T + b) (or without the relu) of each layer, from acts[0]
+    into acts[l + 1]; returns the output layer's buffer."""
+    for spec, w, b, a, z in zip(net.architecture.layers, net.weights, net.biases, acts, acts[1:]):
+        np.matmul(a, w.T, out=z)
+        z += b
+        if spec.activation == "relu":
+            np.maximum(z, 0.0, out=z)
+    return acts[-1]
 
 
 def _forward_scaled(net: NetworkParams, rows: np.ndarray) -> np.ndarray:
-    """Predictions for raw rows, _SCORE_BLOCK rows at a time, each block
-    standardized into one reused buffer."""
+    """Predictions for raw rows, _SCORE_BLOCK rows at a time through one
+    block-sized workspace."""
     n = len(rows)
-    layers = net.architecture.layers
-    block = min(n, _SCORE_BLOCK)
-    scaled = np.empty((block, net.n_inputs))
-    acts = [np.empty((block, spec.units)) for spec in layers]
+    ws = _Workspace(net, min(n, _SCORE_BLOCK))
     out = np.empty(n)
     for start in range(0, n, _SCORE_BLOCK):
         m = min(n - start, _SCORE_BLOCK)
-        a = standardize(rows[start : start + m], net.stats, out=scaled[:m])
-        for spec, w, b, buf in zip(layers, net.weights, net.biases, acts):
-            a = _layer(a, w, b, spec.activation == "relu", out=buf[:m])
-        out[start : start + m] = a[:, 0]
+        acts = [buf[:m] for buf in ws.acts]
+        standardize(rows[start : start + m], net.stats, out=acts[0])
+        out[start : start + m] = _forward(net, acts)[:, 0]
     return out
 
 
 def forward(net: NetworkParams, batch: np.ndarray) -> np.ndarray | float:
     """Predictions for one raw feature row (returns float) or a matrix."""
     return predict_rows(lambda X: _forward_scaled(net, X), batch, net.n_inputs, "batch")
-
-
-class _Workspace:
-    """The buffers of `_backward_scaled` for batches of up to `rows` rows."""
-
-    def __init__(self, net: NetworkParams, rows: int) -> None:
-        layers = net.architecture.layers
-        self.acts = [np.empty((rows, spec.units)) for spec in layers]
-        width = max((spec.units for spec in layers if spec.activation == "relu"), default=0)
-        self.mask = np.empty(rows * width, dtype=bool)
-        self.residual = np.empty(rows)
-        self.grads_w = [np.empty_like(w) for w in net.weights]
 
 
 def _backward_scaled(
@@ -264,12 +261,10 @@ def _backward_scaled(
     """
     m = len(targets)
     layers = net.architecture.layers
-    acts = [scaled] + [buf[:m] for buf in ws.acts]
-    for l, (spec, w, b) in enumerate(zip(layers, net.weights, net.biases)):
-        _layer(acts[l], w, b, spec.activation == "relu", out=acts[l + 1])
-    residual = np.subtract(acts[-1][:, 0], targets, out=ws.residual[:m])
-    # d(mean |r|)/d(pred): sign(r)/n, with sign(0) = 0; the spent output holds it
-    delta = acts[-1]
+    acts = [scaled] + [buf[:m] for buf in ws.acts[1:]]
+    delta = _forward(net, acts)  # the output, spent once its residual is taken
+    residual = np.subtract(delta[:, 0], targets, out=ws.residual[:m])
+    # d(mean |r|)/d(pred): sign(r)/n, with sign(0) = 0
     np.sign(residual, out=delta[:, 0])
     delta /= m
     grads_w = ws.grads_w
@@ -303,7 +298,7 @@ def backward(
             f"targets: expected shape ({X.shape[0]},), got {y.shape}"
         )
     ws = _Workspace(net, len(y))
-    return _backward_scaled(net, standardize(X, net.stats), y, ws)[:2]
+    return _backward_scaled(net, standardize(X, net.stats, out=ws.acts[0]), y, ws)[:2]
 
 
 @dataclass
@@ -456,9 +451,7 @@ def train_mlp(
     best_epoch = 0
     history: list[EpochRecord] = []
     n = len(y_train)
-    rows = min(n, config.batch_size)
-    ws = _Workspace(net, rows)
-    inputs = np.empty((rows, net.n_inputs))
+    ws = _Workspace(net, min(n, config.batch_size))
     # a diverging run overflows on the way; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.max_epochs + 1):
@@ -467,7 +460,7 @@ def train_mlp(
             abs_residual_sum = 0.0
             for start in range(0, n, config.batch_size):
                 batch = order[start : start + config.batch_size]
-                scaled = np.take(train.features, batch, axis=0, out=inputs[: len(batch)])
+                scaled = np.take(train.features, batch, axis=0, out=ws.acts[0][: len(batch)])
                 standardize(scaled, stats, out=scaled)
                 grads_w, grads_b, residual = _backward_scaled(net, scaled, y_train[batch], ws)
                 abs_residual_sum += float(np.abs(residual).sum())

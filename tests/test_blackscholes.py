@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from optbench import (
     NoSolutionError,
     OptionType,
     ValidationError,
+    blackscholes,
     bs_price,
     bs_prices,
     implied_vol,
@@ -262,6 +264,23 @@ def random_terms(n: int, seed: int) -> tuple:
     )
 
 
+def repeated_grid(seed: int) -> tuple:
+    """Call and put rows over a few shared terms, each row three times in a
+    shuffled order. One at-the-money pair has d1 exactly 0 (r - q equals
+    -sigma^2/2), so the kernel's erfc arguments include -0.0 and 0.0."""
+    sigma = 0.2
+    rows = list(
+        itertools.product(
+            (90.0, 100.0, 110.0), (95.0, 100.0), (0.25, 1.0), (0.0, 0.02), (0.01,),
+            (sigma, 0.3), (True, False),
+        )
+    )
+    rows += [(100.0, 100.0, 1.0, 0.0, 0.5 * sigma * sigma, sigma, call) for call in (True, False)]
+    table = np.array(rows * 3, dtype=np.float64)
+    table = table[np.random.default_rng(seed).permutation(len(table))]
+    return (*table[:, :6].T, table[:, 6] == 1.0)
+
+
 class TestKernel:
     def test_matches_math_oracle(self):
         terms = random_terms(100_000, seed=31)
@@ -272,12 +291,30 @@ class TestKernel:
         assert np.all(np.abs(prices - expected) <= tol)
 
     def test_scalar_wrapper_is_the_kernel(self):
-        terms = random_terms(2000, seed=32)
-        prices = bs_prices(*terms)
-        for i, (s, k, t, r, q, sigma, call) in enumerate(zip(*(t.tolist() for t in terms))):
-            kind = OptionType.CALL if call else OptionType.PUT
-            price = bs_price(BsInputs(s, k, t, r, q, sigma, kind))
-            assert np.float64(price).view(np.uint64) == prices[i:i + 1].view(np.uint64)[0]
+        # random rows, then a grid whose rows, and so erfc arguments, recur
+        for terms in (random_terms(2000, seed=32), repeated_grid(seed=33)):
+            prices = bs_prices(*terms)
+            for i, (s, k, t, r, q, sigma, call) in enumerate(zip(*(t.tolist() for t in terms))):
+                kind = OptionType.CALL if call else OptionType.PUT
+                price = bs_price(BsInputs(s, k, t, r, q, sigma, kind))
+                assert np.float64(price).view(np.uint64) == prices[i:i + 1].view(np.uint64)[0]
+
+    def test_each_distinct_erfc_argument_is_evaluated_once(self, monkeypatch):
+        erfc = blackscholes._erfc
+        arguments = []
+
+        def recorded(x):
+            arguments.append(np.asarray(x, dtype=np.float64).view(np.uint64).ravel().tolist())
+            return erfc(x)
+
+        monkeypatch.setattr(blackscholes, "_erfc", recorded)
+        terms = repeated_grid(seed=34)
+        bs_prices(*terms)
+        assert len(arguments) == 2  # N(d1) and N(d2), one call each
+        for evaluated in arguments:
+            assert len(evaluated) == len(set(evaluated)) <= len(terms[0]) // 3
+        signed_zeros = {int(np.float64(z).view(np.uint64)) for z in (0.0, -0.0)}
+        assert signed_zeros <= set(arguments[0])
 
     def test_flags_broadcasting_and_shapes(self):
         s = np.array([90.0, 100.0, 110.0])

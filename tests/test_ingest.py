@@ -449,12 +449,10 @@ class TestBinaryTwin:
             assert np.array_equal(bits(table), bits(quotes))
             assert read_digest == digest
 
-    @pytest.mark.parametrize("chunk, cached", [(16, 8), (7, 3), (_WRITE_CHUNK, 10**6)])
-    def test_texts_kept_across_chunks(self, tmp_path, monkeypatch, chunk, cached):
-        # shuffled chains, so segments and strikes recur across chunks, and
-        # caches small enough to be cleared between them
+    @pytest.mark.parametrize("chunk", [16, 7, _WRITE_CHUNK])
+    def test_texts_kept_across_chunks(self, tmp_path, monkeypatch, chunk):
+        # shuffled chains, so segments and strikes recur across chunks
         monkeypatch.setattr(ingest, "_WRITE_CHUNK", chunk)
-        monkeypatch.setattr(ingest, "_MAX_CACHED", cached)
         quotes = chain_table(40, 8)
         path = write_csv(quotes, tmp_path / "q.csv")
         assert path.read_bytes() == per_cell_csv(quotes)
