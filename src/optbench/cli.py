@@ -43,7 +43,7 @@ from .evaluation import (
     write_report,
     write_summary_csv,
 )
-from .ingest import load_model_and_manifest, save_model, write_csv, write_file, write_rows
+from .ingest import load_model, save_model, write_csv, write_file, write_rows
 from .simgen import SimConfig, generate_dataset
 from .tune import CANDIDATES, tune_gbdt
 
@@ -343,7 +343,7 @@ def cmd_evaluate(cfg: dict, model_paths: list[str], include_bs: bool, out: Path)
     results = []
     for raw_path in model_paths:
         path = Path(raw_path)
-        model, manifest = load_model_and_manifest(path)
+        model, manifest = load_model(path)
         name = manifest.get("kind", path.stem)
         if not isinstance(name, str):
             raise IncompatibleModelError(f"{path}: manifest kind is not a str")

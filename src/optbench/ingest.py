@@ -22,24 +22,27 @@ a time, so a part of a table is written without a copy of the part.
 Next to the CSV the writer leaves its binary twin: the table the text
 parses to, as a float64 `.npy` array named `.<csv name>.<sha256>.npy`
 after the sha256 of the CSV's bytes (`twin=False` leaves none, for a
-CSV that no command reads back). Reading hashes the CSV in one
-streamed pass, without holding it, and loads the twin of that digest if
-there is one; otherwise, and with one warning if that twin is not the
-`.npy` file of a 28-column float64 table, it reads and parses the text.
-So an edited, appended-to or copied-alone CSV reads its text, and a
-twin is safe to delete.
+CSV that no command reads back). `read_csv` returns the table and the
+CSV's digest from one call. It hashes the CSV in one streamed pass,
+without holding it, and loads the twin of that digest if there is one;
+otherwise, and with one warning if that twin is not the `.npy` file of
+a 28-column float64 table, it streams the text a second time, a line at
+a time, hashing what it parses. So an edited, appended-to or
+copied-alone CSV reads its text, and a twin is safe to delete.
 
 Parsing decodes each line on its own and tolerates up to 1% malformed
 data rows (skipped with a warning, each naming its 1-based line number),
 a line that is not UTF-8 included; beyond that it aborts. It parses a
-line's terms only when their text differs from the last good line's.
+line's terms only when their text differs from the last good line's,
+and packs each good row onto one growing buffer that becomes the table.
 
 Model files are an 8-byte magic prefix plus one JSON document:
 
     {"format_version": 1, "kind": ..., "manifest": {...}, "model": {...}}
 
-The magic distinguishes tree ensembles from networks before parsing.
-File bytes are a pure function of the model and manifest passed in;
+The magic distinguishes tree ensembles from networks before parsing,
+and `load_model` returns the model and its manifest from one read. File
+bytes are a pure function of the model and manifest passed in;
 nothing time- or machine-dependent is written, so retraining with the
 same inputs reproduces the file byte for byte.
 """
@@ -54,8 +57,9 @@ import json
 import logging
 import math
 import os
+import struct
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -90,7 +94,7 @@ _MIDPOINT = QUOTE_COLUMNS.index("midpoint")
 # chain repeats: spot, rate, yield, maturity, implied vol and the lags.
 _TERMS = slice(_STRIKE + 1, _MIDPOINT)
 _WRITE_CHUNK = 2048  # rows formatted at a time, to bound memory
-_ROW_BYTES = QUOTE_WIDTH * 8  # one row of the binary twin
+_ROW = struct.Struct(f"{QUOTE_WIDTH}d")  # one table row of doubles
 _HASH_BLOCK = 1 << 20  # bytes read at a time to hash a CSV
 
 
@@ -247,9 +251,9 @@ def _load_twin(path: Path, twin: Path) -> np.ndarray | None:
     some row count n, then n rows of values. Else None, with a warning."""
     try:
         size = twin.stat().st_size
-        rows = max(size - len(_twin_header(0)), 0) // _ROW_BYTES
+        rows = max(size - len(_twin_header(0)), 0) // _ROW.size
         header = _twin_header(rows)
-        if size != len(header) + rows * _ROW_BYTES or (
+        if size != len(header) + rows * _ROW.size or (
             np.fromfile(twin, dtype=np.uint8, count=len(header)).tobytes() != header
         ):
             raise ValueError(f"not the .npy file of a {QUOTE_WIDTH}-column float64 table")
@@ -259,13 +263,12 @@ def _load_twin(path: Path, twin: Path) -> np.ndarray | None:
         return None
 
 
-def _parse_line(
-    line: bytes, last_terms: list[str] | None, last_values: list[float] | None
-) -> tuple[float, float, list[str], list[float], float]:
-    """(flag, strike, term cells, term values, midpoint) of one data line.
+def _parse_line(line: bytes, last: tuple) -> tuple[list[str], list[float], bytes]:
+    """(term cells, term values, row) of one data line, given those of the
+    last good line; the row is the line's table row as packed doubles.
 
-    The term values are reused from the last good line when its term
-    cells read the same: equal text parses to equal floats.
+    The term values are the last good line's when its term cells read
+    the same: equal text parses to equal floats.
     """
     cells = line.decode("utf-8").split(",")
     if len(cells) != QUOTE_WIDTH:
@@ -276,21 +279,19 @@ def _parse_line(
     strike = float(cells[_STRIKE])
     cells[_VOL] = cells[_VOL] or "nan"
     terms = cells[_TERMS]
-    values = last_values if terms == last_terms else list(map(float, terms))
-    return flag, strike, terms, values, float(cells[_MIDPOINT])
+    values = last[1] if terms == last[0] else list(map(float, terms))
+    return terms, values, _ROW.pack(flag, strike, *values, float(cells[_MIDPOINT]))
 
 
-def read_csv(
-    path: str | Path, *, with_digest: bool = False
-) -> np.ndarray | tuple[np.ndarray, str]:
-    """Read the quote table of a CSV written by write_csv.
+def read_csv(path: str | Path) -> tuple[np.ndarray, str]:
+    """The quote table of a CSV written by write_csv, and the sha256 hex
+    digest of the file's bytes.
 
-    With `with_digest`, returns (table, sha256 hex digest of the file's
-    bytes). The file is hashed in one pass of _HASH_BLOCK reads, and the
-    table comes from the binary twin of that digest, so the text is
-    never held whole. Only when there is no usable twin are the bytes
-    read whole, hashed again and parsed: the digest is then that of the
-    bytes parsed.
+    The file is hashed in one pass of _HASH_BLOCK reads, and the table
+    comes from the binary twin of that digest, so the text is never held
+    whole. Only when there is no usable twin is the file read a second
+    time, a line at a time, hashed as it is parsed: the digest is then
+    that of the bytes parsed. A line ends at LF, CR LF or a lone CR.
 
     Raises SchemaError on a missing, undecodable or wrong header.
     Malformed data rows are collected with their line numbers; if more
@@ -307,18 +308,21 @@ def read_csv(
     twin = _twin_path(path, digest.hexdigest())
     table = _load_twin(path, twin) if twin.is_file() else None
     if table is None:
-        blob = path.read_bytes()
-        digest = hashlib.sha256(blob)
-        lines, blob = blob.splitlines(), None
-        table = _parse_lines(path, lines)
-    return (table, digest.hexdigest()) if with_digest else table
+        digest = hashlib.sha256()
+        with io.BufferedReader(io.FileIO(path)) as fh:
+            # the reader ends a line at LF only; splitlines also splits at a
+            # lone CR and drops the line ends, as splitting the whole file would
+            lines = itertools.chain.from_iterable(map(bytes.splitlines, _hashed(fh, digest)))
+            table = _parse_lines(path, lines)
+    return table, digest.hexdigest()
 
 
-def _parse_lines(path: Path, lines: list[bytes]) -> np.ndarray:
-    if not lines:
+def _parse_lines(path: Path, lines: Iterator[bytes]) -> np.ndarray:
+    header = next(lines, None)
+    if header is None:
         raise SchemaError(f"{path}: empty file, expected a header row")
     try:
-        header = tuple(lines[0].decode("utf-8").split(","))
+        header = tuple(header.decode("utf-8").split(","))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: header is not UTF-8 text: {exc}") from exc
     if header != QUOTE_COLUMNS:
@@ -326,29 +330,20 @@ def _parse_lines(path: Path, lines: list[bytes]) -> np.ndarray:
             f"{path}: header mismatch; expected {','.join(QUOTE_COLUMNS)!r}, "
             f"got {','.join(header)!r}"
         )
-    table = np.empty((len(lines) - 1, QUOTE_WIDTH))
-    n = run = 0  # rows read; first row of the current run of equal terms
-    terms = values = None
+    rows = bytearray()  # the good rows, packed
+    last: tuple = (None, None)  # no good line yet
     bad_rows: list[tuple[int, str]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line:
             continue
         try:
-            flag, strike, line_terms, line_values, midpoint = _parse_line(line, terms, values)
+            last = _parse_line(line, last)
         except ValueError as exc:  # UnicodeDecodeError included
             bad_rows.append((lineno, str(exc)))
             continue
-        if line_values is not values:
-            if n:
-                table[run:n, _TERMS] = values
-            run, terms, values = n, line_terms, line_values
-        table[n, 0] = flag
-        table[n, _STRIKE] = strike
-        table[n, _MIDPOINT] = midpoint
-        n += 1
-    if n:
-        table[run:n, _TERMS] = values
-    total = n + len(bad_rows)
+        rows += last[2]
+    table = np.frombuffer(rows).reshape(-1, QUOTE_WIDTH)
+    total = len(table) + len(bad_rows)
     if bad_rows:
         if len(bad_rows) > MAX_BAD_ROW_FRACTION * total:
             shown = "; ".join(f"line {ln}: {msg}" for ln, msg in bad_rows[:5])
@@ -360,7 +355,7 @@ def _parse_lines(path: Path, lines: list[bytes]) -> np.ndarray:
             )
         for ln, msg in bad_rows:
             logger.warning("%s: skipping malformed line %d: %s", path, ln, msg)
-    return table[:n]
+    return table
 
 
 def _tree_payload(tree: Tree) -> dict:
@@ -568,11 +563,9 @@ def _rebuild_network(payload: dict) -> NetworkParams:
     )
 
 
-def load_model_and_manifest(path: str | Path) -> tuple[TreeEnsemble | NetworkParams, dict]:
-    """Either model kind, with structural verification, and its manifest.
-
-    The file is read and parsed once for both.
-    """
+def load_model(path: str | Path) -> tuple[TreeEnsemble | NetworkParams, dict]:
+    """Either model kind, with structural verification, and its manifest,
+    from one read and one parse of the file."""
     path = Path(path)
     kind, doc = _read_doc(path)
     manifest = doc.get("manifest", {})
@@ -584,8 +577,3 @@ def load_model_and_manifest(path: str | Path) -> tuple[TreeEnsemble | NetworkPar
     except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise IncompatibleModelError(f"{path}: malformed model payload: {exc}") from exc
     return model, manifest
-
-
-def load_model(path: str | Path) -> TreeEnsemble | NetworkParams:
-    """Load either model kind, with structural verification."""
-    return load_model_and_manifest(path)[0]

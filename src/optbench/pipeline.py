@@ -56,7 +56,7 @@ CONFIGS = {"gbdt": GbdtConfig, "mlp": MlpTrainConfig}
 def load(path: str | Path) -> tuple[FilterResult, str]:
     """The usable quotes of a dataset CSV, and the sha256 of its bytes, from
     one read; a file with no usable quotes is a ValidationError."""
-    quotes, digest = read_csv(path, with_digest=True)
+    quotes, digest = read_csv(path)
     result = filter_quotes(quotes)
     if result.dropped_count:
         logger.warning(

@@ -401,7 +401,7 @@ def test_criterion_7_noiseless_round_trip(tmp_path):
 
         from optbench import read_csv
 
-        ds = Dataset.from_quotes(filter_quotes(read_csv(data)).kept)
+        ds = Dataset.from_quotes(filter_quotes(read_csv(data)[0]).kept)
         _, _, test = split_dataset(ds, SplitSpec(seed=77))
         mean_mid = float(test.targets.mean())
         g_mae = float(rows["gbdt10"]["mae"])
@@ -502,7 +502,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
         val_ds = make_dataset(100, seed=911)
         g = train_gbdt(train_ds, val_ds, GbdtConfig(max_depth=4, num_rounds=6))
         g_path = save_model(g, tmp_path / "g.model")
-        g_back = load_model(g_path)
+        g_back, _ = load_model(g_path)
         assert np.array_equal(
             predict_gbdt(g, probe.features), predict_gbdt(g_back, probe.features)
         )
@@ -514,7 +514,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path):
             MlpTrainConfig(max_epochs=3, batch_size=128, seed=6),
         )
         n_path = save_model(net, tmp_path / "n.model")
-        n_back = load_model(n_path)
+        n_back, _ = load_model(n_path)
         assert np.array_equal(
             forward(net, probe.features), forward(n_back, probe.features)
         )

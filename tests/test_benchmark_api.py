@@ -62,15 +62,34 @@ def test_tracer_targets_resolve():
         from tracer import TARGETS
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    # the CSV spans, traced where the commands look them up
-    for span in ("ingest.read_csv", "ingest.write_csv"):
+    # the file spans, traced where the commands look them up
+    for span in ("ingest.read_csv", "ingest.write_csv", "ingest.load_model"):
         assert TARGETS[span][:2] == ("optbench.ingest", span.split(".")[1])
     assert pipeline.read_csv is ingest.read_csv and ob_cli.write_csv is ingest.write_csv
+    assert ob_cli.load_model is ingest.load_model
     for span, (module_name, attr, _) in TARGETS.items():
         owner = importlib.import_module(module_name)
         for part in attr.split("."):
             owner = getattr(owner, part, None)
             assert owner is not None, f"{span}: {module_name}.{attr} is gone"
+
+
+def test_traced_evaluate_times_each_model_load(tmp_path):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from tracer import Tracer
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    data, out = str(tmp_path / "dataset.csv"), str(tmp_path)
+    tiny = ["--set", "sim.n_underlyings=1", "--set", "sim.days_per_underlying=25"]
+    assert main(["gen", "--out", out, "--seed", "3", *tiny]) == 0
+    train = ["train", "gbdt5", "--data", data, "--out", out, "--seed", "3"]
+    assert main([*train, "--set", "gbdt.num_rounds=1"]) == 0
+    tracer = Tracer()
+    with tracer.installed():
+        evaluate = ["evaluate", str(tmp_path / "gbdt5.model"), "--data", data, "--out", out]
+        assert main([*evaluate, "--seed", "3"]) == 0
+    assert tracer.calls["ingest.load_model"] == 1
 
 
 def test_one_forward_call_is_one_traced_pass(monkeypatch):

@@ -127,12 +127,12 @@ class TestSplit:
     def test_parts_get_no_binary_twin(self, tmp_path):
         data = gen_tiny(tmp_path)
         [dataset_twin] = tmp_path.glob(".*.npy")
-        write_csv(read_csv(data)[:3], tmp_path / "train.csv")  # an earlier part, with a twin
+        write_csv(read_csv(data)[0][:3], tmp_path / "train.csv")  # an earlier part, with a twin
         assert run("split", "--data", str(data), "--out", str(tmp_path), "--seed", "9") == 0
         assert list(tmp_path.glob(".*.npy")) == [dataset_twin]
         manifest = json.loads((tmp_path / "split.manifest.json").read_text())
         for info in manifest["parts"].values():
-            assert len(read_csv(tmp_path / info["path"])) == info["rows"]
+            assert len(read_csv(tmp_path / info["path"])[0]) == info["rows"]
 
     def test_custom_fractions(self, tmp_path):
         data = gen_tiny(tmp_path)
@@ -277,8 +277,8 @@ class TestTune:
         first = self.tune(data, tmp_path / "a")
         assert self.tune(data, tmp_path / "b") == first
         # double the midpoint of every test row: the filter keeps them all
-        kept = filter_quotes(read_csv(data)).kept
-        assert len(kept) == len(read_csv(data))  # so kept row i is the file's row i
+        kept = filter_quotes(read_csv(data)[0]).kept
+        assert len(kept) == len(read_csv(data)[0])  # so kept row i is the file's row i
         _, _, test_idx = split_indices(len(kept), SplitSpec(seed=9))
         lines = data.read_text().splitlines()
         col = QUOTE_COLUMNS.index("midpoint")
@@ -287,7 +287,7 @@ class TestTune:
             cells[col] = repr(2 * float(cells[col]))
             lines[row + 1] = ",".join(cells)
         data.write_text("\n".join(lines) + "\n")
-        assert len(filter_quotes(read_csv(data)).kept) == len(kept)
+        assert len(filter_quotes(read_csv(data)[0]).kept) == len(kept)
         assert self.tune(data, tmp_path / "c") == first
 
     def test_a_network_kind_is_a_usage_error(self, tmp_path, capsys):
@@ -488,11 +488,11 @@ class TestEvaluate:
         assert run("evaluate", *models, *common) == 0
 
         spec = SplitSpec(0.6, 0.1, 0.3, seed=9)
-        ds = Dataset.from_quotes(filter_quotes(read_csv(data)).kept)
+        ds = Dataset.from_quotes(filter_quotes(read_csv(data)[0]).kept)
         _, _, test = split_dataset(ds, spec)
         expected = {
-            "gbdt5": predict_gbdt(load_model(models[0]), test.features),
-            "mlp3": forward(load_model(models[1]), test.features),
+            "gbdt5": predict_gbdt(load_model(models[0])[0], test.features),
+            "mlp3": forward(load_model(models[1])[0], test.features),
         }
         table = (tmp_path / "report_table.csv").read_text().splitlines()[1:]
         reported = {line.split(",")[0]: float(line.split(",")[1]) for line in table}
@@ -506,7 +506,7 @@ class TestEvaluate:
     def test_baseline_without_implied_vol_is_data_error(self, tmp_path, capsys):
         data = gen_tiny(tmp_path)
         set_column(data, "implied_vol", "")
-        n_test = round(len(filter_quotes(read_csv(data)).kept) * 0.01)
+        n_test = round(len(filter_quotes(read_csv(data)[0]).kept) * 0.01)
         assert n_test > 0
         capsys.readouterr()
         code = run("evaluate", "--include-bs", "--data", str(data), "--out", str(tmp_path))

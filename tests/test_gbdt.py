@@ -731,7 +731,7 @@ class TestTraining:
         value = np.where(feature < 0, np.arange(n, dtype=np.float64), 0.0)
         chain = Tree(feature, np.zeros(n), left, right, value)
         model = TreeEnsemble(base_score=0.0, trees=[chain], n_features=26, best_round=0)
-        back = load_model(save_model(model, tmp_path / "chain.model")).trees[0]
+        back = load_model(save_model(model, tmp_path / "chain.model"))[0].trees[0]
         assert back.depth() == n_internal
         X = np.zeros((2, 26))
         X[:, 0] = [-1.0, 1.0]

@@ -42,7 +42,6 @@ from optbench.ingest import (
     MAGIC_NET,
     MAGIC_TREES,
     _WRITE_CHUNK,
-    load_model_and_manifest,
     write_file,
     write_rows,
 )
@@ -63,7 +62,7 @@ class TestCsvRoundTrip:
             make_quote(midpoint=0.01),
         )
         path = write_csv(quotes, tmp_path / "q.csv")
-        back = read_csv(path)
+        back, _ = read_csv(path)
         assert back.shape == quotes.shape
         assert np.array_equal(bits(back), bits(quotes))
 
@@ -80,11 +79,11 @@ class TestCsvRoundTrip:
         cells = row.split(",")
         assert cells[0] == "C"
         assert cells[6] == ""
-        assert np.isnan(read_csv(path)[0, 6])
+        assert np.isnan(read_csv(path)[0][0, 6])
 
     def test_float_precision_survives(self, tmp_path):
         q = make_quote(strike=100.0 / 3.0, midpoint=1.0 / 7.0)
-        back = read_csv(write_csv(q, tmp_path / "q.csv"))
+        back, _ = read_csv(write_csv(q, tmp_path / "q.csv"))
         assert np.array_equal(bits(back), bits(q))
 
     def test_byte_determinism(self, tmp_path):
@@ -96,7 +95,7 @@ class TestCsvRoundTrip:
     def test_empty_file_round_trip(self, tmp_path):
         path = write_csv(make_quotes(), tmp_path / "q.csv")
         assert path.read_text() == ",".join(QUOTE_COLUMNS) + "\n"
-        assert read_csv(path).shape == (0, QUOTE_WIDTH)
+        assert read_csv(path)[0].shape == (0, QUOTE_WIDTH)
 
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -122,7 +121,7 @@ class TestCsvRoundTrip:
         lines[5] = lines[5].replace("C", "X", 1)  # corrupt one row of 300
         path.write_text("\n".join(lines) + "\n")
         with caplog.at_level(logging.WARNING):
-            back = read_csv(path)
+            back, _ = read_csv(path)
         assert len(back) == 299
         assert np.array_equal(back, np.delete(quotes, 4, axis=0))
         assert any("line 6" in r.message for r in caplog.records)
@@ -145,7 +144,7 @@ class TestCsvRoundTrip:
         lines[10] = lines[10][:4] + b"\xff" + lines[10][4:]  # line 11 of the file
         path.write_bytes(b"\n".join(lines) + b"\n")
         with caplog.at_level(logging.WARNING):
-            back = read_csv(path)
+            back, _ = read_csv(path)
         assert np.array_equal(back, np.delete(quotes, 9, axis=0))
         assert any("line 11" in r.message for r in caplog.records)
 
@@ -175,7 +174,7 @@ class TestCsvRoundTrip:
         quotes[:, QUOTE_COLUMNS.index(column)] = [first, first, second, first, second, second, first, second]
         path = write_csv(quotes, tmp_path / "q.csv")
         assert path.read_bytes() == per_cell_csv(quotes)
-        assert np.array_equal(bits(read_csv(path)), bits(quotes))
+        assert np.array_equal(bits(read_csv(path)[0]), bits(quotes))
 
     def test_runs_across_write_chunks(self, tmp_path):
         # one chain longer than a write chunk; -0.0 and 0.0 share a chunk
@@ -186,7 +185,7 @@ class TestCsvRoundTrip:
         quotes[-2:, QUOTE_COLUMNS.index("rate")] = 0.0
         path = write_csv(quotes, tmp_path / "q.csv")
         assert path.read_bytes() == per_cell_csv(quotes)
-        assert np.array_equal(bits(read_csv(path)), bits(quotes))
+        assert np.array_equal(bits(read_csv(path)[0]), bits(quotes))
 
     def test_malformed_line_after_a_good_line_of_its_chain(self, tmp_path, caplog):
         chain_a = [make_quote(strike=50.0 + i) for i in range(400)]
@@ -223,7 +222,7 @@ class TestCsvRoundTrip:
                     expected.append(f"{path}: skipping malformed line {len(lines)}: {message}")
         path.write_bytes(b"\n".join(lines) + b"\n")
         with caplog.at_level(logging.WARNING):
-            back = read_csv(path)
+            back, _ = read_csv(path)
         assert [r.getMessage() for r in caplog.records] == expected
         assert np.array_equal(bits(back), bits(quotes))
 
@@ -264,7 +263,7 @@ class TestBinaryTwin:
         """read_csv of `path` with its twins moved out of the way."""
         moved = [twin.rename(twin.with_name(twin.name + ".away")) for twin in twins(path.parent)]
         try:
-            return read_csv(path)
+            return read_csv(path)[0]
         finally:
             for away in moved:
                 away.rename(away.with_name(away.name.removesuffix(".away")))
@@ -277,7 +276,7 @@ class TestBinaryTwin:
         twin = tmp_path / f".q.csv.{digest}.npy"
         assert twin.stat().st_size == 128 + 224 * len(quotes)
         assert np.array_equal(bits(np.load(twin)), bits(quotes))
-        table, read_digest = read_csv(path, with_digest=True)
+        table, read_digest = read_csv(path)
         assert read_digest == digest
         assert np.array_equal(bits(table), bits(quotes))
 
@@ -289,7 +288,7 @@ class TestBinaryTwin:
             raise AssertionError("the text was parsed")
 
         monkeypatch.setattr(ingest, "_parse_line", no_parse)
-        assert np.array_equal(bits(read_csv(path)), bits(quotes))
+        assert np.array_equal(bits(read_csv(path)[0]), bits(quotes))
 
     def test_edited_or_appended_csv_reads_its_new_content(self, tmp_path):
         quotes = chain_table(5, 4)
@@ -301,11 +300,11 @@ class TestBinaryTwin:
         path.write_text("\n".join(lines) + "\n")
         edited = quotes.copy()
         edited[2, QUOTE_COLUMNS.index("midpoint")] = 7.25
-        assert np.array_equal(bits(read_csv(path)), bits(edited))
+        assert np.array_equal(bits(read_csv(path)[0]), bits(edited))
 
         with path.open("a") as fh:
             fh.write(lines[1] + "\n")
-        back, digest = read_csv(path, with_digest=True)
+        back, digest = read_csv(path)
         assert np.array_equal(bits(back), bits(np.concatenate([edited, quotes[:1]])))
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -331,7 +330,7 @@ class TestBinaryTwin:
         [twin] = twins(tmp_path)
         twin.write_bytes(corrupt(twin.read_bytes(), quotes))
         with caplog.at_level(logging.WARNING):
-            back, digest = read_csv(path, with_digest=True)
+            back, digest = read_csv(path)
         assert [r.getMessage() for r in caplog.records] == [
             f"{path}: ignoring binary twin {twin.name}: "
             f"not the .npy file of a {QUOTE_WIDTH}-column float64 table; parsing the text"
@@ -348,7 +347,7 @@ class TestBinaryTwin:
         parsed = []
         parse_line = ingest._parse_line
         monkeypatch.setattr(ingest, "_parse_line", lambda *a: parsed.append(1) or parse_line(*a))
-        assert np.array_equal(bits(read_csv(copy)), bits(quotes))
+        assert np.array_equal(bits(read_csv(copy)[0]), bits(quotes))
         assert len(parsed) == len(quotes)
 
     def test_failed_twin_write_leaves_no_temporary_file(self, tmp_path, monkeypatch, caplog):
@@ -364,7 +363,7 @@ class TestBinaryTwin:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["q.csv"]
         assert "binary twin not written" in caplog.text
         assert path.read_bytes() == per_cell_csv(quotes)
-        assert np.array_equal(bits(read_csv(path)), bits(quotes))
+        assert np.array_equal(bits(read_csv(path)[0]), bits(quotes))
 
     def test_rewrite_leaves_exactly_one_twin(self, tmp_path):
         path = tmp_path / "q.csv"
@@ -377,7 +376,7 @@ class TestBinaryTwin:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert twins(tmp_path) == sorted([tmp_path / f".q.csv.{digest}.npy", *other_twins])
         for other in others:
-            assert np.array_equal(bits(read_csv(other)), bits(make_quote()))
+            assert np.array_equal(bits(read_csv(other)[0]), bits(make_quote()))
 
     def test_write_without_twin_removes_only_its_own_stale_twins(self, tmp_path):
         path = write_csv(chain_table(5, 4, seed=1), tmp_path / "q.csv")
@@ -388,11 +387,11 @@ class TestBinaryTwin:
         assert write_csv(quotes, path, twin=False) == path
         assert twins(tmp_path) == other_twins
         assert path.read_bytes() == per_cell_csv(quotes)
-        assert np.array_equal(bits(read_csv(path)), bits(quotes))
+        assert np.array_equal(bits(read_csv(path)[0]), bits(quotes))
 
     def test_returned_array_is_writeable_not_a_memmap(self, tmp_path):
         path = write_csv(chain_table(5, 4), tmp_path / "q.csv")
-        table = read_csv(path)
+        table, _ = read_csv(path)
         assert not isinstance(table, np.memmap) and not isinstance(table.base, np.memmap)
         assert table.flags.writeable and table.flags.c_contiguous
         table[0, 0] = 1.0
@@ -404,8 +403,8 @@ class TestBinaryTwin:
         quotes[2, QUOTE_COLUMNS.index("implied_vol")] = -np.nan
         quotes[3, QUOTE_COLUMNS.index("midpoint")] = np.uint64(0x7FF0000000000001).view(np.float64)
         path = write_csv(quotes, tmp_path / "q.csv")
-        assert np.array_equal(bits(read_csv(path)), bits(self.parsed(path)))
-        assert bits(read_csv(path))[0, 0] == bits(np.float64(0.0))
+        assert np.array_equal(bits(read_csv(path)[0]), bits(self.parsed(path)))
+        assert bits(read_csv(path)[0])[0, 0] == bits(np.float64(0.0))
 
     def test_text_is_freed_before_the_twin_loads(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -421,6 +420,39 @@ class TestBinaryTwin:
             tracemalloc.stop()
         assert text > table and peak < text + table / 2
 
+    def test_text_read_holds_the_table_not_the_file(self, tmp_path, monkeypatch):
+        # without a twin the text is streamed a line at a time and each row
+        # packed once into the table, so the peak is near the table's size
+        rng = np.random.default_rng(2)
+        quotes = rng.uniform(1.0, 100.0, size=(20_000, QUOTE_WIDTH))
+        quotes[:, 0] = rng.integers(0, 2, size=len(quotes))
+        path = write_csv(quotes, tmp_path / "q.csv", twin=False)
+
+        def no_read_bytes(self):
+            raise AssertionError(f"{self} was read whole")
+
+        monkeypatch.setattr(Path, "read_bytes", no_read_bytes)
+        (table, _), peak = traced_peak(read_csv, path)
+        assert np.array_equal(bits(table), bits(quotes))
+        assert peak <= 2.5 * quotes.nbytes, (peak, quotes.nbytes)
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda raw: raw.replace(b"\n", b"\r\n"),
+            lambda raw: raw.removesuffix(b"\n"),
+            lambda raw: raw.replace(b"\n", b"\r"),
+        ],
+        ids=["crlf", "no-final-newline", "cr"],
+    )
+    def test_text_read_of_other_line_endings(self, tmp_path, rewrite):
+        quotes = chain_table(40, 30)
+        path = write_csv(quotes, tmp_path / "q.csv", twin=False)
+        path.write_bytes(rewrite(path.read_bytes()))
+        table, digest = read_csv(path)
+        assert np.array_equal(bits(table), bits(quotes))
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_twin_read_never_holds_the_file(self, tmp_path):
         # the digest is streamed through one 1 MiB block, freed before the
         # twin loads, so a twin read holds the table and never the text
@@ -428,7 +460,7 @@ class TestBinaryTwin:
         quotes = rng.uniform(1.0, 100.0, size=(40_000, QUOTE_WIDTH))
         quotes[:, 0] = rng.integers(0, 2, size=len(quotes))
         path = write_csv(quotes, tmp_path / "q.csv")
-        table, peak = traced_peak(read_csv, path)
+        (table, _), peak = traced_peak(read_csv, path)
         assert np.array_equal(bits(table), bits(quotes))
         assert peak <= 1.2 * quotes.nbytes, (peak, quotes.nbytes)
 
@@ -437,13 +469,13 @@ class TestBinaryTwin:
         path = write_csv(quotes, tmp_path / "q.csv")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         [twin] = twins(tmp_path)
-        reads = [read_csv(path, with_digest=True)]
+        reads = [read_csv(path)]
         moved = twin.rename(twin.with_name(twin.name + ".away"))
-        reads.append(read_csv(path, with_digest=True))
+        reads.append(read_csv(path))
         raw = moved.read_bytes()
         twin.write_bytes(b"\x93NUMPY" + b"\0" * 10 + raw[16:])  # a corrupt header
         with caplog.at_level(logging.WARNING):
-            reads.append(read_csv(path, with_digest=True))
+            reads.append(read_csv(path))
         assert "ignoring binary twin" in caplog.text
         for table, read_digest in reads:
             assert np.array_equal(bits(table), bits(quotes))
@@ -456,7 +488,7 @@ class TestBinaryTwin:
         quotes = chain_table(40, 8)
         path = write_csv(quotes, tmp_path / "q.csv")
         assert path.read_bytes() == per_cell_csv(quotes)
-        assert np.array_equal(bits(read_csv(path)), bits(self.parsed(path)))
+        assert np.array_equal(bits(read_csv(path)[0]), bits(self.parsed(path)))
 
 
 def written(directory: Path, quotes: np.ndarray, **kwargs) -> tuple[bytes, list[bytes]]:
@@ -558,7 +590,7 @@ class TestModelFiles:
     def test_tree_round_trip_identical_predictions(self, tmp_path):
         model, train = self.make_tree_model()
         path = save_model(model, tmp_path / "m.model")
-        back = load_model(path)
+        back, _ = load_model(path)
         a = predict_gbdt(model, train.features)
         b = predict_gbdt(back, train.features)
         assert np.array_equal(a, b)
@@ -568,7 +600,7 @@ class TestModelFiles:
     def test_net_round_trip_identical_predictions(self, tmp_path):
         net, train = self.make_net_model()
         path = save_model(net, tmp_path / "n.model")
-        back = load_model(path)
+        back, _ = load_model(path)
         assert np.array_equal(forward(net, train.features), forward(back, train.features))
 
     def test_magic_bytes(self, tmp_path):
@@ -625,8 +657,8 @@ class TestModelFiles:
     def test_generic_loader_dispatches(self, tmp_path):
         model, _ = self.make_tree_model()
         net, _ = self.make_net_model()
-        t = load_model(save_model(model, tmp_path / "t.model"))
-        n = load_model(save_model(net, tmp_path / "n.model"))
+        t, _ = load_model(save_model(model, tmp_path / "t.model"))
+        n, _ = load_model(save_model(net, tmp_path / "n.model"))
         assert type(t).__name__ == "TreeEnsemble"
         assert type(n).__name__ == "NetworkParams"
 
@@ -744,7 +776,7 @@ class TestModelFiles:
         assert "etas" not in doc["model"]
         doc["model"]["etas"] = [r.eta for r in model.history[: len(model.trees)]]
         path.write_bytes(raw[:8] + json.dumps(doc).encode())
-        back = load_model(path)
+        back, _ = load_model(path)
         assert np.array_equal(predict_gbdt(back, train.features), predict_gbdt(model, train.features))
         assert back.history == model.history
         doc["model"]["etas"].append(0.5)
@@ -756,7 +788,7 @@ class TestModelFiles:
         model, _ = self.make_tree_model()
         manifest = {"kind": "gbdt5", "dataset_digest": "abc123"}
         path = save_model(model, tmp_path / "m.model", manifest=manifest)
-        assert load_model_and_manifest(path)[1] == manifest
+        assert load_model(path)[1] == manifest
 
     def test_no_nan_in_file(self, tmp_path):
         model, _ = self.make_tree_model()
@@ -815,7 +847,7 @@ class TestModelFileFuzz:
         path = out / f"mutated_{kind}.model"
         path.write_bytes(blob)
         try:
-            model = load_model(path)
+            model, _ = load_model(path)
         except IncompatibleModelError:
             return
         with np.errstate(all="ignore"):  # a huge weight may overflow; the shape still holds

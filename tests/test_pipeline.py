@@ -10,12 +10,12 @@ from optbench import (
     MlpTrainConfig,
     SplitSpec,
     ValidationError,
+    load_model,
     mae,
     pipeline,
     read_csv,
     save_model,
 )
-from optbench.ingest import load_model_and_manifest
 
 from conftest import make_dataset, same_bits
 from test_cli import gen_tiny, run
@@ -59,13 +59,13 @@ def library(cli_run):
 def test_parts_are_the_split_csvs(cli_run, library):
     _, rows, _ = library
     for name, part in zip(("train", "val", "test"), rows):
-        assert same_bits(part, read_csv(cli_run / f"{name}.csv")), name
+        assert same_bits(part, read_csv(cli_run / f"{name}.csv")[0]), name
 
 
 @pytest.mark.parametrize("kind", sorted(FIT_CONFIGS))
 def test_fit_gives_the_model_bytes_of_train(cli_run, library, tmp_path, kind):
     digest, _, models = library
-    _, manifest = load_model_and_manifest(cli_run / f"{kind}.model")
+    _, manifest = load_model(cli_run / f"{kind}.model")
     identity = pipeline.identity(digest, SPEC)
     assert {key: manifest[key] for key in identity} == identity
     path = save_model(models[kind], tmp_path / f"{kind}.model", manifest)

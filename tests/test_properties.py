@@ -144,7 +144,7 @@ class TestCsvInvariants:
         with tempfile.TemporaryDirectory() as tmp:
             path = write_csv(table, Path(tmp) / "q.csv")
             assert path.read_bytes() == per_cell_csv(table)
-            back = read_csv(path)
+            back, _ = read_csv(path)
         assert back.shape == table.shape
         assert np.array_equal(back.view(np.uint64), table.view(np.uint64))
 
@@ -182,9 +182,9 @@ class TestCsvTwin:
             path = write_csv(table, Path(tmp) / "q.csv")
             assert path.read_bytes() == per_cell_csv(table)
             [twin] = Path(tmp).glob(".q.csv.*.npy")
-            through_twin = read_csv(path)
+            through_twin, _ = read_csv(path)
             twin.unlink()
-            parsed = read_csv(path)
+            parsed, _ = read_csv(path)
         assert same_bits(through_twin, parsed)
 
 
