@@ -69,7 +69,9 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
 
     "gain": the change wins at least 9 in 10 pairs (a tie counts for
     neither side) and its median is better by more than the parent's
-    q3 - q1. "regression": its median is worse by more than bound x the
+    q3 - q1 and by more than bound / 20 x the parent's median (1.25% at
+    a bound of 0.25), so a steady move too small to matter is no gain.
+    "regression": its median is worse by more than bound x the
     parent's median. "unresolved": neither, and the parent's q3 - q1 is
     wider than bound x its median. "no change": any other case.
     """
@@ -77,7 +79,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     sign = 1 if better == "lower" else -1  # > 0 where the change is better
     ahead = sign * (median - statistics.median(change))
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
-    if wins >= 0.9 * len(parent) and ahead > q3 - q1:
+    if wins >= 0.9 * len(parent) and ahead > max(q3 - q1, bound / 20 * abs(median)):
         return "gain"
     if -ahead > bound * abs(median):
         return "regression"

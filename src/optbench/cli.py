@@ -35,13 +35,13 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import (
+    SUMMARY_HEADER,
     HistogramBin,
     ModelResult,
     compare_models,
     histogram,
     summary_stats,
     write_report,
-    write_summary_csv,
 )
 from .ingest import load_model, save_model, write_csv, write_file, write_rows
 from .simgen import SimConfig, generate_dataset
@@ -174,17 +174,10 @@ def build_config(section: str, cfg: dict, **fixed):
         raise UsageError(f"{section} configuration: {exc}") from exc
 
 
-def _write_json(doc: dict, path: Path) -> None:
-    write_file(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")])
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def _write_manifest(path: Path, command: str, **doc) -> None:
     """A command's side manifest, stamped with the command and the time it was written."""
-    _write_json({"command": command, **doc, "created_at": _now()}, path)
+    doc = {"command": command, **doc, "created_at": datetime.now(timezone.utc).isoformat()}
+    write_file(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def cmd_gen(cfg: dict, out: Path) -> int:
@@ -270,16 +263,13 @@ def cmd_train(cfg: dict, kind: str, out: Path) -> int:
     model_path = save_model(model, out / f"{kind}.model", manifest)
     if records:
         write_rows(out / f"{kind}_metrics.csv", records[0]._fields, records)
-    _write_json(
-        {
-            **manifest,
-            f"{unit}s_trained": len(records),
-            f"best_{unit}": best,
-            "training_seconds": seconds,
-            "trained_at": _now(),
-            "final_val_mae": records[-1].val_mae if records else None,
-        },
+    _write_manifest(
         out / f"{kind}.manifest.json",
+        "train",
+        **manifest,
+        **{f"{unit}s_trained": len(records), f"best_{unit}": best},
+        training_seconds=seconds,
+        final_val_mae=records[-1].val_mae if records else None,
     )
     print(f"trained {kind} in {seconds:.1f}s; model at {model_path}")
     return EXIT_OK
@@ -403,7 +393,7 @@ def cmd_report(cfg: dict, out: Path) -> int:
                 continue
         stats[column] = summary_stats(values)
         write_rows(out / f"hist_{column}.csv", HistogramBin._fields, histogram(values, n_bins))
-    write_summary_csv(stats, out / "summary.csv")
+    write_rows(out / "summary.csv", SUMMARY_HEADER, ((name, *s) for name, s in stats.items()))
     width = max(len(c) for c in stats)
     print(f"{'column'.ljust(width)}  {'count':>8}  {'mean':>12}  {'std':>12}  "
           f"{'min':>12}  {'median':>12}  {'max':>12}")

@@ -97,6 +97,10 @@ def binned_errors(predictions, targets, n_bins: int = 20) -> list[BinStat]:
     return out
 
 
+# A summary.csv row is a column's name, then its SummaryStats
+SUMMARY_HEADER = ("column", "count", "mean", "std", "min", "q25", "median", "q75", "max")
+
+
 class SummaryStats(NamedTuple):
     count: int
     mean: float
@@ -249,13 +253,3 @@ def write_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
         written.append(write_rows(out / f"curve_{name}.csv", curve_header, curve))
     return written
 
-
-def write_summary_csv(
-    stats_by_column: dict[str, SummaryStats], path: str | Path
-) -> Path:
-    """One row of distribution summary per named column."""
-    return write_rows(
-        path,
-        ("column", "count", "mean", "std", "min", "q25", "median", "q75", "max"),
-        ((name, *s) for name, s in stats_by_column.items()),
-    )

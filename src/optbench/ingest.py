@@ -15,9 +15,10 @@ chain carries the same 25 terms (its segment), so the writer formats
 each distinct segment and strike once, keeping each text until the
 write ends (so at most one per distinct segment and strike written),
 and writes a row as
-`code,strike,segment,midpoint`. Given row positions (`rows=`), it
-writes those rows of the table, in that order, taking them one chunk at
-a time, so a part of a table is written without a copy of the part.
+`code,strike,segment,midpoint`. Every write takes row positions
+(`rows=`, all rows when none are given) and writes those rows of the
+table, in that order, one chunk at a time, so a part of a table is
+written without a copy of the part.
 
 Next to the CSV the writer leaves its binary twin: the table the text
 parses to, as a float64 `.npy` array named `.<csv name>.<sha256>.npy`
@@ -96,6 +97,9 @@ _TERMS = slice(_STRIKE + 1, _MIDPOINT)
 _WRITE_CHUNK = 2048  # rows formatted at a time, to bound memory
 _ROW = struct.Struct(f"{QUOTE_WIDTH}d")  # one table row of doubles
 _HASH_BLOCK = 1 << 20  # bytes read at a time to hash a CSV
+# A tree's arrays and their dtypes; a model file holds each as a list, one number per node
+_TREE_ARRAYS = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
+                "right": np.int32, "value": np.float64}
 
 
 def write_file(path: str | Path, chunks: Iterable[bytes]) -> Path:
@@ -136,10 +140,10 @@ def write_rows(path: str | Path, header: Iterable[str], rows: Iterable) -> Path:
 def write_csv(quotes, path: str | Path, *, twin: bool = True, rows=None) -> Path:
     """Write a quote table in the canonical 28-column layout, and its twin.
 
-    With `rows`, integer positions into the table (the rule of
-    `core.check_positions`), only those rows are written, in that order:
-    the same bytes, twin included, as writing `quotes[rows]`, but read
-    from the table one write chunk at a time, so no copy of the
+    `rows`, integer positions into the table (the rule of
+    `core.check_positions`; all rows when None), are written in that
+    order: the same bytes, twin included, as writing `quotes[rows]`, but
+    read from the table one write chunk at a time, so no copy of the
     selection is made. The option-type check covers the written rows
     only. A refused `rows` writes nothing.
 
@@ -149,9 +153,8 @@ def write_csv(quotes, path: str | Path, *, twin: bool = True, rows=None) -> Path
     written is only logged: the CSV still reads.
     """
     table = check_width(quotes, QUOTE_WIDTH, "quotes")
-    if rows is not None:
-        rows = check_positions(rows, len(table), "rows")
-    check_fields(TERM_RULES, option_type=table[:, 0] if rows is None else table[rows, 0])
+    rows = check_positions(np.arange(len(table)) if rows is None else rows, len(table), "rows")
+    check_fields(TERM_RULES, option_type=table[rows, 0])
     digest = hashlib.sha256()
     chunks = _csv_chunks(table, rows)
     path = write_file(path, _hashed(chunks, digest) if twin else chunks)
@@ -201,15 +204,13 @@ def _cached_texts(cells: np.ndarray, cache: dict[bytes, str], make) -> list[str]
     return [cache[key] for key in keys]
 
 
-def _row_chunks(table: np.ndarray, rows: np.ndarray | None) -> Iterable[np.ndarray]:
-    """The rows to write, _WRITE_CHUNK at a time: slices of the whole
-    table, or the table's rows at each run of `rows`, copied one run at a time."""
-    for start in range(0, len(table) if rows is None else len(rows), _WRITE_CHUNK):
-        span = slice(start, start + _WRITE_CHUNK)
-        yield table[span] if rows is None else table[rows[span]]
+def _row_chunks(table: np.ndarray, rows: np.ndarray) -> Iterable[np.ndarray]:
+    """The table's rows at each _WRITE_CHUNK run of `rows`, copied one run at a time."""
+    for start in range(0, len(rows), _WRITE_CHUNK):
+        yield table[rows[start : start + _WRITE_CHUNK]]
 
 
-def _csv_chunks(table: np.ndarray, rows: np.ndarray | None) -> Iterable[bytes]:
+def _csv_chunks(table: np.ndarray, rows: np.ndarray) -> Iterable[bytes]:
     yield (",".join(QUOTE_COLUMNS) + "\n").encode("utf-8")
     segments: dict[bytes, str] = {}  # the bits of a row's terms -> their text
     strikes: dict[bytes, str] = {}
@@ -235,12 +236,12 @@ def _twin_header(rows: int) -> bytes:
     return header.getvalue()
 
 
-def _twin_chunks(table: np.ndarray, rows: np.ndarray | None) -> Iterable[bytes]:
+def _twin_chunks(table: np.ndarray, rows: np.ndarray) -> Iterable[bytes]:
     """The `.npy` bytes of what parsing the CSV of the written rows gives:
     flags exactly 1.0 or 0.0 and every NaN float('nan'); -0.0 and inf stay."""
-    yield _twin_header(len(table) if rows is None else len(rows))
+    yield _twin_header(len(rows))
     for chunk in _row_chunks(table, rows):
-        chunk = chunk.astype("<f8")
+        chunk = chunk.astype("<f8", copy=False)  # each chunk is a copy already
         chunk[:, 0] = chunk[:, 0] == 1.0
         chunk[np.isnan(chunk)] = math.nan
         yield chunk.tobytes()
@@ -359,13 +360,7 @@ def _parse_lines(path: Path, lines: Iterator[bytes]) -> np.ndarray:
 
 
 def _tree_payload(tree: Tree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-    }
+    return {name: getattr(tree, name).tolist() for name in _TREE_ARRAYS}
 
 
 def _ensemble_payload(model: TreeEnsemble) -> dict:
@@ -496,17 +491,10 @@ def _rebuild_ensemble(payload: dict) -> TreeEnsemble:
         )
     n_features = int(payload["n_features"])
     for raw in payload["trees"]:
-        n = len(raw["feature"])
-        for key in ("threshold", "left", "right", "value"):
-            if len(raw[key]) != n:
+        for key in _TREE_ARRAYS:
+            if len(raw[key]) != len(raw["feature"]):
                 raise ValueError(f"tree arrays disagree on node count for {key!r}")
-        tree = Tree(
-            feature=np.asarray(raw["feature"], dtype=np.int32),
-            threshold=np.asarray(raw["threshold"], dtype=np.float64),
-            left=np.asarray(raw["left"], dtype=np.int32),
-            right=np.asarray(raw["right"], dtype=np.int32),
-            value=np.asarray(raw["value"], dtype=np.float64),
-        )
+        tree = Tree(**{key: np.asarray(raw[key], dtype=t) for key, t in _TREE_ARRAYS.items()})
         _check_tree(tree, n_features)
         trees.append(tree)
     # files written before `etas` was dropped still carry it

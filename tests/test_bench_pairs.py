@@ -46,6 +46,27 @@ def test_verdict(change, better, expected):
     assert bench_pairs.verdict(PARENT, change, better, 0.25) == expected
 
 
+# peak_rss_mb of BENCH_33.json's gbdt_fit pairs, seeds 3301-3310: 10 wins, a -0.13% median move
+RSS_PARENT = [122.578125, 122.703125, 122.6875, 122.7421875, 122.6953125,
+              122.74609375, 122.734375, 122.66015625, 122.62109375, 122.7109375]
+RSS_CHANGE = [122.52734375, 122.4921875, 122.5546875, 122.6015625, 122.5078125,
+              122.62890625, 122.52734375, 122.546875, 122.45703125, 122.609375]
+
+
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        # every pair won by more than the parent's spread, but by 0.13%
+        (RSS_PARENT, RSS_CHANGE, "no change"),
+        # every pair won by 1.5% over a parent spread of 0.2%
+        ([v + 90.0 for v in PARENT], [(v + 90.0) * 0.985 for v in PARENT], "gain"),
+    ],
+    ids=["sub-noise", "above-floor"],
+)
+def test_verdict_gain_needs_bound_over_20_of_the_median(parent, change, expected):
+    assert bench_pairs.verdict(parent, change, "lower", 0.25) == expected
+
+
 def test_wide_parent_is_unresolved():
     parent = [6.0, 14.0, 8.0, 12.0, 7.0, 13.0, 9.0, 11.0, 10.0, 10.0]  # q3 - q1 > 2.5
     assert bench_pairs.verdict(parent, parent, "lower", 0.25) == "unresolved"

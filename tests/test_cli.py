@@ -1,6 +1,7 @@
 import io
 import json
 import logging
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -528,6 +529,27 @@ class TestEvaluate:
     def test_no_models_no_baseline_usage_error(self, tmp_path):
         data = gen_tiny(tmp_path)
         assert run("evaluate", "--data", str(data), "--out", str(tmp_path)) == 1
+
+
+class TestSideManifests:
+    @pytest.mark.parametrize(
+        "command, manifest",
+        [
+            (["gen"], "dataset.manifest.json"),
+            (["split"], "split.manifest.json"),
+            (["train", "gbdt5", "--set", "gbdt.num_rounds=2"], "gbdt5.manifest.json"),
+            (["tune", "gbdt5", "--set", "gbdt.num_rounds=2"], "gbdt5.tune.json"),
+            (["evaluate", "--include-bs"], "evaluate.manifest.json"),
+        ],
+        ids=["gen", "split", "train", "tune", "evaluate"],
+    )
+    def test_stamped_with_the_command_and_the_time(self, tmp_path, command, manifest):
+        data = gen_tiny(tmp_path)
+        out = tmp_path / "o"
+        assert run(*command, "--data", str(data), "--seed", "9", "--out", str(out)) == 0
+        doc = json.loads((out / manifest).read_text())
+        assert doc["command"] == command[0]
+        assert datetime.fromisoformat(doc["created_at"]).tzinfo is not None
 
 
 class TestBaselines:

@@ -15,7 +15,7 @@ from optbench import (
     summary_stats,
     write_report,
 )
-from optbench.evaluation import HistogramBin, write_summary_csv
+from optbench.evaluation import SUMMARY_HEADER, HistogramBin
 from optbench.ingest import write_rows
 
 
@@ -213,7 +213,8 @@ class TestWriters:
 
     def test_write_summary_csv(self, tmp_path):
         stats = {"midpoint": summary_stats([1.0, 2.0, 3.0])}
-        path = write_summary_csv(stats, tmp_path / "summary.csv")
+        rows = ((name, *s) for name, s in stats.items())
+        path = write_rows(tmp_path / "summary.csv", SUMMARY_HEADER, rows)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("column,count,mean,std")
         assert lines[1].startswith("midpoint,3,2.0,")
